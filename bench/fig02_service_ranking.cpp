@@ -65,8 +65,8 @@ void measured_tail(const synth::ScenarioConfig& config) {
   const workload::SubscriberBase subscribers(territory, config.population);
   const synth::AnalyticGenerator gen(territory, subscribers, catalog,
                                      config.traffic_seed, 0.0);
-  synth::NationalSeriesSink national(catalog.size());
-  gen.generate(national);
+  synth::AggregateSink sink(catalog.size(), territory.size());
+  gen.generate(sink);
 
   for (const auto d :
        {workload::Direction::kDownlink, workload::Direction::kUplink}) {
@@ -74,7 +74,7 @@ void measured_tail(const synth::ScenarioConfig& config) {
     volumes.reserve(catalog.size());
     for (std::size_t s = 0; s < catalog.size(); ++s) {
       double total = 0.0;
-      for (const double v : national.series(s, d)) total += v;
+      for (const double v : sink.tables().national_row(s, d)) total += v;
       volumes.push_back(total);
     }
     const auto ranked = stats::rank_sizes(volumes);

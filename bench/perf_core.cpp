@@ -298,9 +298,9 @@ void BM_AnalyticGenerator(benchmark::State& state) {
                                      config.traffic_seed,
                                      config.temporal_noise_sigma);
   for (auto _ : state) {
-    synth::TotalsSink totals;
-    gen.generate(totals);
-    benchmark::DoNotOptimize(totals.total());
+    synth::AggregateSink sink(catalog.size(), territory.size());
+    gen.generate(sink);
+    benchmark::DoNotOptimize(sink.tables().downlink_total);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(config.country.commune_count) *
@@ -325,9 +325,9 @@ void BM_AnalyticGeneratorThreads(benchmark::State& state) {
                                      config.traffic_seed,
                                      config.temporal_noise_sigma);
   for (auto _ : state) {
-    synth::TotalsSink totals;
-    gen.generate(totals);
-    benchmark::DoNotOptimize(totals.total());
+    synth::AggregateSink sink(catalog.size(), territory.size());
+    gen.generate(sink);
+    benchmark::DoNotOptimize(sink.tables().downlink_total);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(config.country.commune_count) *

@@ -64,7 +64,7 @@ generator_args() {
 # shellcheck disable=SC2046  # generator_args is intentionally word-split
 cmake -B "$BUILD_DIR" $(generator_args "$BUILD_DIR") -DAPPSCOPE_WARNINGS_AS_ERRORS=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)"
-ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure
+ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure --repeat until-fail:3
 
 for b in "$BUILD_DIR"/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue

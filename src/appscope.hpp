@@ -70,15 +70,16 @@
 #include "net/types.hpp"
 
 // synth — scenario generation
+#include "synth/aggregate_tables.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "synth/sinks.hpp"
 
 // io — binary dataset snapshot store
 #include "io/format.hpp"
+#include "io/publish.hpp"
 #include "io/snapshot.hpp"
 #include "io/snapshot_reader.hpp"
-#include "io/snapshot_sink.hpp"
 #include "io/snapshot_writer.hpp"
 
 // core — the paper's analyses

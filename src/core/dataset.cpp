@@ -15,12 +15,6 @@ TrafficDataset::TrafficDataset(
       territory_(std::move(territory)),
       subscribers_(std::move(subscribers)),
       catalog_(std::move(catalog)) {
-  national_ = std::make_unique<synth::NationalSeriesSink>(catalog_->size());
-  commune_totals_ = std::make_unique<synth::CommuneTotalsSink>(catalog_->size(),
-                                                               territory_->size());
-  urbanization_ = std::make_unique<synth::UrbanizationSeriesSink>(catalog_->size());
-  totals_ = std::make_unique<synth::TotalsSink>();
-
   for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
     class_subscribers_[u] = subscribers_->total_in(
         *territory_, static_cast<geo::Urbanization>(u));
@@ -29,9 +23,9 @@ TrafficDataset::TrafficDataset(
 
 void TrafficDataset::consume_stream(
     const std::function<void(synth::TrafficSink&)>& producer) {
-  synth::FanoutSink fanout({national_.get(), commune_totals_.get(),
-                            urbanization_.get(), totals_.get()});
-  producer(fanout);
+  synth::AggregateSink sink(catalog_->size(), territory_->size());
+  producer(sink);
+  tables_ = std::move(sink).take();
 }
 
 TrafficDataset TrafficDataset::generate(const synth::ScenarioConfig& config) {
@@ -90,18 +84,8 @@ TrafficDataset TrafficDataset::from_usage_records(
 }
 
 void TrafficDataset::save(const std::string& path) const {
-  io::DatasetAggregates aggregates;
-  aggregates.services = catalog_->size();
-  aggregates.communes = territory_->size();
-  aggregates.national = national_->snapshot_data();
-  aggregates.commune_totals = commune_totals_->snapshot_data();
-  aggregates.urbanization = urbanization_->snapshot_data();
-  aggregates.downlink_total = totals_->downlink();
-  aggregates.uplink_total = totals_->uplink();
-  aggregates.cells_consumed = totals_->cells_consumed();
-  aggregates.class_subscribers = class_subscribers_;
   io::write_snapshot(path, config_, *territory_, *subscribers_, *catalog_,
-                     aggregates);
+                     tables_);
 }
 
 TrafficDataset TrafficDataset::load(const std::string& path) {
@@ -112,45 +96,38 @@ TrafficDataset TrafficDataset::from_snapshot(io::LoadedSnapshot snap,
                                              const std::string& context) {
   TrafficDataset dataset(std::move(snap.config), std::move(snap.territory),
                          std::move(snap.subscribers), std::move(snap.catalog));
-  // The constructor recomputes the per-class subscriber divisors from the
-  // decoded territory + subscriber base; they must agree with the stored
-  // section, or per-user analyses would silently diverge from the original.
-  for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
-    if (dataset.class_subscribers_[u] != snap.aggregates.class_subscribers[u]) {
-      throw util::InputError(
-          "snapshot: " + context +
-          ": per-class subscriber counts disagree with the stored territory "
-          "(corrupted or incompatible snapshot)");
-    }
+  if (snap.aggregates.layout() !=
+      synth::AggregateLayout{dataset.service_count(), dataset.commune_count()}) {
+    throw util::InputError("snapshot: " + context +
+                           ": aggregate tables disagree with the stored "
+                           "territory/catalog dimensions");
   }
-  dataset.national_->restore(snap.aggregates.national);
-  dataset.commune_totals_->restore(snap.aggregates.commune_totals);
-  dataset.urbanization_->restore(snap.aggregates.urbanization);
-  dataset.totals_->restore(snap.aggregates.downlink_total,
-                           snap.aggregates.uplink_total,
-                           snap.aggregates.cells_consumed);
+  dataset.tables_ = std::move(snap.aggregates);
   return dataset;
 }
 
-const std::vector<double>& TrafficDataset::national_series(
+std::span<const double> TrafficDataset::national_series(
     workload::ServiceIndex service, workload::Direction d) const {
-  return national_->series(service, d);
+  return tables_.national_row(service, d);
 }
 
 double TrafficDataset::commune_total(workload::ServiceIndex service,
                                      geo::CommuneId commune,
                                      workload::Direction d) const {
-  return commune_totals_->total(service, commune, d);
+  APPSCOPE_REQUIRE(commune < commune_count(),
+                   "TrafficDataset: commune out of range");
+  return tables_.commune_row(service, d)[commune];
 }
 
 std::vector<double> TrafficDataset::commune_totals(workload::ServiceIndex service,
                                                    workload::Direction d) const {
-  return commune_totals_->commune_vector(service, d);
+  const std::span<const double> row = tables_.commune_row(service, d);
+  return std::vector<double>(row.begin(), row.end());
 }
 
 std::vector<double> TrafficDataset::per_user_commune_vector(
     workload::ServiceIndex service, workload::Direction d) const {
-  std::vector<double> v = commune_totals_->commune_vector(service, d);
+  std::vector<double> v = commune_totals(service, d);
   for (std::size_t c = 0; c < v.size(); ++c) {
     v[c] /= static_cast<double>(
         subscribers_->subscribers(static_cast<geo::CommuneId>(c)));
@@ -158,16 +135,16 @@ std::vector<double> TrafficDataset::per_user_commune_vector(
   return v;
 }
 
-const std::vector<double>& TrafficDataset::urbanization_series(
+std::span<const double> TrafficDataset::urbanization_series(
     workload::ServiceIndex service, geo::Urbanization u,
     workload::Direction d) const {
-  return urbanization_->series(service, u, d);
+  return tables_.urbanization_row(service, u, d);
 }
 
 std::vector<double> TrafficDataset::per_user_urbanization_series(
     workload::ServiceIndex service, geo::Urbanization u,
     workload::Direction d) const {
-  const auto& raw = urbanization_->series(service, u, d);
+  const std::span<const double> raw = urbanization_series(service, u, d);
   const auto subs = class_subscribers_[static_cast<std::size_t>(u)];
   APPSCOPE_REQUIRE(subs > 0, "per_user_urbanization_series: empty class");
   std::vector<double> out(raw.size());
@@ -179,36 +156,36 @@ std::vector<double> TrafficDataset::per_user_urbanization_series(
 
 double TrafficDataset::national_total(workload::ServiceIndex service,
                                       workload::Direction d) const {
-  const auto& series = national_->series(service, d);
   double total = 0.0;
-  for (const double v : series) total += v;
+  for (const double v : national_series(service, d)) total += v;
   return total;
 }
 
 double TrafficDataset::direction_total(workload::Direction d) const {
-  return d == workload::Direction::kDownlink ? totals_->downlink()
-                                             : totals_->uplink();
+  return d == workload::Direction::kDownlink ? tables_.downlink_total
+                                             : tables_.uplink_total;
 }
 
 void TrafficDataset::validate() const {
-  const double tol = 1e-6 * (totals_->total() + 1.0);
+  const double tol =
+      1e-6 * (tables_.downlink_total + tables_.uplink_total + 1.0);
   for (const auto d :
        {workload::Direction::kDownlink, workload::Direction::kUplink}) {
     double national_sum = 0.0;
     double commune_sum = 0.0;
     double class_sum = 0.0;
     for (std::size_t s = 0; s < catalog_->size(); ++s) {
-      for (const double v : national_->series(s, d)) {
+      for (const double v : national_series(s, d)) {
         APPSCOPE_CHECK(v >= 0.0, "dataset: negative national volume");
         national_sum += v;
       }
-      for (const double v : commune_totals_->commune_vector(s, d)) {
+      for (const double v : tables_.commune_row(s, d)) {
         APPSCOPE_CHECK(v >= 0.0, "dataset: negative commune volume");
         commune_sum += v;
       }
       for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
         for (const double v :
-             urbanization_->series(s, static_cast<geo::Urbanization>(u), d)) {
+             urbanization_series(s, static_cast<geo::Urbanization>(u), d)) {
           class_sum += v;
         }
       }

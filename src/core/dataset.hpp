@@ -10,8 +10,10 @@
 // pipeline's usage records via TrafficDataset::from_usage_records.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "geo/territory.hpp"
@@ -28,7 +30,7 @@ namespace appscope::core {
 class TrafficDataset {
  public:
   /// Builds territory + population + catalog and streams a full synthetic
-  /// week into the aggregation sinks.
+  /// week into the aggregation sink.
   static TrafficDataset generate(const synth::ScenarioConfig& config);
 
   /// Builds the aggregates from event-level probe output instead of the
@@ -42,7 +44,8 @@ class TrafficDataset {
 
   // --- Snapshots ------------------------------------------------------------
   /// Persists the dataset as one self-contained "appscope.snapshot/1" file
-  /// (config, territory, subscribers, catalog and all aggregates). Throws
+  /// (config, territory, subscribers, catalog and all aggregates), published
+  /// atomically: a reader that opened `path` before keeps its file. Throws
   /// util::InputError on I/O failure.
   void save(const std::string& path) const;
 
@@ -53,10 +56,10 @@ class TrafficDataset {
   static TrafficDataset load(const std::string& path);
 
   /// Same reconstruction from an already-decoded snapshot (load() is
-  /// read_snapshot + this). Lets callers that hold io::LoadedSnapshot
-  /// values — e.g. the region merge layer — build datasets without
-  /// re-reading and re-validating the file. `context` labels errors
-  /// (usually the source path).
+  /// read_snapshot + this); the tables are moved, not copied. Lets callers
+  /// that hold io::LoadedSnapshot values — e.g. the region merge layer —
+  /// build datasets without re-reading and re-validating the file.
+  /// `context` labels errors (usually the source path).
   static TrafficDataset from_snapshot(io::LoadedSnapshot snapshot,
                                       const std::string& context);
 
@@ -73,8 +76,8 @@ class TrafficDataset {
 
   // --- Aggregates ------------------------------------------------------------
   /// Nationwide hourly series (168 samples) of one service.
-  const std::vector<double>& national_series(workload::ServiceIndex service,
-                                             workload::Direction d) const;
+  std::span<const double> national_series(workload::ServiceIndex service,
+                                          workload::Direction d) const;
 
   /// Weekly total volume of one service in one commune.
   double commune_total(workload::ServiceIndex service, geo::CommuneId commune,
@@ -90,9 +93,9 @@ class TrafficDataset {
                                               workload::Direction d) const;
 
   /// Hourly series of one service restricted to one urbanization class.
-  const std::vector<double>& urbanization_series(workload::ServiceIndex service,
-                                                 geo::Urbanization u,
-                                                 workload::Direction d) const;
+  std::span<const double> urbanization_series(workload::ServiceIndex service,
+                                              geo::Urbanization u,
+                                              workload::Direction d) const;
 
   /// Per-subscriber hourly series of a service in one urbanization class
   /// (series divided by the class's subscriber count).
@@ -107,8 +110,8 @@ class TrafficDataset {
   /// Total network volume in one direction.
   double direction_total(workload::Direction d) const;
 
-  /// Consistency checks (non-negative volumes, aggregate coherence between
-  /// sinks); throws InvariantError on failure. Cheap; run by tests.
+  /// Consistency checks (non-negative volumes, agreement between the
+  /// tables); throws InvariantError on failure. Cheap; run by tests.
   void validate() const;
 
  private:
@@ -124,10 +127,7 @@ class TrafficDataset {
   std::shared_ptr<const workload::SubscriberBase> subscribers_;
   std::shared_ptr<const workload::ServiceCatalog> catalog_;
 
-  std::unique_ptr<synth::NationalSeriesSink> national_;
-  std::unique_ptr<synth::CommuneTotalsSink> commune_totals_;
-  std::unique_ptr<synth::UrbanizationSeriesSink> urbanization_;
-  std::unique_ptr<synth::TotalsSink> totals_;
+  synth::AggregateTables<double> tables_;
 
   /// Subscriber totals per urbanization class (cached).
   std::array<std::uint64_t, geo::kUrbanizationCount> class_subscribers_{};

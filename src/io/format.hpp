@@ -75,15 +75,17 @@ inline constexpr std::size_t kPayloadStart =
     align_up(kHeaderBytes + kMaxSections * kSectionEntryBytes,
              kSectionAlignment);
 
-/// One section per aggregate family plus the self-containment sections.
+/// One section per aggregate table plus the self-containment sections. The
+/// table payloads are synth::AggregateTables<double> verbatim; their element
+/// order is synth::AggregateLayout.
 enum class SectionId : std::uint32_t {
   kConfig = 1,              // serialized synth::ScenarioConfig
   kTerritory = 2,           // serialized geo::Territory
   kSubscribers = 3,         // workload::SubscriberBase per-commune counts
   kCatalog = 4,             // serialized workload::ServiceCatalog
-  kNationalSeries = 5,      // f64 [service][direction][hour]
-  kCommuneTotals = 6,       // f64 [direction][service * communes + commune]
-  kUrbanizationSeries = 7,  // f64 [service][class][direction][hour]
+  kNationalSeries = 5,      // f64 AggregateTables::national()
+  kCommuneTotals = 6,       // f64 AggregateTables::commune_totals()
+  kUrbanizationSeries = 7,  // f64 AggregateTables::urbanization()
   kTotals = 8,              // raw: downlink f64, uplink f64, cells u64
   kClassSubscribers = 9,    // u64 [urbanization class]
 };

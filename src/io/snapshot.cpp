@@ -1,14 +1,18 @@
 #include "io/snapshot.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <system_error>
 
 #include "io/binary.hpp"
+#include "io/publish.hpp"
 #include "io/serialize.hpp"
 #include "io/snapshot_reader.hpp"
 #include "io/snapshot_writer.hpp"
-#include "ts/calendar.hpp"
 #include "util/error.hpp"
 #include "util/trace.hpp"
 
@@ -20,24 +24,15 @@ namespace {
   throw util::InputError("snapshot: " + path + ": " + what);
 }
 
-void check_shapes(const geo::Territory& territory,
-                  const workload::ServiceCatalog& catalog,
-                  const DatasetAggregates& a) {
-  const std::size_t services = catalog.size();
-  const std::size_t communes = territory.size();
-  APPSCOPE_REQUIRE(a.services == services && a.communes == communes,
-                   "snapshot: aggregate dimensions disagree with components");
-  APPSCOPE_REQUIRE(
-      a.national.size() ==
-          services * workload::kDirectionCount * ts::kHoursPerWeek,
-      "snapshot: national series payload has the wrong shape");
-  APPSCOPE_REQUIRE(
-      a.commune_totals.size() == workload::kDirectionCount * services * communes,
-      "snapshot: commune totals payload has the wrong shape");
-  APPSCOPE_REQUIRE(a.urbanization.size() ==
-                       services * geo::kUrbanizationCount *
-                           workload::kDirectionCount * ts::kHoursPerWeek,
-                   "snapshot: urbanization series payload has the wrong shape");
+/// Subscribers per urbanization class: the dataset's per-user divisors.
+std::array<std::uint64_t, geo::kUrbanizationCount> class_subscribers(
+    const geo::Territory& territory,
+    const workload::SubscriberBase& subscribers) {
+  std::array<std::uint64_t, geo::kUrbanizationCount> out{};
+  for (std::size_t u = 0; u < out.size(); ++u) {
+    out[u] = subscribers.total_in(territory, static_cast<geo::Urbanization>(u));
+  }
+  return out;
 }
 
 }  // namespace
@@ -47,45 +42,48 @@ SnapshotStats write_snapshot(const std::string& path,
                              const geo::Territory& territory,
                              const workload::SubscriberBase& subscribers,
                              const workload::ServiceCatalog& catalog,
-                             const DatasetAggregates& aggregates) {
+                             const synth::AggregateTables<double>& aggregates) {
   util::ScopedSpan span("snapshot.save");
-  check_shapes(territory, catalog, aggregates);
+  const synth::AggregateLayout shape{catalog.size(), territory.size()};
+  APPSCOPE_REQUIRE(aggregates.layout() == shape,
+                   "snapshot: aggregate dimensions disagree with components");
   APPSCOPE_REQUIRE(subscribers.commune_count() == territory.size(),
                    "snapshot: subscriber base disagrees with territory");
 
   const std::vector<std::byte> config_bytes = encode_config(config);
+  const auto classes = class_subscribers(territory, subscribers);
 
   SnapshotWriter::Dimensions dims;
   dims.services = static_cast<std::uint32_t>(catalog.size());
   dims.communes = static_cast<std::uint32_t>(territory.size());
-  dims.hours = static_cast<std::uint32_t>(ts::kHoursPerWeek);
-  dims.directions = static_cast<std::uint32_t>(workload::kDirectionCount);
+  dims.hours = static_cast<std::uint32_t>(synth::AggregateLayout::kHours);
+  dims.directions =
+      static_cast<std::uint32_t>(synth::AggregateLayout::kDirections);
   dims.urbanization_classes =
-      static_cast<std::uint32_t>(geo::kUrbanizationCount);
+      static_cast<std::uint32_t>(synth::AggregateLayout::kClasses);
 
-  SnapshotWriter writer(path, dims, fnv1a64(config_bytes),
-                        config.traffic_seed);
-  writer.add_section(SectionId::kConfig, config_bytes);
-  writer.add_section(SectionId::kTerritory, encode_territory(territory));
-  writer.add_section(SectionId::kSubscribers, encode_subscribers(subscribers));
-  writer.add_section(SectionId::kCatalog, encode_catalog(catalog));
-  writer.add_f64_section(SectionId::kNationalSeries, aggregates.national);
-  writer.add_f64_section(SectionId::kCommuneTotals, aggregates.commune_totals);
-  writer.add_f64_section(SectionId::kUrbanizationSeries,
-                         aggregates.urbanization);
-  {
+  SnapshotStats stats;
+  publish(path, [&](const std::string& tmp) {
+    SnapshotWriter writer(tmp, dims, fnv1a64(config_bytes),
+                          config.traffic_seed);
+    writer.add_section(SectionId::kConfig, config_bytes);
+    writer.add_section(SectionId::kTerritory, encode_territory(territory));
+    writer.add_section(SectionId::kSubscribers, encode_subscribers(subscribers));
+    writer.add_section(SectionId::kCatalog, encode_catalog(catalog));
+    writer.add_f64_section(SectionId::kNationalSeries, aggregates.national());
+    writer.add_f64_section(SectionId::kCommuneTotals,
+                           aggregates.commune_totals());
+    writer.add_f64_section(SectionId::kUrbanizationSeries,
+                           aggregates.urbanization());
     ByteWriter totals;
     totals.f64(aggregates.downlink_total);
     totals.f64(aggregates.uplink_total);
-    totals.u64(aggregates.cells_consumed);
+    totals.u64(aggregates.cells);
     writer.add_section(SectionId::kTotals, totals.bytes());
-  }
-  writer.add_u64_section(SectionId::kClassSubscribers,
-                         aggregates.class_subscribers);
-
-  SnapshotStats stats;
-  stats.sections = 9;
-  stats.bytes = writer.finish();
+    writer.add_u64_section(SectionId::kClassSubscribers, classes);
+    stats.sections = 9;
+    stats.bytes = writer.finish();
+  });
   return stats;
 }
 
@@ -96,9 +94,9 @@ LoadedSnapshot read_snapshot(const std::string& path) {
 
   // The header's dimension block is the contract every section is checked
   // against; reject shapes this build cannot represent before decoding.
-  if (header.hours != ts::kHoursPerWeek ||
-      header.directions != workload::kDirectionCount ||
-      header.urbanization_classes != geo::kUrbanizationCount) {
+  if (header.hours != synth::AggregateLayout::kHours ||
+      header.directions != synth::AggregateLayout::kDirections ||
+      header.urbanization_classes != synth::AggregateLayout::kClasses) {
     mismatch(path, "dimension mismatch (hours/directions/classes differ from "
                    "this build)");
   }
@@ -146,49 +144,44 @@ LoadedSnapshot read_snapshot(const std::string& path) {
   if (loaded.subscribers->commune_count() != header.communes) {
     mismatch(path, "dimension mismatch (subscriber counts vs communes)");
   }
-
-  DatasetAggregates& a = loaded.aggregates;
-  a.services = header.services;
-  a.communes = header.communes;
-  // The typed views are zero-copy into the mapping; materializing the
-  // dataset's own vectors is the single copy on the load path.
-  const auto national = reader.f64_section(SectionId::kNationalSeries);
-  const auto commune_totals = reader.f64_section(SectionId::kCommuneTotals);
-  const auto urbanization = reader.f64_section(SectionId::kUrbanizationSeries);
-  a.national.assign(national.begin(), national.end());
-  a.commune_totals.assign(commune_totals.begin(), commune_totals.end());
-  a.urbanization.assign(urbanization.begin(), urbanization.end());
-  try {
-    check_shapes(*loaded.territory, *loaded.catalog, a);
-  } catch (const util::PreconditionError& e) {
-    mismatch(path, std::string("dimension mismatch (") + e.what() + ")");
+  if (header.services == 0 || header.communes == 0) {
+    mismatch(path, "dimension mismatch (empty catalog or territory)");
   }
+
+  // The typed views are zero-copy into the mapping; copying them into the
+  // tables is the single copy on the load path.
+  synth::AggregateTables<double>& a = loaded.aggregates;
+  a = synth::AggregateTables<double>(header.services, header.communes);
+  const auto load_table = [&](SectionId id, std::span<double> table) {
+    const std::span<const double> column = reader.f64_section(id);
+    if (column.size() != table.size()) {
+      mismatch(path, "dimension mismatch (section '" +
+                         std::string(section_name(id)) +
+                         "' disagrees with the header dimensions)");
+    }
+    std::ranges::copy(column, table.begin());
+  };
+  load_table(SectionId::kNationalSeries, a.national());
+  load_table(SectionId::kCommuneTotals, a.commune_totals());
+  load_table(SectionId::kUrbanizationSeries, a.urbanization());
 
   {
     ByteReader totals(reader.section(SectionId::kTotals));
     a.downlink_total = totals.f64();
     a.uplink_total = totals.f64();
-    a.cells_consumed = totals.u64();
+    a.cells = totals.u64();
     if (!totals.exhausted()) mismatch(path, "totals section malformed");
   }
-  {
-    const auto classes = reader.u64_section(SectionId::kClassSubscribers);
-    if (classes.size() != geo::kUrbanizationCount) {
-      mismatch(path, "class subscriber section malformed");
-    }
-    for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
-      a.class_subscribers[u] = classes[u];
-    }
-    // Cross-check against the decoded components: the class divisors are
-    // derivable, so disagreement means an inconsistent (tampered) file.
-    for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
-      const std::uint64_t recomputed = loaded.subscribers->total_in(
-          *loaded.territory, static_cast<geo::Urbanization>(u));
-      if (recomputed != a.class_subscribers[u]) {
-        mismatch(path, "class subscriber totals disagree with the embedded "
-                       "territory/subscriber base");
-      }
-    }
+  // The class divisors are derivable from the components, so a stored value
+  // that disagrees means an inconsistent (tampered) file.
+  const auto classes = reader.u64_section(SectionId::kClassSubscribers);
+  if (classes.size() != geo::kUrbanizationCount) {
+    mismatch(path, "class subscriber section malformed");
+  }
+  if (!std::ranges::equal(
+          classes, class_subscribers(*loaded.territory, *loaded.subscribers))) {
+    mismatch(path, "class subscriber totals disagree with the embedded "
+                   "territory/subscriber base");
   }
   return loaded;
 }
@@ -198,6 +191,13 @@ std::uint64_t read_snapshot_config_hash(const std::string& path) {
   return reader.header().config_hash;
 }
 
+std::string epoch_filename(std::uint64_t index) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "epoch_%06llu.snapshot",
+                static_cast<unsigned long long>(index));
+  return buf;
+}
+
 std::string find_latest_snapshot(const std::string& directory) {
   namespace fs = std::filesystem;
   const fs::path dir(directory);
@@ -205,7 +205,7 @@ std::string find_latest_snapshot(const std::string& directory) {
   std::error_code ec;
   if (fs::is_regular_file(latest, ec)) return latest.string();
 
-  // No latest.snapshot (sealing interrupted between the epoch rename and
+  // No latest.snapshot (sealing interrupted between the epoch publish and
   // the republish): fall back to the highest-numbered sealed epoch.
   std::string best;
   std::string best_name;

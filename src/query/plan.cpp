@@ -3,6 +3,7 @@
 #include <string>
 
 #include "geo/commune.hpp"
+#include "synth/aggregate_tables.hpp"
 #include "util/error.hpp"
 
 namespace appscope::query {
@@ -21,9 +22,10 @@ QueryPlan plan_slice(const io::SnapshotHeader& header, const Slice& slice) {
   canonicalize(plan.slice);
   const Slice& q = plan.slice;
 
-  const std::size_t services = header.services;
-  const std::size_t communes = header.communes;
-  const std::size_t hours = header.hours;
+  const synth::AggregateLayout layout{header.services, header.communes};
+  const std::size_t services = layout.services;
+  const std::size_t communes = layout.communes;
+  const std::size_t hours = synth::AggregateLayout::kHours;
 
   // --- Validate the aggregate shape -------------------------------------
   if (q.op == Op::kTopK) {
@@ -105,10 +107,9 @@ QueryPlan plan_slice(const io::SnapshotHeader& header, const Slice& slice) {
         reject("urbanization class needs source=urbanization");
       }
       plan.section = io::SectionId::kNationalSeries;
-      const std::size_t d = static_cast<std::size_t>(q.direction);
       plan.rows.reserve(row_services.size());
       for (const std::uint32_t s : row_services) {
-        plan.rows.push_back({s, 0, (s * 2 + d) * hours});
+        plan.rows.push_back({s, 0, layout.national_offset(s, q.direction)});
       }
       break;
     }
@@ -117,10 +118,9 @@ QueryPlan plan_slice(const io::SnapshotHeader& header, const Slice& slice) {
         reject("urbanization class needs source=urbanization");
       }
       plan.section = io::SectionId::kCommuneTotals;
-      const std::size_t d = static_cast<std::size_t>(q.direction);
       plan.rows.reserve(row_services.size());
       for (const std::uint32_t s : row_services) {
-        plan.rows.push_back({s, 0, d * services * communes + s * communes});
+        plan.rows.push_back({s, 0, layout.commune_offset(s, q.direction)});
       }
       break;
     }
@@ -131,7 +131,6 @@ QueryPlan plan_slice(const io::SnapshotHeader& header, const Slice& slice) {
                std::to_string(geo::kUrbanizationCount - 1) + ")");
       }
       plan.section = io::SectionId::kUrbanizationSeries;
-      const std::size_t d = static_cast<std::size_t>(q.direction);
       for (const std::uint32_t s : row_services) {
         for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
           if (q.urbanization >= 0 &&
@@ -140,7 +139,8 @@ QueryPlan plan_slice(const io::SnapshotHeader& header, const Slice& slice) {
           }
           plan.rows.push_back(
               {s, static_cast<std::uint32_t>(u),
-               ((s * geo::kUrbanizationCount + u) * 2 + d) * hours});
+               layout.urbanization_offset(s, static_cast<geo::Urbanization>(u),
+                                          q.direction)});
         }
       }
       break;

@@ -5,14 +5,6 @@
 
 namespace appscope::query {
 
-namespace {
-
-std::size_t direction_index(workload::Direction d) noexcept {
-  return static_cast<std::size_t>(d);
-}
-
-}  // namespace
-
 SnapshotView::SnapshotView(const std::string& path)
     : reader_(path, io::ValidationMode::kLazy) {}
 
@@ -50,12 +42,11 @@ std::span<const double> SnapshotView::validated_column(
 std::span<const double> SnapshotView::column(io::SectionId id) const {
   switch (id) {
     case io::SectionId::kNationalSeries:
-      return validated_column(id, services() * 2 * hours());
+      return validated_column(id, layout().national_size());
     case io::SectionId::kCommuneTotals:
-      return validated_column(id, 2 * services() * communes());
+      return validated_column(id, layout().commune_size());
     case io::SectionId::kUrbanizationSeries:
-      return validated_column(
-          id, services() * geo::kUrbanizationCount * 2 * hours());
+      return validated_column(id, layout().urbanization_size());
     default:
       break;
   }
@@ -67,30 +58,26 @@ std::span<const double> SnapshotView::national_row(std::size_t service,
                                                    workload::Direction d) const {
   APPSCOPE_REQUIRE(service < services(),
                    "SnapshotView::national_row: service out of range");
-  const std::size_t h = hours();
-  const auto col = column(io::SectionId::kNationalSeries);
-  return col.subspan((service * 2 + direction_index(d)) * h, h);
+  return column(io::SectionId::kNationalSeries)
+      .subspan(layout().national_offset(service, d),
+               synth::AggregateLayout::kHours);
 }
 
 std::span<const double> SnapshotView::commune_row(std::size_t service,
                                                   workload::Direction d) const {
   APPSCOPE_REQUIRE(service < services(),
                    "SnapshotView::commune_row: service out of range");
-  const std::size_t c = communes();
-  const auto col = column(io::SectionId::kCommuneTotals);
-  return col.subspan(direction_index(d) * services() * c + service * c, c);
+  return column(io::SectionId::kCommuneTotals)
+      .subspan(layout().commune_offset(service, d), communes());
 }
 
 std::span<const double> SnapshotView::urbanization_row(
     std::size_t service, geo::Urbanization u, workload::Direction d) const {
   APPSCOPE_REQUIRE(service < services(),
                    "SnapshotView::urbanization_row: service out of range");
-  const std::size_t h = hours();
-  const auto col = column(io::SectionId::kUrbanizationSeries);
-  const std::size_t cls = static_cast<std::size_t>(u);
-  return col.subspan(
-      ((service * geo::kUrbanizationCount + cls) * 2 + direction_index(d)) * h,
-      h);
+  return column(io::SectionId::kUrbanizationSeries)
+      .subspan(layout().urbanization_offset(service, u, d),
+               synth::AggregateLayout::kHours);
 }
 
 const workload::ServiceCatalog& SnapshotView::catalog() const {

@@ -17,6 +17,7 @@
 
 #include "geo/commune.hpp"
 #include "io/snapshot_reader.hpp"
+#include "synth/aggregate_tables.hpp"
 #include "workload/catalog.hpp"
 #include "workload/service.hpp"
 
@@ -33,6 +34,11 @@ class SnapshotView {
   std::size_t services() const noexcept { return header().services; }
   std::size_t communes() const noexcept { return header().communes; }
   std::size_t hours() const noexcept { return header().hours; }
+  /// Table shape of the header's dimensions; every cube section is
+  /// validated against it.
+  synth::AggregateLayout layout() const noexcept {
+    return {services(), communes()};
+  }
 
   /// Cheap identity of the open snapshot: config hash, traffic seed, file
   /// size and table CRC mixed into one value. Two snapshots with equal

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <numeric>
-#include <system_error>
+#include <span>
 
 #include "region/spec.hpp"
-#include "ts/calendar.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/trace.hpp"
 
 namespace appscope::region {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -147,14 +143,14 @@ geo::Territory merge_territories(
 /// decomposition depends only on the length, and every output cell is
 /// written by exactly one chunk with a fixed-order inner sum — bitwise
 /// identical at any thread count.
-void sum_in_canonical_order(const std::vector<const std::vector<double>*>& inputs,
-                            std::vector<double>& out) {
+void sum_in_canonical_order(const std::vector<std::span<const double>>& inputs,
+                            std::span<double> out) {
   util::parallel_for(0, out.size(), kSumChunk,
                      [&](std::size_t lo, std::size_t hi) {
                        for (std::size_t i = lo; i < hi; ++i) {
                          double acc = 0.0;
-                         for (const std::vector<double>* in : inputs) {
-                           acc += (*in)[i];
+                         for (const std::span<const double> in : inputs) {
+                           acc += in[i];
                          }
                          out[i] = acc;
                        }
@@ -222,58 +218,30 @@ io::LoadedSnapshot merge_loaded_snapshots(
   }
   merged.catalog = snapshots[order[0]].catalog;
 
-  io::DatasetAggregates& agg = merged.aggregates;
-  agg.services = services;
-  agg.communes = total_communes;
+  synth::AggregateTables<double>& agg = merged.aggregates;
+  agg = synth::AggregateTables<double>(services, total_communes);
 
-  {
-    std::vector<const std::vector<double>*> inputs;
-    inputs.reserve(regions);
-    for (std::size_t pos = 0; pos < regions; ++pos) {
-      inputs.push_back(&snapshots[order[pos]].aggregates.national);
-    }
-    agg.national.resize(services * workload::kDirectionCount *
-                        ts::kHoursPerWeek);
-    sum_in_canonical_order(inputs, agg.national);
-  }
-  {
-    std::vector<const std::vector<double>*> inputs;
-    inputs.reserve(regions);
-    for (std::size_t pos = 0; pos < regions; ++pos) {
-      inputs.push_back(&snapshots[order[pos]].aggregates.urbanization);
-    }
-    agg.urbanization.resize(services * geo::kUrbanizationCount *
-                            workload::kDirectionCount * ts::kHoursPerWeek);
-    sum_in_canonical_order(inputs, agg.urbanization);
-  }
-
-  // Per-commune totals concatenate at fixed offsets (pure placement, no
-  // summing): out[d][s * C_total + offset + c] = in[d][s * C_r + c].
-  agg.commune_totals.assign(
-      workload::kDirectionCount * services * total_communes, 0.0);
+  // Hourly tables and totals sum in canonical order; per-commune totals
+  // concatenate at the regions' commune offsets (pure placement).
+  std::vector<std::span<const double>> national;
+  std::vector<std::span<const double>> urbanization;
   for (std::size_t pos = 0; pos < regions; ++pos) {
-    const io::DatasetAggregates& in = snapshots[order[pos]].aggregates;
-    const std::size_t communes_r = in.communes;
-    for (std::size_t d = 0; d < workload::kDirectionCount; ++d) {
+    const synth::AggregateTables<double>& in = snapshots[order[pos]].aggregates;
+    national.push_back(in.national());
+    urbanization.push_back(in.urbanization());
+    for (const auto d :
+         {workload::Direction::kDownlink, workload::Direction::kUplink}) {
       for (std::size_t s = 0; s < services; ++s) {
-        const double* src = in.commune_totals.data() +
-                            (d * services + s) * communes_r;
-        double* dst = agg.commune_totals.data() +
-                      (d * services + s) * total_communes + commune_offset[pos];
-        std::copy(src, src + communes_r, dst);
+        std::ranges::copy(in.commune_row(s, d),
+                          agg.commune_row(s, d).subspan(commune_offset[pos]).begin());
       }
     }
-  }
-
-  for (std::size_t pos = 0; pos < regions; ++pos) {
-    const io::DatasetAggregates& in = snapshots[order[pos]].aggregates;
     agg.downlink_total += in.downlink_total;
     agg.uplink_total += in.uplink_total;
-    agg.cells_consumed += in.cells_consumed;
-    for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
-      agg.class_subscribers[u] += in.class_subscribers[u];
-    }
+    agg.cells += in.cells;
   }
+  sum_in_canonical_order(national, agg.national());
+  sum_in_canonical_order(urbanization, agg.urbanization());
   return merged;
 }
 
@@ -299,15 +267,10 @@ MergeStats write_national_snapshot(const io::LoadedSnapshot& merged,
   }
   stats.regions = stats.region_ids.size();
 
-  const std::string tmp = out_path + ".tmp";
-  io::write_snapshot(tmp, merged.config, *merged.territory, *merged.subscribers,
-                     *merged.catalog, merged.aggregates);
-  std::error_code ec;
-  fs::rename(tmp, out_path, ec);
-  if (ec) {
-    reject("cannot publish " + out_path + ": " + ec.message());
-  }
-  stats.bytes = static_cast<std::uint64_t>(fs::file_size(out_path, ec));
+  stats.bytes = io::write_snapshot(out_path, merged.config, *merged.territory,
+                                   *merged.subscribers, *merged.catalog,
+                                   merged.aggregates)
+                    .bytes;
 
   if (util::MetricsRegistry::enabled()) {
     auto& metrics = util::MetricsRegistry::global();

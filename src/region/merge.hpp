@@ -52,8 +52,8 @@ std::vector<io::LoadedSnapshot> load_region_snapshots(
 io::LoadedSnapshot merge_loaded_snapshots(
     std::vector<io::LoadedSnapshot> snapshots);
 
-/// Writes a merged national snapshot to `out_path` (write-to-tmp + atomic
-/// rename) and derives its MergeStats. Counters (when metrics are
+/// Writes a merged national snapshot to `out_path` (published atomically
+/// through io::publish) and derives its MergeStats. Counters (when metrics are
 /// enabled): region.merge.regions / .communes / .bytes.
 MergeStats write_national_snapshot(const io::LoadedSnapshot& merged,
                                    const std::string& out_path);

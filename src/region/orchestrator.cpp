@@ -1,10 +1,10 @@
 #include "region/orchestrator.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
 #include "core/dataset.hpp"
+#include "io/publish.hpp"
 #include "io/serialize.hpp"
 #include "io/snapshot.hpp"
 #include "io/snapshot_reader.hpp"
@@ -19,44 +19,16 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string epoch_filename(std::uint64_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "epoch_%06llu.snapshot",
-                static_cast<unsigned long long>(index));
-  return buf;
-}
-
-void rename_or_throw(const fs::path& from, const fs::path& to) {
-  std::error_code ec;
-  fs::rename(from, to, ec);
-  if (ec) {
-    throw util::InputError("orchestrate: cannot publish " + to.string() +
-                           ": " + ec.message());
-  }
-}
-
 /// Seals one freshly generated region snapshot with the serve-daemon
-/// publish sequence: write the epoch under a .tmp name, atomically rename
-/// it into place, then republish latest.snapshot the same way. A crash
-/// between the two renames leaves a valid epoch file that
-/// find_latest_snapshot still resolves.
-std::string publish(const core::TrafficDataset& dataset, const fs::path& dir,
-                    std::uint64_t epoch) {
-  const fs::path epoch_path = dir / epoch_filename(epoch);
-  const fs::path epoch_tmp = dir / (epoch_filename(epoch) + ".tmp");
-  dataset.save(epoch_tmp.string());
-  rename_or_throw(epoch_tmp, epoch_path);
-
-  const fs::path latest_tmp = dir / "latest.snapshot.tmp";
-  std::error_code ec;
-  fs::copy_file(epoch_path, latest_tmp, fs::copy_options::overwrite_existing,
-                ec);
-  if (ec) {
-    throw util::InputError("orchestrate: cannot stage latest.snapshot in " +
-                           dir.string() + ": " + ec.message());
-  }
-  rename_or_throw(latest_tmp, dir / "latest.snapshot");
-  return epoch_path.string();
+/// publish sequence: save() publishes the epoch file, then latest.snapshot
+/// is republished as a link to it. A crash between the two leaves a valid
+/// epoch file that find_latest_snapshot still resolves.
+std::string publish_shard(const core::TrafficDataset& dataset,
+                          const fs::path& dir, std::uint64_t epoch) {
+  const std::string epoch_path = (dir / io::epoch_filename(epoch)).string();
+  dataset.save(epoch_path);
+  io::publish_link(epoch_path, (dir / "latest.snapshot").string());
+  return epoch_path;
 }
 
 RegionRun run_shard(const RegionSpec& spec, const OrchestratorOptions& options) {
@@ -97,7 +69,7 @@ RegionRun run_shard(const RegionSpec& spec, const OrchestratorOptions& options) 
   }
 
   const core::TrafficDataset dataset = core::TrafficDataset::generate(spec.config);
-  run.snapshot_path = publish(dataset, dir, options.epoch);
+  run.snapshot_path = publish_shard(dataset, dir, options.epoch);
   run.bytes = static_cast<std::uint64_t>(fs::file_size(run.snapshot_path, ec));
   run.communes = dataset.commune_count();
   return run;

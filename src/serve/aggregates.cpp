@@ -1,121 +1,53 @@
 #include "serve/aggregates.hpp"
 
-#include <algorithm>
-
-#include "ts/calendar.hpp"
-#include "util/error.hpp"
-#include "workload/service.hpp"
-
 namespace appscope::serve {
 
 namespace {
-constexpr std::size_t kHours = ts::kHoursPerWeek;
-constexpr std::size_t kDirs = workload::kDirectionCount;
-constexpr std::size_t kClasses = geo::kUrbanizationCount;
+constexpr workload::Direction kDown = workload::Direction::kDownlink;
+constexpr workload::Direction kUp = workload::Direction::kUplink;
 }  // namespace
-
-EventAggregates::EventAggregates(std::size_t services, std::size_t communes)
-    : services_(services), communes_(communes) {
-  APPSCOPE_REQUIRE(services > 0 && communes > 0,
-                   "EventAggregates: empty dimensions");
-  national_.assign(services * kDirs * kHours, 0);
-  commune_totals_.assign(kDirs * services * communes, 0);
-  urbanization_.assign(services * kClasses * kDirs * kHours, 0);
-}
 
 void EventAggregates::apply(const net::ServiceEvent& event,
                             std::uint64_t scale) noexcept {
+  const synth::AggregateLayout& l = layout();
   const std::size_t s = event.service;
   const std::size_t c = event.commune;
   const std::size_t h = event.week_hour();
-  const std::size_t u = event.urbanization;
+  const auto u = static_cast<geo::Urbanization>(event.urbanization);
   const std::uint64_t dl = event.downlink_bytes * scale;
   const std::uint64_t ul = event.uplink_bytes * scale;
 
-  std::uint64_t* nat = national_.data() + (s * kDirs) * kHours;
-  nat[h] += dl;
-  nat[kHours + h] += ul;
+  std::uint64_t* nat = national().data();
+  nat[l.national_offset(s, kDown) + h] += dl;
+  nat[l.national_offset(s, kUp) + h] += ul;
+  std::uint64_t* com = commune_totals().data();
+  com[l.commune_offset(s, kDown) + c] += dl;
+  com[l.commune_offset(s, kUp) + c] += ul;
+  std::uint64_t* urb = urbanization().data();
+  urb[l.urbanization_offset(s, u, kDown) + h] += dl;
+  urb[l.urbanization_offset(s, u, kUp) + h] += ul;
 
-  const std::size_t plane = services_ * communes_;  // one direction's block
-  commune_totals_[s * communes_ + c] += dl;
-  commune_totals_[plane + s * communes_ + c] += ul;
-
-  std::uint64_t* urb =
-      urbanization_.data() + ((s * kClasses + u) * kDirs) * kHours;
-  urb[h] += dl;
-  urb[kHours + h] += ul;
-
-  downlink_ += dl;
-  uplink_ += ul;
-  ++events_;
-}
-
-void EventAggregates::merge(const EventAggregates& other) {
-  APPSCOPE_REQUIRE(
-      other.services_ == services_ && other.communes_ == communes_,
-      "EventAggregates: merging mismatched dimensions");
-  for (std::size_t i = 0; i < national_.size(); ++i) {
-    national_[i] += other.national_[i];
-  }
-  for (std::size_t i = 0; i < commune_totals_.size(); ++i) {
-    commune_totals_[i] += other.commune_totals_[i];
-  }
-  for (std::size_t i = 0; i < urbanization_.size(); ++i) {
-    urbanization_[i] += other.urbanization_[i];
-  }
-  downlink_ += other.downlink_;
-  uplink_ += other.uplink_;
-  events_ += other.events_;
-}
-
-void EventAggregates::reset() noexcept {
-  std::fill(national_.begin(), national_.end(), 0);
-  std::fill(commune_totals_.begin(), commune_totals_.end(), 0);
-  std::fill(urbanization_.begin(), urbanization_.end(), 0);
-  downlink_ = uplink_ = events_ = 0;
+  downlink_total += dl;
+  uplink_total += ul;
+  ++cells;
 }
 
 std::uint64_t EventAggregates::national_total(std::size_t service) const {
-  APPSCOPE_REQUIRE(service < services_, "EventAggregates: bad service");
-  const std::uint64_t* nat = national_.data() + (service * kDirs) * kHours;
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kDirs * kHours; ++i) total += nat[i];
+  for (const auto d : {kDown, kUp}) {
+    for (const std::uint64_t v : national_row(service, d)) total += v;
+  }
   return total;
 }
 
 std::vector<double> EventAggregates::national_downlink_series(
     std::size_t service) const {
-  APPSCOPE_REQUIRE(service < services_, "EventAggregates: bad service");
-  const std::uint64_t* nat = national_.data() + (service * kDirs) * kHours;
-  std::vector<double> series(kHours);
-  for (std::size_t h = 0; h < kHours; ++h) {
-    series[h] = static_cast<double>(nat[h]);
+  const auto row = national_row(service, kDown);
+  std::vector<double> series(row.size());
+  for (std::size_t h = 0; h < row.size(); ++h) {
+    series[h] = static_cast<double>(row[h]);
   }
   return series;
-}
-
-io::DatasetAggregates EventAggregates::to_dataset_aggregates(
-    const std::array<std::uint64_t, geo::kUrbanizationCount>&
-        class_subscribers) const {
-  io::DatasetAggregates out;
-  out.services = services_;
-  out.communes = communes_;
-  out.national.resize(national_.size());
-  std::transform(national_.begin(), national_.end(), out.national.begin(),
-                 [](std::uint64_t v) { return static_cast<double>(v); });
-  out.commune_totals.resize(commune_totals_.size());
-  std::transform(commune_totals_.begin(), commune_totals_.end(),
-                 out.commune_totals.begin(),
-                 [](std::uint64_t v) { return static_cast<double>(v); });
-  out.urbanization.resize(urbanization_.size());
-  std::transform(urbanization_.begin(), urbanization_.end(),
-                 out.urbanization.begin(),
-                 [](std::uint64_t v) { return static_cast<double>(v); });
-  out.downlink_total = static_cast<double>(downlink_);
-  out.uplink_total = static_cast<double>(uplink_);
-  out.cells_consumed = events_;
-  out.class_subscribers = class_subscribers;
-  return out;
 }
 
 }  // namespace appscope::serve

@@ -1,9 +1,9 @@
 #include "serve/epoch.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
+#include "io/publish.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -29,17 +29,6 @@ EpochSealer::EpochSealer(std::string directory,
     throw util::InputError("EpochSealer: cannot create " + directory_ + ": " +
                            ec.message());
   }
-  for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
-    class_subscribers_[u] =
-        subscribers_.total_in(territory_, static_cast<geo::Urbanization>(u));
-  }
-}
-
-std::string EpochSealer::epoch_filename(std::uint64_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "epoch_%06llu.snapshot",
-                static_cast<unsigned long long>(index));
-  return buf;
 }
 
 std::string EpochSealer::latest_path() const {
@@ -51,37 +40,16 @@ SealedEpoch EpochSealer::seal(std::uint64_t index,
   util::ScopedSpan span("serve.epoch.seal");
   util::StageTimer timer("serve.epoch.seal");
 
-  const io::DatasetAggregates aggregates =
-      rolling.to_dataset_aggregates(class_subscribers_);
-
-  const fs::path dir(directory_);
-  const fs::path epoch_path = dir / epoch_filename(index);
-  const fs::path tmp_path = dir / (epoch_filename(index) + ".tmp");
-
   SealedEpoch sealed;
   sealed.index = index;
   sealed.events = rolling.events();
-  sealed.stats = io::write_snapshot(tmp_path.string(), config_, territory_,
-                                    subscribers_, catalog_, aggregates);
-  std::error_code ec;
-  fs::rename(tmp_path, epoch_path, ec);
-  if (ec) {
-    throw util::InputError("EpochSealer: cannot publish " +
-                           epoch_path.string() + ": " + ec.message());
-  }
-  sealed.path = epoch_path.string();
-
-  // Republish latest.snapshot atomically: copy the sealed file to a temp
-  // name, then rename over the previous latest. A concurrent reader either
-  // maps the old complete snapshot or the new one, never a partial write.
-  const fs::path latest_tmp = dir / "latest.snapshot.tmp";
-  fs::copy_file(epoch_path, latest_tmp, fs::copy_options::overwrite_existing,
-                ec);
-  if (!ec) fs::rename(latest_tmp, dir / "latest.snapshot", ec);
-  if (ec) {
-    throw util::InputError("EpochSealer: cannot republish latest.snapshot: " +
-                           ec.message());
-  }
+  sealed.path = (fs::path(directory_) / io::epoch_filename(index)).string();
+  sealed.stats = io::write_snapshot(sealed.path, config_, territory_,
+                                    subscribers_, catalog_,
+                                    rolling.convert<double>());
+  // A reader either maps the previous complete snapshot or the new one,
+  // never a partial write; no bytes are copied.
+  io::publish_link(sealed.path, latest_path());
 
   if (util::MetricsRegistry::enabled()) {
     auto& registry = util::MetricsRegistry::global();

@@ -7,15 +7,15 @@
 // determinism contract property tests pin down.
 //
 // At each boundary the daemon merges the shard deltas into its rolling
-// state and the sealer writes it through the existing snapshot store as a
-// self-contained "appscope.snapshot/1" file: epoch_<index>.snapshot, plus
-// an atomically republished latest.snapshot. Readers (run_study,
-// paper_report, appscope_query consumers) always observe a complete,
-// CRC-valid file: snapshots are written to a temp name in the same
-// directory and renamed into place, and rename is atomic on POSIX.
+// state and the sealer writes it through the snapshot store as a
+// self-contained "appscope.snapshot/1" file: epoch_<index>.snapshot,
+// published with io::publish (temp name, fsync, rename, directory fsync),
+// then latest.snapshot republished as a hard link to it with
+// io::publish_link. Readers (run_study, paper_report, appscope_query
+// consumers) always observe a complete, CRC-valid file, and a reader that
+// mapped the previous latest.snapshot keeps that file intact.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -57,15 +57,13 @@ class EpochSealer {
               const workload::SubscriberBase& subscribers,
               const workload::ServiceCatalog& catalog);
 
-  /// Seals the rolling state as epoch `index`: writes epoch_<index>.snapshot
-  /// and republishes latest.snapshot, both via write-to-temp + atomic
-  /// rename. Throws util::InputError on I/O failure.
+  /// Seals the rolling state as epoch `index`: publishes
+  /// io::epoch_filename(index) and republishes latest.snapshot as a link
+  /// to it. Throws util::InputError on I/O failure.
   SealedEpoch seal(std::uint64_t index, const EventAggregates& rolling);
 
   /// Path the most recent complete snapshot is published under.
   std::string latest_path() const;
-
-  static std::string epoch_filename(std::uint64_t index);
 
  private:
   std::string directory_;
@@ -73,7 +71,6 @@ class EpochSealer {
   const geo::Territory& territory_;
   const workload::SubscriberBase& subscribers_;
   const workload::ServiceCatalog& catalog_;
-  std::array<std::uint64_t, geo::kUrbanizationCount> class_subscribers_{};
 };
 
 }  // namespace appscope::serve

@@ -31,7 +31,7 @@ class AnalyticGenerator {
                     std::uint64_t traffic_seed, double temporal_noise_sigma,
                     const workload::PresenceModel* presence = nullptr);
 
-  /// Streams the full week into `sink` (use FanoutSink for several).
+  /// Streams the full week into `sink`.
   ///
   /// Communes are sharded across the global util::ThreadPool: each worker
   /// derives the commune's own noise stream (seeded by commune id, exactly

@@ -1,16 +1,23 @@
 #include "synth/sinks.hpp"
 
-#include <algorithm>
-
 #include "la/simd.hpp"
 #include "util/error.hpp"
 
 namespace appscope::synth {
 
 namespace {
-constexpr std::size_t dir_index(workload::Direction d) noexcept {
-  return static_cast<std::size_t>(d);
+
+constexpr workload::Direction kDown = workload::Direction::kDownlink;
+constexpr workload::Direction kUp = workload::Direction::kUplink;
+
+/// Scalar hour-ascending adds of a row into one accumulator: exactly the
+/// adds the cell path performs.
+void add_in_hour_order(double& total, std::span<const double> hours) {
+  double acc = total;
+  for (const double v : hours) acc += v;
+  total = acc;
 }
+
 }  // namespace
 
 // --- TrafficSink ----------------------------------------------------------------
@@ -30,239 +37,53 @@ void TrafficSink::consume_row(const TrafficRow& row) {
   }
 }
 
-// --- NationalSeriesSink -----------------------------------------------------
+// --- AggregateSink --------------------------------------------------------------
 
-NationalSeriesSink::NationalSeriesSink(std::size_t service_count)
-    : services_(service_count), data_(service_count) {
-  APPSCOPE_REQUIRE(service_count > 0, "NationalSeriesSink: no services");
-  for (auto& per_service : data_) {
-    for (auto& series : per_service) series.assign(ts::kHoursPerWeek, 0.0);
-  }
+AggregateSink::AggregateSink(std::size_t service_count,
+                             std::size_t commune_count)
+    : tables_(service_count, commune_count) {}
+
+void AggregateSink::consume(const TrafficCell& cell) {
+  APPSCOPE_DCHECK(cell.commune < tables_.communes() &&
+                      cell.week_hour < ts::kHoursPerWeek,
+                  "AggregateSink: cell out of range");
+  const std::size_t h = cell.week_hour;
+  tables_.national_row(cell.service, kDown)[h] += cell.downlink_bytes;
+  tables_.national_row(cell.service, kUp)[h] += cell.uplink_bytes;
+  tables_.commune_row(cell.service, kDown)[cell.commune] += cell.downlink_bytes;
+  tables_.commune_row(cell.service, kUp)[cell.commune] += cell.uplink_bytes;
+  tables_.urbanization_row(cell.service, cell.urbanization, kDown)[h] +=
+      cell.downlink_bytes;
+  tables_.urbanization_row(cell.service, cell.urbanization, kUp)[h] +=
+      cell.uplink_bytes;
+  tables_.downlink_total += cell.downlink_bytes;
+  tables_.uplink_total += cell.uplink_bytes;
+  ++tables_.cells;
 }
 
-void NationalSeriesSink::consume(const TrafficCell& cell) {
-  APPSCOPE_DCHECK(cell.service < services_ && cell.week_hour < ts::kHoursPerWeek,
-                  "NationalSeriesSink: cell out of range");
-  data_[cell.service][0][cell.week_hour] += cell.downlink_bytes;
-  data_[cell.service][1][cell.week_hour] += cell.uplink_bytes;
-}
-
-void NationalSeriesSink::consume_row(const TrafficRow& row) {
-  APPSCOPE_DCHECK(row.service < services_ &&
+void AggregateSink::consume_row(const TrafficRow& row) {
+  APPSCOPE_DCHECK(row.commune < tables_.communes() &&
                       row.downlink_bytes.size() == ts::kHoursPerWeek &&
                       row.uplink_bytes.size() == ts::kHoursPerWeek,
-                  "NationalSeriesSink: row out of range");
-  auto& per_service = data_[row.service];
+                  "AggregateSink: row out of range");
   const la::simd::Kernels& kernels = la::simd::active();
-  kernels.accumulate(per_service[0].data(), row.downlink_bytes.data(),
-                     ts::kHoursPerWeek);
-  kernels.accumulate(per_service[1].data(), row.uplink_bytes.data(),
-                     ts::kHoursPerWeek);
-}
-
-const std::vector<double>& NationalSeriesSink::series(
-    workload::ServiceIndex service, workload::Direction d) const {
-  APPSCOPE_REQUIRE(service < services_, "NationalSeriesSink: bad service");
-  return data_[service][dir_index(d)];
-}
-
-ts::TimeSeries NationalSeriesSink::time_series(workload::ServiceIndex service,
-                                               workload::Direction d,
-                                               const std::string& label) const {
-  const auto& s = series(service, d);
-  return ts::TimeSeries(std::vector<double>(s.begin(), s.end()), label);
-}
-
-std::vector<double> NationalSeriesSink::snapshot_data() const {
-  std::vector<double> flat;
-  flat.reserve(services_ * workload::kDirectionCount * ts::kHoursPerWeek);
-  for (const auto& per_service : data_) {
-    for (const auto& series : per_service) {
-      flat.insert(flat.end(), series.begin(), series.end());
-    }
-  }
-  return flat;
-}
-
-void NationalSeriesSink::restore(std::span<const double> flat) {
-  APPSCOPE_REQUIRE(
-      flat.size() == services_ * workload::kDirectionCount * ts::kHoursPerWeek,
-      "NationalSeriesSink::restore: payload size mismatch");
-  std::size_t pos = 0;
-  for (auto& per_service : data_) {
-    for (auto& series : per_service) {
-      std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(pos),
-                  ts::kHoursPerWeek, series.begin());
-      pos += ts::kHoursPerWeek;
-    }
-  }
-}
-
-// --- CommuneTotalsSink --------------------------------------------------------
-
-CommuneTotalsSink::CommuneTotalsSink(std::size_t service_count,
-                                     std::size_t commune_count)
-    : services_(service_count), communes_(commune_count) {
-  APPSCOPE_REQUIRE(service_count > 0 && commune_count > 0,
-                   "CommuneTotalsSink: empty dimensions");
-  for (auto& plane : data_) plane.assign(service_count * commune_count, 0.0);
-}
-
-void CommuneTotalsSink::consume(const TrafficCell& cell) {
-  APPSCOPE_DCHECK(cell.service < services_ && cell.commune < communes_,
-                  "CommuneTotalsSink: cell out of range");
-  const std::size_t i = cell.service * communes_ + cell.commune;
-  data_[0][i] += cell.downlink_bytes;
-  data_[1][i] += cell.uplink_bytes;
-}
-
-void CommuneTotalsSink::consume_row(const TrafficRow& row) {
-  APPSCOPE_DCHECK(row.service < services_ && row.commune < communes_,
-                  "CommuneTotalsSink: row out of range");
-  const std::size_t i = row.service * communes_ + row.commune;
-  // Sequential reductions into a single total: scalar, hour-ascending,
-  // exactly the adds the cell path performs.
-  double dl = data_[0][i];
-  for (const double v : row.downlink_bytes) dl += v;
-  data_[0][i] = dl;
-  double ul = data_[1][i];
-  for (const double v : row.uplink_bytes) ul += v;
-  data_[1][i] = ul;
-}
-
-double CommuneTotalsSink::total(workload::ServiceIndex service,
-                                geo::CommuneId commune,
-                                workload::Direction d) const {
-  APPSCOPE_REQUIRE(service < services_ && commune < communes_,
-                   "CommuneTotalsSink: index out of range");
-  return data_[dir_index(d)][service * communes_ + commune];
-}
-
-std::vector<double> CommuneTotalsSink::commune_vector(
-    workload::ServiceIndex service, workload::Direction d) const {
-  APPSCOPE_REQUIRE(service < services_, "CommuneTotalsSink: bad service");
-  const auto& plane = data_[dir_index(d)];
-  const std::size_t base = service * communes_;
-  return std::vector<double>(plane.begin() + static_cast<std::ptrdiff_t>(base),
-                             plane.begin() + static_cast<std::ptrdiff_t>(base + communes_));
-}
-
-std::vector<double> CommuneTotalsSink::snapshot_data() const {
-  std::vector<double> flat;
-  flat.reserve(workload::kDirectionCount * services_ * communes_);
-  for (const auto& plane : data_) {
-    flat.insert(flat.end(), plane.begin(), plane.end());
-  }
-  return flat;
-}
-
-void CommuneTotalsSink::restore(std::span<const double> flat) {
-  APPSCOPE_REQUIRE(
-      flat.size() == workload::kDirectionCount * services_ * communes_,
-      "CommuneTotalsSink::restore: payload size mismatch");
-  const std::size_t plane_size = services_ * communes_;
-  std::size_t pos = 0;
-  for (auto& plane : data_) {
-    std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(pos), plane_size,
-                plane.begin());
-    pos += plane_size;
-  }
-}
-
-// --- UrbanizationSeriesSink ---------------------------------------------------
-
-UrbanizationSeriesSink::UrbanizationSeriesSink(std::size_t service_count)
-    : services_(service_count), data_(service_count) {
-  APPSCOPE_REQUIRE(service_count > 0, "UrbanizationSeriesSink: no services");
-  for (auto& per_service : data_) {
-    for (auto& per_class : per_service) {
-      for (auto& series : per_class) series.assign(ts::kHoursPerWeek, 0.0);
-    }
-  }
-}
-
-void UrbanizationSeriesSink::consume(const TrafficCell& cell) {
-  APPSCOPE_DCHECK(cell.service < services_ && cell.week_hour < ts::kHoursPerWeek,
-                  "UrbanizationSeriesSink: cell out of range");
-  auto& per_class = data_[cell.service][static_cast<std::size_t>(cell.urbanization)];
-  per_class[0][cell.week_hour] += cell.downlink_bytes;
-  per_class[1][cell.week_hour] += cell.uplink_bytes;
-}
-
-void UrbanizationSeriesSink::consume_row(const TrafficRow& row) {
-  APPSCOPE_DCHECK(row.service < services_ &&
-                      row.downlink_bytes.size() == ts::kHoursPerWeek &&
-                      row.uplink_bytes.size() == ts::kHoursPerWeek,
-                  "UrbanizationSeriesSink: row out of range");
-  auto& per_class = data_[row.service][static_cast<std::size_t>(row.urbanization)];
-  const la::simd::Kernels& kernels = la::simd::active();
-  kernels.accumulate(per_class[0].data(), row.downlink_bytes.data(),
-                     ts::kHoursPerWeek);
-  kernels.accumulate(per_class[1].data(), row.uplink_bytes.data(),
-                     ts::kHoursPerWeek);
-}
-
-const std::vector<double>& UrbanizationSeriesSink::series(
-    workload::ServiceIndex service, geo::Urbanization u,
-    workload::Direction d) const {
-  APPSCOPE_REQUIRE(service < services_, "UrbanizationSeriesSink: bad service");
-  return data_[service][static_cast<std::size_t>(u)][dir_index(d)];
-}
-
-std::vector<double> UrbanizationSeriesSink::snapshot_data() const {
-  std::vector<double> flat;
-  flat.reserve(services_ * geo::kUrbanizationCount * workload::kDirectionCount *
-               ts::kHoursPerWeek);
-  for (const auto& per_service : data_) {
-    for (const auto& per_class : per_service) {
-      for (const auto& series : per_class) {
-        flat.insert(flat.end(), series.begin(), series.end());
-      }
-    }
-  }
-  return flat;
-}
-
-void UrbanizationSeriesSink::restore(std::span<const double> flat) {
-  APPSCOPE_REQUIRE(flat.size() == services_ * geo::kUrbanizationCount *
-                                      workload::kDirectionCount *
-                                      ts::kHoursPerWeek,
-                   "UrbanizationSeriesSink::restore: payload size mismatch");
-  std::size_t pos = 0;
-  for (auto& per_service : data_) {
-    for (auto& per_class : per_service) {
-      for (auto& series : per_class) {
-        std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(pos),
-                    ts::kHoursPerWeek, series.begin());
-        pos += ts::kHoursPerWeek;
-      }
-    }
-  }
-}
-
-// --- TotalsSink ------------------------------------------------------------------
-
-void TotalsSink::consume(const TrafficCell& cell) {
-  downlink_ += cell.downlink_bytes;
-  uplink_ += cell.uplink_bytes;
-  ++cells_;
-}
-
-void TotalsSink::consume_row(const TrafficRow& row) {
-  double dl = downlink_;
-  for (const double v : row.downlink_bytes) dl += v;
-  downlink_ = dl;
-  double ul = uplink_;
-  for (const double v : row.uplink_bytes) ul += v;
-  uplink_ = ul;
-  cells_ += row.downlink_bytes.size();
-}
-
-void TotalsSink::restore(double downlink, double uplink,
-                         std::uint64_t cells) noexcept {
-  downlink_ = downlink;
-  uplink_ = uplink;
-  cells_ = cells;
+  const auto accumulate = [&kernels](std::span<double> dst,
+                                     std::span<const double> src) {
+    kernels.accumulate(dst.data(), src.data(), ts::kHoursPerWeek);
+  };
+  accumulate(tables_.national_row(row.service, kDown), row.downlink_bytes);
+  accumulate(tables_.national_row(row.service, kUp), row.uplink_bytes);
+  accumulate(tables_.urbanization_row(row.service, row.urbanization, kDown),
+             row.downlink_bytes);
+  accumulate(tables_.urbanization_row(row.service, row.urbanization, kUp),
+             row.uplink_bytes);
+  add_in_hour_order(tables_.commune_row(row.service, kDown)[row.commune],
+                    row.downlink_bytes);
+  add_in_hour_order(tables_.commune_row(row.service, kUp)[row.commune],
+                    row.uplink_bytes);
+  add_in_hour_order(tables_.downlink_total, row.downlink_bytes);
+  add_in_hour_order(tables_.uplink_total, row.uplink_bytes);
+  tables_.cells += row.downlink_bytes.size();
 }
 
 // --- BufferSink ------------------------------------------------------------------
@@ -317,22 +138,6 @@ void RowBufferSink::clear() noexcept {
   headers_.clear();
   downlink_.clear();
   uplink_.clear();
-}
-
-// --- FanoutSink ------------------------------------------------------------------
-
-FanoutSink::FanoutSink(std::vector<TrafficSink*> sinks) : sinks_(std::move(sinks)) {
-  for (TrafficSink* s : sinks_) {
-    APPSCOPE_REQUIRE(s != nullptr, "FanoutSink: null sink");
-  }
-}
-
-void FanoutSink::consume(const TrafficCell& cell) {
-  for (TrafficSink* s : sinks_) s->consume(cell);
-}
-
-void FanoutSink::consume_row(const TrafficRow& row) {
-  for (TrafficSink* s : sinks_) s->consume_row(row);
 }
 
 }  // namespace appscope::synth

@@ -6,14 +6,14 @@
 // need, so memory stays O(aggregates) instead of O(tensor).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geo/commune.hpp"
 #include "la/aligned.hpp"
-#include "ts/time_series.hpp"
+#include "synth/aggregate_tables.hpp"
 #include "workload/service.hpp"
 
 namespace appscope::synth {
@@ -32,7 +32,7 @@ struct TrafficCell {
 /// One generated traffic row: a full week of one service in one commune,
 /// both directions. The analytic generator emits rows (its hot loop fills
 /// the two hourly arrays with one SIMD-dispatched product each) and the
-/// aggregation sinks fold whole rows at a time; `consume(cell)` remains for
+/// aggregation sink folds whole rows at a time; `consume(cell)` remains for
 /// cell-granular producers such as the event-level simulator.
 struct TrafficRow {
   workload::ServiceIndex service = 0;
@@ -52,115 +52,30 @@ class TrafficSink {
   /// Consumes a whole-week row. The default expands the row into per-hour
   /// cells and feeds them to consume() in hour order, so sinks that only
   /// implement the cell interface observe exactly the stream the cell-level
-  /// generator produced; the aggregate sinks override this with row-at-a-
-  /// time folds that accumulate the same bits without the per-cell virtual
+  /// generator produced; AggregateSink overrides this with a row-at-a-time
+  /// fold that accumulates the same bits without the per-cell virtual
   /// dispatch.
   virtual void consume_row(const TrafficRow& row);
 };
 
-/// Nationwide hourly series per service and direction (Figs. 4-7).
-class NationalSeriesSink final : public TrafficSink {
+/// Folds the stream into one AggregateTables<double> (Figs. 4-11). A row
+/// adds its national and urbanization hours with the accumulate kernel:
+/// every hour is its own accumulator, so the kernel reproduces the per-cell
+/// bits exactly. Its commune and grand totals take scalar hour-ascending
+/// adds: all 168 hours land in one accumulator, so the cell path's order of
+/// adds is kept, and with it the bits.
+class AggregateSink final : public TrafficSink {
  public:
-  explicit NationalSeriesSink(std::size_t service_count);
+  AggregateSink(std::size_t service_count, std::size_t commune_count);
   void consume(const TrafficCell& cell) override;
-  /// Row fold: each hour is a distinct accumulator, so the elementwise
-  /// accumulate kernel reproduces the per-cell bits exactly.
   void consume_row(const TrafficRow& row) override;
 
-  /// Weekly series of one service in one direction.
-  const std::vector<double>& series(workload::ServiceIndex service,
-                                    workload::Direction d) const;
-  ts::TimeSeries time_series(workload::ServiceIndex service,
-                             workload::Direction d,
-                             const std::string& label = {}) const;
-
-  /// Snapshot support: flat copy of every series, [service][direction][hour].
-  std::vector<double> snapshot_data() const;
-  /// Restores the sink from a snapshot_data() payload; the element count
-  /// must match this sink's dimensions (PreconditionError otherwise).
-  void restore(std::span<const double> flat);
+  const AggregateTables<double>& tables() const noexcept { return tables_; }
+  /// Moves the folded tables out; the sink is empty afterwards.
+  AggregateTables<double> take() && { return std::move(tables_); }
 
  private:
-  std::size_t services_;
-  /// [service][direction] -> 168 hourly sums.
-  std::vector<std::array<std::vector<double>, workload::kDirectionCount>> data_;
-};
-
-/// Weekly volume totals per service, commune and direction (Figs. 8-10).
-class CommuneTotalsSink final : public TrafficSink {
- public:
-  CommuneTotalsSink(std::size_t service_count, std::size_t commune_count);
-  void consume(const TrafficCell& cell) override;
-  /// Row fold: all 168 hours of a row land in the same two totals, so the
-  /// adds stay scalar and hour-ascending to keep the accumulation order —
-  /// and with it the bits — of the cell path.
-  void consume_row(const TrafficRow& row) override;
-
-  double total(workload::ServiceIndex service, geo::CommuneId commune,
-               workload::Direction d) const;
-
-  /// All commune totals of one service (aligned with commune ids).
-  std::vector<double> commune_vector(workload::ServiceIndex service,
-                                     workload::Direction d) const;
-
-  std::size_t commune_count() const noexcept { return communes_; }
-
-  /// Snapshot support: flat copy, [direction][service * communes + commune].
-  std::vector<double> snapshot_data() const;
-  void restore(std::span<const double> flat);
-
- private:
-  std::size_t services_;
-  std::size_t communes_;
-  /// [direction][service * communes + commune]
-  std::array<std::vector<double>, workload::kDirectionCount> data_;
-};
-
-/// Hourly series per service, urbanization class and direction (Fig. 11).
-class UrbanizationSeriesSink final : public TrafficSink {
- public:
-  explicit UrbanizationSeriesSink(std::size_t service_count);
-  void consume(const TrafficCell& cell) override;
-  /// Row fold via the accumulate kernel (one accumulator per hour).
-  void consume_row(const TrafficRow& row) override;
-
-  const std::vector<double>& series(workload::ServiceIndex service,
-                                    geo::Urbanization u,
-                                    workload::Direction d) const;
-
-  /// Snapshot support: flat copy, [service][class][direction][hour].
-  std::vector<double> snapshot_data() const;
-  void restore(std::span<const double> flat);
-
- private:
-  std::size_t services_;
-  /// [service][class][direction] -> 168 hourly sums.
-  std::vector<std::array<std::array<std::vector<double>, workload::kDirectionCount>,
-                         geo::kUrbanizationCount>>
-      data_;
-};
-
-/// Grand totals and per-direction volume (consistency checks; Sec. 3's
-/// "uplink < 1/20 of total load").
-class TotalsSink final : public TrafficSink {
- public:
-  void consume(const TrafficCell& cell) override;
-  /// Row fold: scalar hour-ascending adds into the two running totals
-  /// (sequential reduction — must match the cell path's order exactly).
-  void consume_row(const TrafficRow& row) override;
-
-  double downlink() const noexcept { return downlink_; }
-  double uplink() const noexcept { return uplink_; }
-  double total() const noexcept { return downlink_ + uplink_; }
-  std::uint64_t cells_consumed() const noexcept { return cells_; }
-
-  /// Snapshot support: restores the running totals verbatim.
-  void restore(double downlink, double uplink, std::uint64_t cells) noexcept;
-
- private:
-  double downlink_ = 0.0;
-  double uplink_ = 0.0;
-  std::uint64_t cells_ = 0;
+  AggregateTables<double> tables_;
 };
 
 /// Buffers cells verbatim for deferred replay (tests and cell-granular
@@ -218,17 +133,6 @@ class RowBufferSink final : public TrafficSink {
   /// row_count() * ts::kHoursPerWeek hourly volumes, row-major.
   la::AlignedVector<double> downlink_;
   la::AlignedVector<double> uplink_;
-};
-
-/// Broadcasts each cell (or row) to several sinks (non-owning).
-class FanoutSink final : public TrafficSink {
- public:
-  explicit FanoutSink(std::vector<TrafficSink*> sinks);
-  void consume(const TrafficCell& cell) override;
-  void consume_row(const TrafficRow& row) override;
-
- private:
-  std::vector<TrafficSink*> sinks_;
 };
 
 }  // namespace appscope::synth

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace appscope::core {
@@ -89,8 +91,7 @@ TEST(DatasetIo, ReadRejectsMalformedDocuments) {
 }
 
 TEST(DatasetIo, ExportWritesAllThreeFiles) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "appscope_io_test").string();
+  const std::string dir = test_support::temp_path("csv").string();
   std::filesystem::remove_all(dir);
   const auto written = export_dataset_csv(dataset(), dir);
   ASSERT_EQ(written.size(), 3u);
@@ -109,7 +110,7 @@ struct EpochDir {
   fs::path dir;
 
   explicit EpochDir(const char* name)
-      : dir(fs::temp_directory_path() / name) {
+      : dir(test_support::temp_path(name)) {
     fs::remove_all(dir);
     fs::create_directories(dir);
   }
@@ -149,8 +150,9 @@ TEST(DatasetIo, LoadEpochSnapshotRetriesWhenPublisherSwapsTheFile) {
   const TrafficDataset loaded = load_epoch_snapshot(e.dir.string());
   EXPECT_EQ((std::vector<int>{0, 1}), attempts);
   EXPECT_EQ(loaded.service_count(), dataset().service_count());
-  EXPECT_EQ(loaded.national_series(0, workload::Direction::kDownlink),
-            dataset().national_series(0, workload::Direction::kDownlink));
+  EXPECT_TRUE(std::ranges::equal(
+      loaded.national_series(0, workload::Direction::kDownlink),
+      dataset().national_series(0, workload::Direction::kDownlink)));
 }
 
 TEST(DatasetIo, LoadEpochSnapshotGivesUpAfterBoundedRetries) {

@@ -20,6 +20,7 @@
 #include "io/snapshot_writer.hpp"
 #include "io/serialize.hpp"
 #include "core/dataset.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 
@@ -27,7 +28,7 @@ namespace appscope::io {
 namespace {
 
 std::filesystem::path temp_file(const std::string& name) {
-  return std::filesystem::temp_directory_path() / ("appscope_snap_" + name);
+  return test_support::temp_path(name);
 }
 
 /// A small generated dataset saved once; corruption tests mutate copies.

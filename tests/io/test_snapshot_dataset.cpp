@@ -1,29 +1,25 @@
 // End-to-end tests of dataset persistence: TrafficDataset::save/load
 // reproduces every aggregate bitwise (so an analysis on the loaded dataset
-// emits a byte-identical report), the streaming io::SnapshotSink writes the
-// same file as a post-hoc save, and load_or_generate_snapshot caches
-// correctly.
+// emits a byte-identical report), save publishes a new file instead of
+// rewriting an open one, and load_or_generate_snapshot caches correctly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <type_traits>
 
 #include "core/dataset.hpp"
 #include "core/dataset_io.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
-#include "io/snapshot_sink.hpp"
-#include "synth/generator.hpp"
+#include "query/snapshot_view.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 
 namespace appscope::core {
 namespace {
-
-static_assert(std::is_same_v<synth::SnapshotSink, io::SnapshotSink>,
-              "the streaming sink is aliased into the synth namespace");
 
 synth::ScenarioConfig small_config() {
   auto cfg = synth::ScenarioConfig::test_scale();
@@ -38,7 +34,7 @@ const TrafficDataset& dataset() {
 }
 
 std::filesystem::path temp_file(const std::string& name) {
-  return std::filesystem::temp_directory_path() / ("appscope_snapds_" + name);
+  return test_support::temp_path(name);
 }
 
 std::string file_bytes(const std::string& path) {
@@ -63,14 +59,15 @@ TEST(SnapshotDataset, SaveLoadRoundTripIsBitwise) {
     EXPECT_EQ(loaded.catalog()[s].name, dataset().catalog()[s].name);
     for (const auto d :
          {workload::Direction::kDownlink, workload::Direction::kUplink}) {
-      EXPECT_EQ(loaded.national_series(s, d), dataset().national_series(s, d));
+      EXPECT_TRUE(std::ranges::equal(loaded.national_series(s, d),
+                                     dataset().national_series(s, d)));
       EXPECT_EQ(loaded.commune_totals(s, d), dataset().commune_totals(s, d));
       EXPECT_EQ(loaded.per_user_commune_vector(s, d),
                 dataset().per_user_commune_vector(s, d));
       for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
         const auto cls = static_cast<geo::Urbanization>(u);
-        EXPECT_EQ(loaded.urbanization_series(s, cls, d),
-                  dataset().urbanization_series(s, cls, d));
+        EXPECT_TRUE(std::ranges::equal(loaded.urbanization_series(s, cls, d),
+                                       dataset().urbanization_series(s, cls, d)));
       }
     }
   }
@@ -99,29 +96,20 @@ TEST(SnapshotDataset, LoadedDatasetEmitsByteIdenticalReport) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotDataset, StreamingSinkWritesTheSameFileAsSave) {
-  const auto config = small_config();
-  const geo::Territory territory = geo::build_synthetic_country(config.country);
-  const workload::SubscriberBase subscribers(territory, config.population);
-  const auto catalog = workload::ServiceCatalog::paper_services();
+TEST(SnapshotDataset, SaveOverAnOpenViewKeepsItReadable) {
+  // save() publishes a new file rather than rewriting the old one in place,
+  // so a view opened before keeps reading the sections it was opened on.
+  const std::string path = temp_file("open_view.snapshot").string();
+  dataset().save(path);
+  const query::SnapshotView view(path);
+  auto other = small_config();
+  other.traffic_seed += 1;
+  TrafficDataset::generate(other).save(path);
 
-  const std::string streamed = temp_file("streamed.snapshot").string();
-  {
-    io::SnapshotSink sink(streamed, config, territory, subscribers, catalog);
-    const synth::AnalyticGenerator generator(territory, subscribers, catalog,
-                                             config.traffic_seed,
-                                             config.temporal_noise_sigma);
-    generator.generate(sink);
-    const io::SnapshotStats stats = sink.finish();
-    EXPECT_EQ(stats.sections, 9u);
-    EXPECT_EQ(stats.bytes, std::filesystem::file_size(streamed));
-  }
-
-  const std::string saved = temp_file("saved.snapshot").string();
-  dataset().save(saved);
-  EXPECT_EQ(file_bytes(streamed), file_bytes(saved));
-  std::filesystem::remove(streamed);
-  std::filesystem::remove(saved);
+  const auto d = workload::Direction::kDownlink;
+  EXPECT_TRUE(std::ranges::equal(view.national_row(0, d),
+                                 dataset().national_series(0, d)));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(SnapshotDataset, LoadOrGenerateCachesAndValidates) {
@@ -134,8 +122,9 @@ TEST(SnapshotDataset, LoadOrGenerateCachesAndValidates) {
   const TrafficDataset second = load_or_generate_snapshot(config, path);
   EXPECT_EQ(second.direction_total(workload::Direction::kDownlink),
             first.direction_total(workload::Direction::kDownlink));
-  EXPECT_EQ(second.national_series(0, workload::Direction::kUplink),
-            first.national_series(0, workload::Direction::kUplink));
+  EXPECT_TRUE(std::ranges::equal(
+      second.national_series(0, workload::Direction::kUplink),
+      first.national_series(0, workload::Direction::kUplink)));
 
   // A different scenario must not silently reuse the cached file.
   auto other = config;

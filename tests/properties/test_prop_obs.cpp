@@ -26,6 +26,7 @@
 #include "obs/telemetry.hpp"
 #include "serve/daemon.hpp"
 #include "serve/epoch.hpp"
+#include "support/temp_dir.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -59,7 +60,7 @@ synth::ScenarioConfig tiny_config() {
 }
 
 fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_obs_" + name);
+  const fs::path dir = test_support::temp_path(name);
   fs::remove_all(dir);
   return dir;
 }
@@ -109,7 +110,7 @@ std::vector<std::string> sealed_bytes(const fs::path& dir) {
   std::vector<std::string> bytes;
   for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
     bytes.push_back(
-        file_bytes(dir / serve::EpochSealer::epoch_filename(epoch)));
+        file_bytes(dir / io::epoch_filename(epoch)));
   }
   bytes.push_back(file_bytes(dir / "latest.snapshot"));
   return bytes;

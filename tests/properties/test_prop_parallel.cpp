@@ -71,11 +71,10 @@ TEST(ParallelDeterminism, AnalyticGeneratorIsBitwiseIdentical) {
                                      config.temporal_noise_sigma);
 
   expect_identical_across_thread_counts([&] {
-    synth::NationalSeriesSink national(catalog.size());
-    synth::CommuneTotalsSink communes(catalog.size(), territory.size());
+    synth::AggregateSink sink(catalog.size(), territory.size());
+    gen.generate(sink);
     synth::BufferSink cells;
-    synth::FanoutSink fan({&national, &communes, &cells});
-    gen.generate(fan);
+    gen.generate(cells);
 
     // Flatten everything the sinks observed, including the raw cell
     // stream order.
@@ -83,9 +82,9 @@ TEST(ParallelDeterminism, AnalyticGeneratorIsBitwiseIdentical) {
     for (std::size_t s = 0; s < catalog.size(); ++s) {
       for (const auto d :
            {workload::Direction::kDownlink, workload::Direction::kUplink}) {
-        const auto& series = national.series(s, d);
+        const auto series = sink.tables().national_row(s, d);
         flat.insert(flat.end(), series.begin(), series.end());
-        const auto totals = communes.commune_vector(s, d);
+        const auto totals = sink.tables().commune_row(s, d);
         flat.insert(flat.end(), totals.begin(), totals.end());
       }
     }

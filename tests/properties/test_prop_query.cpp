@@ -25,6 +25,7 @@
 #include "query/engine.hpp"
 #include "query/follower.hpp"
 #include "query/snapshot_view.hpp"
+#include "support/temp_dir.hpp"
 #include "util/parallel.hpp"
 
 namespace appscope::query {
@@ -41,7 +42,7 @@ synth::ScenarioConfig tiny_config(std::uint64_t seed = 0) {
 }
 
 fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_propq_" + name);
+  const fs::path dir = test_support::temp_path(name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -49,8 +50,7 @@ fs::path temp_dir(const std::string& name) {
 
 const std::string& shared_snapshot() {
   static const std::string path = [] {
-    const std::string p =
-        (fs::temp_directory_path() / "appscope_propq_shared.snapshot").string();
+    const std::string p = test_support::temp_path("shared.snapshot").string();
     core::TrafficDataset::generate(tiny_config()).save(p);
     return p;
   }();

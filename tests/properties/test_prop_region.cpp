@@ -26,6 +26,7 @@
 #include "region/orchestrator.hpp"
 #include "region/report.hpp"
 #include "region/spec.hpp"
+#include "support/temp_dir.hpp"
 #include "util/parallel.hpp"
 
 namespace appscope::region {
@@ -34,7 +35,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_prop_" + name);
+  const fs::path dir = test_support::temp_path(name);
   fs::remove_all(dir);
   return dir;
 }

@@ -27,6 +27,7 @@
 #include "serve/daemon.hpp"
 #include "serve/epoch.hpp"
 #include "serve/ingest.hpp"
+#include "support/temp_dir.hpp"
 #include "synth/replay.hpp"
 #include "workload/catalog.hpp"
 #include "workload/population.hpp"
@@ -44,7 +45,7 @@ synth::ScenarioConfig tiny_config() {
 }
 
 fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_prop_" + name);
+  const fs::path dir = test_support::temp_path(name);
   fs::remove_all(dir);
   return dir;
 }
@@ -82,7 +83,7 @@ TEST(ParallelIngestDeterminism, SealedSnapshotsBitwiseIdenticalAcrossShards) {
     EXPECT_EQ(stats.sampled, 0u);
     for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
       epoch_bytes[i].push_back(
-          file_bytes(dir / EpochSealer::epoch_filename(epoch)));
+          file_bytes(dir / io::epoch_filename(epoch)));
       EXPECT_FALSE(epoch_bytes[i].back().empty());
     }
     epoch_bytes[i].push_back(file_bytes(dir / "latest.snapshot"));
@@ -147,12 +148,13 @@ TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
   const core::TrafficDataset loaded =
       core::TrafficDataset::load(stats.latest_snapshot);
   EXPECT_EQ(loaded.direction_total(workload::Direction::kDownlink),
-            static_cast<double>(expected.downlink_total()));
+            static_cast<double>(expected.downlink_total));
   EXPECT_EQ(loaded.direction_total(workload::Direction::kUplink),
-            static_cast<double>(expected.uplink_total()));
+            static_cast<double>(expected.uplink_total));
   for (std::size_t s = 0; s < catalog.size(); ++s) {
-    EXPECT_EQ(loaded.national_series(s, workload::Direction::kDownlink),
-              expected.national_downlink_series(s))
+    EXPECT_TRUE(std::ranges::equal(
+        loaded.national_series(s, workload::Direction::kDownlink),
+        expected.national_downlink_series(s)))
         << "service " << s;
   }
 
@@ -161,7 +163,7 @@ TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
   // explicit form with the stream's own moments — and that the estimate is
   // close in absolute terms (the synthetic stream's events are
   // similar-sized, so systematic sampling is tight).
-  const double estimate = static_cast<double>(expected.downlink_total());
+  const double estimate = static_cast<double>(expected.downlink_total);
   const double truth = static_cast<double>(true_downlink);
   const double relative_error = std::abs(estimate - truth) / truth;
   const double e_mean = truth / static_cast<double>(total);
@@ -200,8 +202,8 @@ TEST(ParallelIngestBarrier, MidStreamEpochsPartitionTheWeek) {
     }
     ingest.stop();
     EXPECT_EQ(rolling.events(), serial.events());
-    EXPECT_EQ(rolling.downlink_total(), serial.downlink_total());
-    EXPECT_EQ(rolling.uplink_total(), serial.uplink_total());
+    EXPECT_EQ(rolling.downlink_total, serial.downlink_total);
+    EXPECT_EQ(rolling.uplink_total, serial.uplink_total);
     for (std::size_t s = 0; s < catalog.size(); ++s) {
       EXPECT_EQ(rolling.national_total(s), serial.national_total(s));
     }

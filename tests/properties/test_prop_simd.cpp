@@ -9,6 +9,7 @@
 // ^Parallel) also races the dispatch flip against the worker pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <vector>
@@ -167,17 +168,15 @@ TEST(ParallelSimdParity, AnalyticGeneratorAggregates) {
                                      config.traffic_seed,
                                      config.temporal_noise_sigma);
   expect_identical_across_dispatch_and_threads([&] {
-    synth::NationalSeriesSink national(catalog.size());
-    synth::CommuneTotalsSink communes(catalog.size(), territory.size());
-    synth::TotalsSink totals;
-    synth::FanoutSink fanout({&national, &communes, &totals});
-    gen.generate(fanout);
-    std::vector<double> flat = national.snapshot_data();
-    const std::vector<double> ct = communes.snapshot_data();
-    flat.insert(flat.end(), ct.begin(), ct.end());
-    flat.push_back(totals.downlink());
-    flat.push_back(totals.uplink());
-    flat.push_back(static_cast<double>(totals.cells_consumed()));
+    synth::AggregateSink sink(catalog.size(), territory.size());
+    gen.generate(sink);
+    const synth::AggregateTables<double>& t = sink.tables();
+    std::vector<double> flat(t.national().begin(), t.national().end());
+    flat.insert(flat.end(), t.commune_totals().begin(), t.commune_totals().end());
+    flat.insert(flat.end(), t.urbanization().begin(), t.urbanization().end());
+    flat.push_back(t.downlink_total);
+    flat.push_back(t.uplink_total);
+    flat.push_back(static_cast<double>(t.cells));
     return flat;
   });
 }
@@ -209,21 +208,29 @@ TEST(ParallelSimdParity, RowPathMatchesCellPath) {
     synth::TrafficSink& inner_;
   };
 
-  synth::NationalSeriesSink row_national(catalog.size());
-  synth::TotalsSink row_totals;
-  synth::FanoutSink row_fanout({&row_national, &row_totals});
-  gen.generate(row_fanout);
+  // Under every available dispatch: the accumulate kernel must add the same
+  // bits per hour as the scalar cell path.
+  std::vector<la::simd::Dispatch> dispatches = {la::simd::Dispatch::kScalar};
+  if (la::simd::avx2_available()) dispatches.push_back(la::simd::Dispatch::kAvx2);
+  const la::simd::Dispatch before = la::simd::active_dispatch();
+  for (const la::simd::Dispatch dispatch : dispatches) {
+    la::simd::set_dispatch(dispatch);
+    synth::AggregateSink rows(catalog.size(), territory.size());
+    gen.generate(rows);
+    synth::AggregateSink cell_sink(catalog.size(), territory.size());
+    CellOnly cells(cell_sink);
+    gen.generate(cells);
 
-  synth::NationalSeriesSink cell_national(catalog.size());
-  synth::TotalsSink cell_totals;
-  synth::FanoutSink cell_fanout({&cell_national, &cell_totals});
-  CellOnly cells(cell_fanout);
-  gen.generate(cells);
-
-  EXPECT_EQ(row_national.snapshot_data(), cell_national.snapshot_data());
-  EXPECT_EQ(row_totals.downlink(), cell_totals.downlink());
-  EXPECT_EQ(row_totals.uplink(), cell_totals.uplink());
-  EXPECT_EQ(row_totals.cells_consumed(), cell_totals.cells_consumed());
+    const synth::AggregateTables<double>& a = rows.tables();
+    const synth::AggregateTables<double>& b = cell_sink.tables();
+    EXPECT_TRUE(std::ranges::equal(a.national(), b.national()));
+    EXPECT_TRUE(std::ranges::equal(a.commune_totals(), b.commune_totals()));
+    EXPECT_TRUE(std::ranges::equal(a.urbanization(), b.urbanization()));
+    EXPECT_EQ(a.downlink_total, b.downlink_total);
+    EXPECT_EQ(a.uplink_total, b.uplink_total);
+    EXPECT_EQ(a.cells, b.cells);
+  }
+  la::simd::set_dispatch(before);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/dataset.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
+#include "support/temp_dir.hpp"
 #include "synth/scenario.hpp"
 #include "util/parallel.hpp"
 
@@ -23,8 +24,7 @@ namespace {
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
 std::string snapshot_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("appscope_prop_" + name))
-      .string();
+  return test_support::temp_path(name).string();
 }
 
 template <typename Fn>

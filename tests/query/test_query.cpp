@@ -19,6 +19,7 @@
 #include "query/plan.hpp"
 #include "query/slice.hpp"
 #include "query/snapshot_view.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -28,7 +29,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_file(const std::string& name) {
-  return fs::temp_directory_path() / ("appscope_query_" + name);
+  return test_support::temp_path(name);
 }
 
 synth::ScenarioConfig small_config(std::uint64_t seed = 0) {

@@ -21,6 +21,7 @@
 #include "region/orchestrator.hpp"
 #include "region/report.hpp"
 #include "region/spec.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace appscope::region {
@@ -29,7 +30,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_region_" + name);
+  const fs::path dir = test_support::temp_path(name);
   fs::remove_all(dir);
   return dir;
 }

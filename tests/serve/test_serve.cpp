@@ -23,6 +23,7 @@
 #include "serve/online.hpp"
 #include "serve/sampler.hpp"
 #include "serve/spsc_queue.hpp"
+#include "support/temp_dir.hpp"
 #include "synth/replay.hpp"
 #include "util/error.hpp"
 #include "workload/catalog.hpp"
@@ -41,7 +42,7 @@ synth::ScenarioConfig small_config() {
 }
 
 fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_serve_" + name);
+  const fs::path dir = test_support::temp_path(name);
   fs::remove_all(dir);
   return dir;
 }
@@ -237,8 +238,8 @@ TEST(EventAggregates, ApplyMergeResetAndScale) {
   a.apply(e, 1);
   a.apply(e, 3);  // sampled keeper: volumes scaled exactly
   EXPECT_EQ(a.events(), 2u);
-  EXPECT_EQ(a.downlink_total(), 400u);
-  EXPECT_EQ(a.uplink_total(), 160u);
+  EXPECT_EQ(a.downlink_total, 400u);
+  EXPECT_EQ(a.uplink_total, 160u);
   EXPECT_EQ(a.national_total(1), 560u);
   EXPECT_EQ(a.national_total(0), 0u);
   EXPECT_EQ(a.national_downlink_series(1)[5], 400.0);
@@ -247,7 +248,7 @@ TEST(EventAggregates, ApplyMergeResetAndScale) {
   b.apply(e, 1);
   b.merge(a);
   EXPECT_EQ(b.events(), 3u);
-  EXPECT_EQ(b.downlink_total(), 500u);
+  EXPECT_EQ(b.downlink_total, 500u);
 
   b.reset();
   EXPECT_EQ(b.events(), 0u);
@@ -312,7 +313,7 @@ TEST(IngestDaemon, SealedSnapshotLoadsAndMatchesBatchDataset) {
 
   // Every sealed epoch is a complete, loadable snapshot.
   for (std::uint64_t epoch = 0; epoch < 7; ++epoch) {
-    EXPECT_TRUE(fs::exists(dir / EpochSealer::epoch_filename(epoch)));
+    EXPECT_TRUE(fs::exists(dir / io::epoch_filename(epoch)));
   }
 
   const core::TrafficDataset loaded =

@@ -18,6 +18,13 @@ class GeneratorTest : public ::testing::Test {
         subscribers_(territory_, config_.population),
         catalog_(workload::ServiceCatalog::paper_services()) {}
 
+  AggregateSink make_sink() const {
+    return AggregateSink(catalog_.size(), territory_.size());
+  }
+  static double total(const AggregateSink& sink) {
+    return sink.tables().downlink_total + sink.tables().uplink_total;
+  }
+
   ScenarioConfig config_;
   geo::Territory territory_;
   workload::SubscriberBase subscribers_;
@@ -27,27 +34,27 @@ class GeneratorTest : public ::testing::Test {
 TEST_F(GeneratorTest, StreamsFullWeekForEveryUsableService) {
   const AnalyticGenerator gen(territory_, subscribers_, catalog_,
                               config_.traffic_seed, 0.0);
-  TotalsSink totals;
-  NationalSeriesSink national(catalog_.size());
-  FanoutSink fan({&totals, &national});
-  gen.generate(fan);
+  AggregateSink sink = make_sink();
+  gen.generate(sink);
 
-  EXPECT_GT(totals.total(), 0.0);
+  EXPECT_GT(total(sink), 0.0);
   // YouTube (universal service) must produce traffic in every hour.
   const auto yt = *catalog_.find("YouTube");
   for (std::size_t h = 0; h < ts::kHoursPerWeek; ++h) {
-    EXPECT_GT(national.series(yt, workload::Direction::kDownlink)[h], 0.0) << h;
+    EXPECT_GT(sink.tables().national_row(yt, workload::Direction::kDownlink)[h],
+              0.0)
+        << h;
   }
 }
 
 TEST_F(GeneratorTest, DeterministicForSeed) {
   const AnalyticGenerator gen(territory_, subscribers_, catalog_,
                               config_.traffic_seed, 0.05);
-  TotalsSink a;
+  AggregateSink a = make_sink();
   gen.generate(a);
-  TotalsSink b;
+  AggregateSink b = make_sink();
   gen.generate(b);
-  EXPECT_DOUBLE_EQ(a.total(), b.total());
+  EXPECT_DOUBLE_EQ(total(a), total(b));
 }
 
 TEST_F(GeneratorTest, NoisePreservesMeanVolume) {
@@ -55,11 +62,11 @@ TEST_F(GeneratorTest, NoisePreservesMeanVolume) {
                                     config_.traffic_seed, 0.0);
   const AnalyticGenerator noisy(territory_, subscribers_, catalog_,
                                 config_.traffic_seed, 0.3);
-  TotalsSink a;
+  AggregateSink a = make_sink();
   noiseless.generate(a);
-  TotalsSink b;
+  AggregateSink b = make_sink();
   noisy.generate(b);
-  EXPECT_NEAR(b.total() / a.total(), 1.0, 0.02);
+  EXPECT_NEAR(total(b) / total(a), 1.0, 0.02);
 }
 
 TEST_F(GeneratorTest, ExpectedPerUserRateIsDeterministicAndGated) {
@@ -81,23 +88,23 @@ TEST_F(GeneratorTest, ExpectedPerUserRateIsDeterministicAndGated) {
 TEST_F(GeneratorTest, UplinkShareMatchesCatalogDesign) {
   const AnalyticGenerator gen(territory_, subscribers_, catalog_,
                               config_.traffic_seed, 0.0);
-  TotalsSink totals;
-  gen.generate(totals);
-  EXPECT_NEAR(totals.uplink() / totals.total(), 1.0 / 21.0, 0.015);
+  AggregateSink sink = make_sink();
+  gen.generate(sink);
+  EXPECT_NEAR(sink.tables().uplink_total / total(sink), 1.0 / 21.0, 0.015);
 }
 
 TEST_F(GeneratorTest, TgvCommunesFollowTrainSchedule) {
   const AnalyticGenerator gen(territory_, subscribers_, catalog_,
                               config_.traffic_seed, 0.0);
-  UrbanizationSeriesSink sink(catalog_.size());
+  AggregateSink sink = make_sink();
   gen.generate(sink);
   const auto yt = *catalog_.find("YouTube");
-  const auto& tgv =
-      sink.series(yt, geo::Urbanization::kTgv, workload::Direction::kDownlink);
-  const auto& urban =
-      sink.series(yt, geo::Urbanization::kUrban, workload::Direction::kDownlink);
+  const auto tgv = sink.tables().urbanization_row(
+      yt, geo::Urbanization::kTgv, workload::Direction::kDownlink);
+  const auto urban = sink.tables().urbanization_row(
+      yt, geo::Urbanization::kUrban, workload::Direction::kDownlink);
   // Overnight share of traffic is much lower on TGV than in cities.
-  auto night_share = [](const std::vector<double>& s) {
+  auto night_share = [](std::span<const double> s) {
     double night = 0.0;
     double total = 0.0;
     for (std::size_t h = 0; h < s.size(); ++h) {
@@ -115,7 +122,7 @@ TEST_F(GeneratorTest, AgreesWithEventLevelSimulatorOnNationalShape) {
   // simulator: their per-service national weekly *shapes* must correlate.
   const AnalyticGenerator gen(territory_, subscribers_, catalog_,
                               config_.traffic_seed, 0.0);
-  NationalSeriesSink analytic(catalog_.size());
+  AggregateSink analytic = make_sink();
   gen.generate(analytic);
 
   net::BaseStationRegistry cells(territory_, {});
@@ -126,7 +133,7 @@ TEST_F(GeneratorTest, AgreesWithEventLevelSimulatorOnNationalShape) {
   sim_cfg.seed = config_.traffic_seed;
   net::SessionSimulator sim(territory_, subscribers_, catalog_, cells, dpi,
                             sim_cfg);
-  NationalSeriesSink event(catalog_.size());
+  AggregateSink event = make_sink();
   sim.run([&event, this](const net::UsageRecord& r) {
     if (!r.service) return;
     TrafficCell cell;
@@ -140,18 +147,20 @@ TEST_F(GeneratorTest, AgreesWithEventLevelSimulatorOnNationalShape) {
   });
 
   const auto yt = *catalog_.find("YouTube");
-  const double r2 = stats::pearson_r2(
-      analytic.series(yt, workload::Direction::kDownlink),
-      event.series(yt, workload::Direction::kDownlink));
+  const auto analytic_series =
+      analytic.tables().national_row(yt, workload::Direction::kDownlink);
+  const auto event_series =
+      event.tables().national_row(yt, workload::Direction::kDownlink);
+  const double r2 = stats::pearson_r2(analytic_series, event_series);
   EXPECT_GT(r2, 0.8);
 
   // And total volumes agree within sampling error.
   double analytic_total = 0.0;
   double event_total = 0.0;
-  for (const double v : analytic.series(yt, workload::Direction::kDownlink)) {
+  for (const double v : analytic_series) {
     analytic_total += v;
   }
-  for (const double v : event.series(yt, workload::Direction::kDownlink)) {
+  for (const double v : event_series) {
     event_total += v;
   }
   EXPECT_NEAR(event_total / analytic_total, 1.0, 0.15);

@@ -1,11 +1,19 @@
+// The aggregation sink's folds. Suites are named after the table each test
+// covers.
 #include "synth/sinks.hpp"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "ts/time_series.hpp"
 #include "util/error.hpp"
 
 namespace appscope::synth {
 namespace {
+
+constexpr workload::Direction kDown = workload::Direction::kDownlink;
+constexpr workload::Direction kUp = workload::Direction::kUplink;
 
 TrafficCell make_cell(workload::ServiceIndex s, geo::CommuneId c, std::size_t h,
                       geo::Urbanization u, double dl, double ul) {
@@ -20,85 +28,72 @@ TrafficCell make_cell(workload::ServiceIndex s, geo::CommuneId c, std::size_t h,
 }
 
 TEST(NationalSeriesSink, AccumulatesPerHour) {
-  NationalSeriesSink sink(2);
+  AggregateSink sink(2, 3);
   sink.consume(make_cell(0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0));
   sink.consume(make_cell(0, 2, 10, geo::Urbanization::kRural, 3.0, 0.5));
   sink.consume(make_cell(1, 1, 20, geo::Urbanization::kUrban, 7.0, 2.0));
 
-  EXPECT_DOUBLE_EQ(sink.series(0, workload::Direction::kDownlink)[10], 8.0);
-  EXPECT_DOUBLE_EQ(sink.series(0, workload::Direction::kUplink)[10], 1.5);
-  EXPECT_DOUBLE_EQ(sink.series(1, workload::Direction::kDownlink)[20], 7.0);
-  EXPECT_DOUBLE_EQ(sink.series(1, workload::Direction::kDownlink)[10], 0.0);
-  EXPECT_THROW(sink.series(2, workload::Direction::kDownlink),
-               util::PreconditionError);
+  const AggregateTables<double>& t = sink.tables();
+  EXPECT_DOUBLE_EQ(t.national_row(0, kDown)[10], 8.0);
+  EXPECT_DOUBLE_EQ(t.national_row(0, kUp)[10], 1.5);
+  EXPECT_DOUBLE_EQ(t.national_row(1, kDown)[20], 7.0);
+  EXPECT_DOUBLE_EQ(t.national_row(1, kDown)[10], 0.0);
+  EXPECT_THROW(t.national_row(2, kDown), util::PreconditionError);
 }
 
 TEST(NationalSeriesSink, TimeSeriesConversion) {
-  NationalSeriesSink sink(1);
+  AggregateSink sink(1, 1);
   sink.consume(make_cell(0, 0, 5, geo::Urbanization::kUrban, 2.0, 0.0));
-  const ts::TimeSeries series =
-      sink.time_series(0, workload::Direction::kDownlink, "svc");
+  const auto row = sink.tables().national_row(0, kDown);
+  const ts::TimeSeries series(std::vector<double>(row.begin(), row.end()),
+                              "svc");
   EXPECT_EQ(series.size(), ts::kHoursPerWeek);
   EXPECT_EQ(series.label(), "svc");
   EXPECT_DOUBLE_EQ(series[5], 2.0);
 }
 
 TEST(CommuneTotalsSink, AccumulatesWeeklyTotals) {
-  CommuneTotalsSink sink(2, 3);
+  AggregateSink sink(2, 3);
   sink.consume(make_cell(0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0));
   sink.consume(make_cell(0, 1, 99, geo::Urbanization::kUrban, 2.0, 0.5));
-  EXPECT_DOUBLE_EQ(sink.total(0, 1, workload::Direction::kDownlink), 7.0);
-  EXPECT_DOUBLE_EQ(sink.total(0, 1, workload::Direction::kUplink), 1.5);
-  EXPECT_DOUBLE_EQ(sink.total(0, 0, workload::Direction::kDownlink), 0.0);
+  const AggregateTables<double>& t = sink.tables();
+  EXPECT_DOUBLE_EQ(t.commune_row(0, kDown)[1], 7.0);
+  EXPECT_DOUBLE_EQ(t.commune_row(0, kUp)[1], 1.5);
+  EXPECT_DOUBLE_EQ(t.commune_row(0, kDown)[0], 0.0);
 
-  const auto vec = sink.commune_vector(0, workload::Direction::kDownlink);
-  EXPECT_EQ(vec, (std::vector<double>{0.0, 7.0, 0.0}));
-  EXPECT_THROW(sink.total(2, 0, workload::Direction::kDownlink),
-               util::PreconditionError);
-  EXPECT_THROW(sink.total(0, 3, workload::Direction::kDownlink),
-               util::PreconditionError);
+  const auto row = t.commune_row(0, kDown);
+  EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
+            (std::vector<double>{0.0, 7.0, 0.0}));
+  EXPECT_THROW(t.commune_row(2, kDown), util::PreconditionError);
 }
 
 TEST(UrbanizationSeriesSink, SplitsByClass) {
-  UrbanizationSeriesSink sink(1);
+  AggregateSink sink(1, 2);
   sink.consume(make_cell(0, 0, 7, geo::Urbanization::kUrban, 4.0, 0.4));
   sink.consume(make_cell(0, 1, 7, geo::Urbanization::kTgv, 6.0, 0.6));
-  EXPECT_DOUBLE_EQ(
-      sink.series(0, geo::Urbanization::kUrban, workload::Direction::kDownlink)[7],
-      4.0);
-  EXPECT_DOUBLE_EQ(
-      sink.series(0, geo::Urbanization::kTgv, workload::Direction::kDownlink)[7],
-      6.0);
-  EXPECT_DOUBLE_EQ(
-      sink.series(0, geo::Urbanization::kRural, workload::Direction::kDownlink)[7],
-      0.0);
+  const AggregateTables<double>& t = sink.tables();
+  EXPECT_DOUBLE_EQ(t.urbanization_row(0, geo::Urbanization::kUrban, kDown)[7],
+                   4.0);
+  EXPECT_DOUBLE_EQ(t.urbanization_row(0, geo::Urbanization::kTgv, kDown)[7],
+                   6.0);
+  EXPECT_DOUBLE_EQ(t.urbanization_row(0, geo::Urbanization::kRural, kDown)[7],
+                   0.0);
 }
 
 TEST(TotalsSink, GrandTotals) {
-  TotalsSink sink;
+  AggregateSink sink(2, 6);
   sink.consume(make_cell(0, 0, 0, geo::Urbanization::kUrban, 10.0, 1.0));
   sink.consume(make_cell(1, 5, 100, geo::Urbanization::kRural, 20.0, 2.0));
-  EXPECT_DOUBLE_EQ(sink.downlink(), 30.0);
-  EXPECT_DOUBLE_EQ(sink.uplink(), 3.0);
-  EXPECT_DOUBLE_EQ(sink.total(), 33.0);
-  EXPECT_EQ(sink.cells_consumed(), 2u);
-}
-
-TEST(FanoutSink, BroadcastsToAll) {
-  NationalSeriesSink a(1);
-  TotalsSink b;
-  FanoutSink fan({&a, &b});
-  fan.consume(make_cell(0, 0, 3, geo::Urbanization::kUrban, 9.0, 0.0));
-  EXPECT_DOUBLE_EQ(a.series(0, workload::Direction::kDownlink)[3], 9.0);
-  EXPECT_DOUBLE_EQ(b.downlink(), 9.0);
-  EXPECT_THROW(FanoutSink({nullptr}), util::PreconditionError);
+  const AggregateTables<double>& t = sink.tables();
+  EXPECT_DOUBLE_EQ(t.downlink_total, 30.0);
+  EXPECT_DOUBLE_EQ(t.uplink_total, 3.0);
+  EXPECT_EQ(t.cells, 2u);
 }
 
 TEST(Sinks, ConstructorsValidate) {
-  EXPECT_THROW(NationalSeriesSink(0), util::PreconditionError);
-  EXPECT_THROW(CommuneTotalsSink(0, 5), util::PreconditionError);
-  EXPECT_THROW(CommuneTotalsSink(5, 0), util::PreconditionError);
-  EXPECT_THROW(UrbanizationSeriesSink(0), util::PreconditionError);
+  EXPECT_THROW(AggregateSink(0, 5), util::PreconditionError);
+  EXPECT_THROW(AggregateSink(5, 0), util::PreconditionError);
+  EXPECT_THROW(AggregateTables<std::uint64_t>(0, 1), util::PreconditionError);
 }
 
 }  // namespace

@@ -14,12 +14,8 @@ TrafficDataset::TrafficDataset(
     : config_(std::move(config)),
       territory_(std::move(territory)),
       subscribers_(std::move(subscribers)),
-      catalog_(std::move(catalog)) {
-  for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
-    class_subscribers_[u] = subscribers_->total_in(
-        *territory_, static_cast<geo::Urbanization>(u));
-  }
-}
+      catalog_(std::move(catalog)),
+      class_subscribers_(subscribers_->class_totals(*territory_)) {}
 
 void TrafficDataset::consume_stream(
     const std::function<void(synth::TrafficSink&)>& producer) {

@@ -1,7 +1,6 @@
 #include "io/snapshot.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <span>
@@ -24,17 +23,6 @@ namespace {
   throw util::InputError("snapshot: " + path + ": " + what);
 }
 
-/// Subscribers per urbanization class: the dataset's per-user divisors.
-std::array<std::uint64_t, geo::kUrbanizationCount> class_subscribers(
-    const geo::Territory& territory,
-    const workload::SubscriberBase& subscribers) {
-  std::array<std::uint64_t, geo::kUrbanizationCount> out{};
-  for (std::size_t u = 0; u < out.size(); ++u) {
-    out[u] = subscribers.total_in(territory, static_cast<geo::Urbanization>(u));
-  }
-  return out;
-}
-
 }  // namespace
 
 SnapshotStats write_snapshot(const std::string& path,
@@ -51,7 +39,7 @@ SnapshotStats write_snapshot(const std::string& path,
                    "snapshot: subscriber base disagrees with territory");
 
   const std::vector<std::byte> config_bytes = encode_config(config);
-  const auto classes = class_subscribers(territory, subscribers);
+  const auto classes = subscribers.class_totals(territory);
 
   SnapshotWriter::Dimensions dims;
   dims.services = static_cast<std::uint32_t>(catalog.size());
@@ -178,8 +166,8 @@ LoadedSnapshot read_snapshot(const std::string& path) {
   if (classes.size() != geo::kUrbanizationCount) {
     mismatch(path, "class subscriber section malformed");
   }
-  if (!std::ranges::equal(
-          classes, class_subscribers(*loaded.territory, *loaded.subscribers))) {
+  if (!std::ranges::equal(classes,
+                          loaded.subscribers->class_totals(*loaded.territory))) {
     mismatch(path, "class subscriber totals disagree with the embedded "
                    "territory/subscriber base");
   }

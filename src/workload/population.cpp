@@ -47,13 +47,19 @@ std::uint64_t SubscriberBase::total() const noexcept {
 
 std::uint64_t SubscriberBase::total_in(const geo::Territory& territory,
                                        geo::Urbanization u) const {
+  return class_totals(territory)[static_cast<std::size_t>(u)];
+}
+
+std::array<std::uint64_t, geo::kUrbanizationCount> SubscriberBase::class_totals(
+    const geo::Territory& territory) const {
   APPSCOPE_REQUIRE(territory.size() == subscribers_.size(),
                    "SubscriberBase: territory mismatch");
-  std::uint64_t total = 0;
+  std::array<std::uint64_t, geo::kUrbanizationCount> totals{};
   for (std::size_t i = 0; i < subscribers_.size(); ++i) {
-    if (territory.communes()[i].urbanization == u) total += subscribers_[i];
+    totals[static_cast<std::size_t>(territory.communes()[i].urbanization)] +=
+        subscribers_[i];
   }
-  return total;
+  return totals;
 }
 
 }  // namespace appscope::workload

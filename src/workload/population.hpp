@@ -5,6 +5,7 @@
 // inhabitants). Per-commune counts are deterministic in the seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,10 @@ class SubscriberBase {
   /// Subscribers living in a given urbanization class.
   std::uint64_t total_in(const geo::Territory& territory,
                          geo::Urbanization u) const;
+  /// Subscribers per urbanization class, indexed by geo::Urbanization: the
+  /// per-user divisors of the urbanization series.
+  std::array<std::uint64_t, geo::kUrbanizationCount> class_totals(
+      const geo::Territory& territory) const;
 
  private:
   std::vector<std::uint32_t> subscribers_;

@@ -49,6 +49,16 @@ TEST(TrafficDataset, CommuneTotalsSumToNationalTotal) {
               1e-6 * sum);
 }
 
+TEST(TrafficDataset, CommuneTotalRejectsOutOfRangeIndices) {
+  const auto& d = test_dataset();
+  const auto down = workload::Direction::kDownlink;
+  EXPECT_THROW(
+      d.commune_total(0, static_cast<geo::CommuneId>(d.commune_count()), down),
+      util::PreconditionError);
+  EXPECT_THROW(d.commune_total(d.service_count(), 0, down),
+               util::PreconditionError);
+}
+
 TEST(TrafficDataset, PerUserVectorDividesBySubscribers) {
   const auto& d = test_dataset();
   const auto yt = *d.catalog().find("YouTube");

@@ -35,8 +35,8 @@ class ProcessRoot {
   fs::path path_;
 };
 
-}  // namespace
-
+/// <tmp>/appscope_<pid>/<Suite>.<Test>/, created on first use ("global" in
+/// place of the test name outside a running test).
 fs::path temp_dir() {
   static const ProcessRoot root;
   const ::testing::TestInfo* test =
@@ -49,6 +49,8 @@ fs::path temp_dir() {
   fs::create_directories(dir);
   return dir;
 }
+
+}  // namespace
 
 fs::path temp_path(const std::string& name) { return temp_dir() / name; }
 

@@ -10,12 +10,9 @@
 
 namespace appscope::test_support {
 
-/// <tmp>/appscope_<pid>/<Suite>.<Test>/, created on first use ("global" in
-/// place of the test name outside a running test). The whole
-/// <tmp>/appscope_<pid>/ tree is removed when the process exits.
-std::filesystem::path temp_dir();
-
-/// temp_dir() / name.
+/// <tmp>/appscope_<pid>/<Suite>.<Test>/<name>; the directory is created on
+/// first use ("global" in place of the test name outside a running test).
+/// The whole <tmp>/appscope_<pid>/ tree is removed when the process exits.
 std::filesystem::path temp_path(const std::string& name);
 
 }  // namespace appscope::test_support

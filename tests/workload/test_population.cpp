@@ -51,9 +51,13 @@ TEST(SubscriberBase, DeterministicForSeed) {
 TEST(SubscriberBase, ClassTotalsSumToOverallTotal) {
   const geo::Territory t = small_territory();
   const SubscriberBase subs(t, {});
+  const auto classes = subs.class_totals(t);
   std::uint64_t by_class = 0;
   for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
-    by_class += subs.total_in(t, static_cast<geo::Urbanization>(u));
+    const std::uint64_t in_class =
+        subs.total_in(t, static_cast<geo::Urbanization>(u));
+    EXPECT_EQ(classes[u], in_class);
+    by_class += in_class;
   }
   EXPECT_EQ(by_class, subs.total());
 }

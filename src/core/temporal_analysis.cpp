@@ -5,10 +5,10 @@
 #include "la/vector_ops.hpp"
 #include "ts/autocorrelation.hpp"
 #include "ts/kmeans.hpp"
-#include "ts/sbd.hpp"
 #include "ts/series_batch.hpp"
 #include "ts/znorm.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace appscope::core {
 
@@ -62,45 +62,47 @@ ClusterSweepReport cluster_sweep(const TrafficDataset& dataset,
   const auto series = znormalized_national_series(dataset, d);
 
   // Spectrum cache + pairwise SBD matrix built once per direction and
-  // reused across every k in the sweep (Dunn/silhouette only read point
-  // pairs; DB/DB* need per-k centroid distances and keep the functor).
+  // reused across every k in the sweep (Dunn/silhouette read point pairs
+  // from the matrix; DB/DB* reuse the cached point spectra).
   const ts::SeriesBatch batch(series);
   const ts::DistanceMatrix sbd_pairwise = ts::sbd_distance_matrix(batch);
 
-  const ts::DistanceFn sbd_dist = [](std::span<const double> a,
-                                     std::span<const double> b) {
-    return ts::sbd_distance(a, b);
-  };
   const ts::DistanceFn euclidean = [](std::span<const double> a,
                                       std::span<const double> b) {
     return la::distance(a, b);
   };
 
+  // One pool task per k; the pool calls inside kshape and SeriesBatch then
+  // run inline on that task's thread. Each row depends only on k, so the
+  // report is the same at any thread count.
   ClusterSweepReport report;
   report.direction = d;
-  for (std::size_t k = opts.k_min; k <= opts.k_max; ++k) {
-    ClusterQualityRow row;
-    row.k = k;
+  report.rows.resize(opts.k_max - opts.k_min + 1);
+  util::parallel_for(opts.k_min, opts.k_max + 1, 1,
+                     [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      ClusterQualityRow& row = report.rows[k - opts.k_min];
+      row.k = k;
 
-    ts::KShapeOptions kopts;
-    kopts.k = k;
-    kopts.seed = opts.seed;
-    const ts::KShapeResult kshape = ts::kshape(series, kopts);
-    row.kshape = ts::evaluate_quality(
-        series, ts::ClusteringView{kshape.assignments, kshape.centroids},
-        sbd_dist, sbd_pairwise);
+      ts::KShapeOptions kopts;
+      kopts.k = k;
+      kopts.seed = opts.seed;
+      const ts::KShapeResult kshape = ts::kshape(series, kopts);
+      row.kshape = ts::evaluate_quality(
+          batch, ts::ClusteringView{kshape.assignments, kshape.centroids},
+          sbd_pairwise);
 
-    if (opts.include_kmeans_baseline) {
-      ts::KMeansOptions mopts;
-      mopts.k = k;
-      mopts.seed = opts.seed;
-      const ts::KMeansResult kmeans = ts::kmeans(series, mopts);
-      row.kmeans = ts::evaluate_quality(
-          series, ts::ClusteringView{kmeans.assignments, kmeans.centroids},
-          euclidean);
+      if (opts.include_kmeans_baseline) {
+        ts::KMeansOptions mopts;
+        mopts.k = k;
+        mopts.seed = opts.seed;
+        const ts::KMeansResult kmeans = ts::kmeans(series, mopts);
+        row.kmeans = ts::evaluate_quality(
+            series, ts::ClusteringView{kmeans.assignments, kmeans.centroids},
+            euclidean);
+      }
     }
-    report.rows.push_back(std::move(row));
-  }
+  });
   return report;
 }
 

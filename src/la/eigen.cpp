@@ -4,67 +4,9 @@
 #include <cmath>
 #include <numeric>
 
-#include "la/vector_ops.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace appscope::la {
-
-namespace {
-/// Gershgorin upper bound on |lambda| for a symmetric matrix.
-double gershgorin_bound(const Matrix& m) noexcept {
-  double bound = 0.0;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    double radius = 0.0;
-    for (std::size_t j = 0; j < m.cols(); ++j) radius += std::abs(m(i, j));
-    bound = std::max(bound, radius);
-  }
-  return bound;
-}
-}  // namespace
-
-EigenPair power_iteration(const Matrix& m, const PowerIterationOptions& opts) {
-  APPSCOPE_REQUIRE(!m.empty(), "power_iteration: empty matrix");
-  APPSCOPE_REQUIRE(m.rows() == m.cols(), "power_iteration: matrix must be square");
-  APPSCOPE_REQUIRE(m.is_symmetric(1e-9 * (1.0 + m.frobenius_norm())),
-                   "power_iteration: matrix must be symmetric");
-
-  const std::size_t n = m.rows();
-  // Shift so all eigenvalues are positive: B = A + (bound + 1) I. The dominant
-  // eigenvector of B is the eigenvector of A's largest algebraic eigenvalue.
-  const double shift = gershgorin_bound(m) + 1.0;
-
-  util::Rng rng(opts.seed);
-  std::vector<double> v(n);
-  for (double& x : v) x = rng.uniform(-1.0, 1.0);
-  normalize_l2(v);
-
-  double lambda_shifted = 0.0;
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    std::vector<double> w = m.multiply(v);
-    axpy(shift, v, w);  // w = (A + shift I) v
-    const double new_lambda = norm2(w);
-    if (new_lambda == 0.0) break;  // v in the null space of B (degenerate)
-    scale(std::span<double>(w), 1.0 / new_lambda);
-    const double delta = distance(w, v);
-    v = std::move(w);
-    // Also consider sign-flipped convergence (eigenvector up to sign).
-    std::vector<double> neg(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) neg[i] = -v[i];
-    const bool converged =
-        std::abs(new_lambda - lambda_shifted) <= opts.tolerance * new_lambda &&
-        (delta <= opts.tolerance || distance(neg, v) <= opts.tolerance);
-    lambda_shifted = new_lambda;
-    if (converged) break;
-  }
-
-  EigenPair result;
-  // Rayleigh quotient on the original matrix gives the unshifted eigenvalue.
-  const std::vector<double> av = m.multiply(v);
-  result.value = dot(v, av);
-  result.vector = std::move(v);
-  return result;
-}
 
 EigenDecomposition jacobi_eigen(const Matrix& m, double tolerance,
                                 std::size_t max_sweeps) {

@@ -1,24 +1,17 @@
 // appscope/la/eigen.hpp
 //
-// Symmetric eigenproblem solvers:
-//  - power_iteration: dominant eigenpair (used by k-Shape shape extraction,
-//    where the centroid is the leading eigenvector of an n×n symmetric
-//    matrix, n = series length).
-//  - jacobi_eigen: full spectrum via cyclic Jacobi rotations (used by tests
-//    and available for spectral analyses of correlation matrices).
+// Symmetric eigenproblem solver: jacobi_eigen, the full spectrum via cyclic
+// Jacobi rotations. k-Shape shape extraction uses it on the m×m Gram matrix
+// of a cluster's members (m = cluster size); it is also available for
+// spectral analyses of correlation matrices.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "la/matrix.hpp"
 
 namespace appscope::la {
-
-struct EigenPair {
-  double value = 0.0;
-  std::vector<double> vector;
-};
 
 struct EigenDecomposition {
   /// Eigenvalues sorted in descending order.
@@ -27,22 +20,10 @@ struct EigenDecomposition {
   Matrix vectors;
 };
 
-struct PowerIterationOptions {
-  std::size_t max_iterations = 1000;
-  double tolerance = 1e-10;
-  /// Seed for the deterministic pseudo-random start vector.
-  std::uint64_t seed = 42;
-};
-
-/// Dominant eigenpair of a symmetric matrix by shifted power iteration.
-/// The shift (by the Gershgorin bound) makes the dominant eigenvalue of the
-/// shifted matrix the *largest algebraic* eigenvalue of `m`, which is what
-/// shape extraction needs (Rayleigh-quotient maximization).
-/// Throws PreconditionError if `m` is empty or not symmetric.
-EigenPair power_iteration(const Matrix& m, const PowerIterationOptions& opts = {});
-
 /// Full eigendecomposition of a symmetric matrix via the cyclic Jacobi
-/// method. O(n^3) per sweep; intended for n up to a few hundred.
+/// method. O(n^3) per sweep; intended for n up to a few hundred. values[0]
+/// is the largest algebraic eigenvalue (not the largest in magnitude).
+/// Throws PreconditionError if `m` is empty or not symmetric.
 EigenDecomposition jacobi_eigen(const Matrix& m, double tolerance = 1e-12,
                                 std::size_t max_sweeps = 64);
 

@@ -1,8 +1,9 @@
 // appscope/la/matrix.hpp
 //
 // Dense row-major matrix. Sized for the library's needs: k-Shape shape
-// extraction (n ≈ 168), service-pair correlation matrices (20×20), and the
-// Jacobi eigensolver. Not a general BLAS replacement.
+// extraction (a cluster's m×168 member matrix and its m×m Gram matrix,
+// m ≤ 20), service-pair correlation matrices (20×20), and the Jacobi
+// eigensolver. Not a general BLAS replacement.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ts/series_batch.hpp"
 #include "util/error.hpp"
 
 namespace appscope::ts {
@@ -155,26 +156,11 @@ double dunn_index(const DistanceMatrix& pairwise,
 
 namespace {
 
-/// Mean member-to-centroid distance per cluster (empty cluster -> 0).
-std::vector<double> cluster_scatter(const std::vector<std::vector<double>>& data,
-                                    const ClusteringView& clustering,
-                                    const std::vector<std::vector<std::size_t>>& groups,
-                                    const DistanceFn& dist) {
-  std::vector<double> s(groups.size(), 0.0);
-  for (std::size_t c = 0; c < groups.size(); ++c) {
-    if (groups[c].empty()) continue;
-    double acc = 0.0;
-    for (const std::size_t i : groups[c]) {
-      acc += dist(data[i], clustering.centroids[c]);
-    }
-    s[c] = acc / static_cast<double>(groups[c].size());
-  }
-  return s;
-}
-
-void validate_clustering(const std::vector<std::vector<double>>& data,
-                         const ClusteringView& clustering) {
-  APPSCOPE_REQUIRE(data.size() == clustering.assignments.size(),
+/// Validates a clustering for DB/DB* over `n_points` points and groups its
+/// members by cluster (one group per centroid).
+std::vector<std::vector<std::size_t>> centroid_groups(
+    std::size_t n_points, const ClusteringView& clustering) {
+  APPSCOPE_REQUIRE(n_points == clustering.assignments.size(),
                    "davies_bouldin: data/assignment size mismatch");
   APPSCOPE_REQUIRE(!clustering.centroids.empty(),
                    "davies_bouldin: clustering has no centroids");
@@ -182,19 +168,33 @@ void validate_clustering(const std::vector<std::vector<double>>& data,
     APPSCOPE_REQUIRE(a < clustering.centroids.size(),
                      "davies_bouldin: assignment exceeds centroid count");
   }
+  return group_members(clustering.assignments, clustering.centroids.size());
 }
 
-}  // namespace
+/// Mean member-to-centroid distance per cluster (empty cluster -> 0), with
+/// `md(i, c)` the distance from point i to centroid c.
+template <typename MemberDist>
+std::vector<double> cluster_scatter(
+    const std::vector<std::vector<std::size_t>>& groups, MemberDist&& md) {
+  std::vector<double> s(groups.size(), 0.0);
+  for (std::size_t c = 0; c < groups.size(); ++c) {
+    if (groups[c].empty()) continue;
+    double acc = 0.0;
+    for (const std::size_t i : groups[c]) acc += md(i, c);
+    s[c] = acc / static_cast<double>(groups[c].size());
+  }
+  return s;
+}
 
-double davies_bouldin(const std::vector<std::vector<double>>& data,
-                      const ClusteringView& clustering, const DistanceFn& dist) {
-  validate_clustering(data, clustering);
-  const std::size_t k = clustering.centroids.size();
-  const auto groups = group_members(clustering.assignments, k);
+/// Davies-Bouldin over per-cluster scatter `s` and centroid separations
+/// `sep(i, j)`, read only for distinct non-empty clusters. Shared by the
+/// functor and cached-spectra overloads, like silhouette_impl/dunn_impl.
+template <typename Sep>
+double davies_bouldin_impl(const std::vector<std::vector<std::size_t>>& groups,
+                           const std::vector<double>& s, Sep&& sep) {
   APPSCOPE_REQUIRE(count_nonempty(groups) >= 2,
                    "davies_bouldin: needs >= 2 non-empty clusters");
-  const auto s = cluster_scatter(data, clustering, groups, dist);
-
+  const std::size_t k = groups.size();
   double total = 0.0;
   std::size_t used = 0;
   for (std::size_t i = 0; i < k; ++i) {
@@ -202,9 +202,9 @@ double davies_bouldin(const std::vector<std::vector<double>>& data,
     double worst = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
       if (j == i || groups[j].empty()) continue;
-      const double sep = dist(clustering.centroids[i], clustering.centroids[j]);
-      if (sep <= 0.0) continue;  // coincident centroids carry no information
-      worst = std::max(worst, (s[i] + s[j]) / sep);
+      const double d = sep(i, j);
+      if (d <= 0.0) continue;  // coincident centroids carry no information
+      worst = std::max(worst, (s[i] + s[j]) / d);
     }
     total += worst;
     ++used;
@@ -212,16 +212,13 @@ double davies_bouldin(const std::vector<std::vector<double>>& data,
   return total / static_cast<double>(used);
 }
 
-double davies_bouldin_star(const std::vector<std::vector<double>>& data,
-                           const ClusteringView& clustering,
-                           const DistanceFn& dist) {
-  validate_clustering(data, clustering);
-  const std::size_t k = clustering.centroids.size();
-  const auto groups = group_members(clustering.assignments, k);
+template <typename Sep>
+double davies_bouldin_star_impl(
+    const std::vector<std::vector<std::size_t>>& groups,
+    const std::vector<double>& s, Sep&& sep) {
   APPSCOPE_REQUIRE(count_nonempty(groups) >= 2,
                    "davies_bouldin_star: needs >= 2 non-empty clusters");
-  const auto s = cluster_scatter(data, clustering, groups, dist);
-
+  const std::size_t k = groups.size();
   double total = 0.0;
   std::size_t used = 0;
   for (std::size_t i = 0; i < k; ++i) {
@@ -231,8 +228,8 @@ double davies_bouldin_star(const std::vector<std::vector<double>>& data,
     for (std::size_t j = 0; j < k; ++j) {
       if (j == i || groups[j].empty()) continue;
       max_sum = std::max(max_sum, s[i] + s[j]);
-      const double sep = dist(clustering.centroids[i], clustering.centroids[j]);
-      if (sep > 0.0) min_sep = std::min(min_sep, sep);
+      const double d = sep(i, j);
+      if (d > 0.0) min_sep = std::min(min_sep, d);
     }
     if (std::isfinite(min_sep)) {
       total += max_sum / min_sep;
@@ -241,6 +238,44 @@ double davies_bouldin_star(const std::vector<std::vector<double>>& data,
   }
   APPSCOPE_REQUIRE(used > 0, "davies_bouldin_star: all centroids coincide");
   return total / static_cast<double>(used);
+}
+
+/// Scatter of each cluster around its centroid under a distance functor.
+std::vector<double> functor_scatter(
+    const std::vector<std::vector<double>>& data,
+    const ClusteringView& clustering,
+    const std::vector<std::vector<std::size_t>>& groups,
+    const DistanceFn& dist) {
+  return cluster_scatter(groups, [&](std::size_t i, std::size_t c) {
+    return dist(data[i], clustering.centroids[c]);
+  });
+}
+
+/// Centroid separation under a distance functor, as a sep(i, j) callable.
+auto functor_separation(const ClusteringView& clustering,
+                        const DistanceFn& dist) {
+  return [&clustering, &dist](std::size_t i, std::size_t j) {
+    return dist(clustering.centroids[i], clustering.centroids[j]);
+  };
+}
+
+}  // namespace
+
+double davies_bouldin(const std::vector<std::vector<double>>& data,
+                      const ClusteringView& clustering, const DistanceFn& dist) {
+  const auto groups = centroid_groups(data.size(), clustering);
+  return davies_bouldin_impl(groups,
+                             functor_scatter(data, clustering, groups, dist),
+                             functor_separation(clustering, dist));
+}
+
+double davies_bouldin_star(const std::vector<std::vector<double>>& data,
+                           const ClusteringView& clustering,
+                           const DistanceFn& dist) {
+  const auto groups = centroid_groups(data.size(), clustering);
+  return davies_bouldin_star_impl(
+      groups, functor_scatter(data, clustering, groups, dist),
+      functor_separation(clustering, dist));
 }
 
 QualityIndices evaluate_quality(const std::vector<std::vector<double>>& data,
@@ -254,17 +289,35 @@ QualityIndices evaluate_quality(const std::vector<std::vector<double>>& data,
   return q;
 }
 
-QualityIndices evaluate_quality(const std::vector<std::vector<double>>& data,
+QualityIndices evaluate_quality(const SeriesBatch& data,
                                 const ClusteringView& clustering,
-                                const DistanceFn& dist,
                                 const DistanceMatrix& pairwise) {
   APPSCOPE_REQUIRE(pairwise.size() == data.size(),
                    "evaluate_quality: pairwise matrix size mismatch");
+  const auto groups = centroid_groups(data.size(), clustering);
+  const std::size_t k = groups.size();
+  const SeriesBatch centroids(clustering.centroids);
+  SbdScratch& scratch = sbd_scratch();
+  // Every SBD keeps the functor overload's argument order (point, centroid)
+  // and (centroid i, centroid j), so the values are bitwise the same; SBD is
+  // symmetric only to round-off, hence ordered centroid pairs.
+  const std::vector<double> scatter =
+      cluster_scatter(groups, [&](std::size_t i, std::size_t c) {
+        return sbd_pair_distance(data, i, centroids, c, scratch);
+      });
+  DistanceMatrix separation(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    if (groups[i].empty()) continue;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (j == i || groups[j].empty()) continue;
+      separation(i, j) = sbd_pair_distance(centroids, i, centroids, j, scratch);
+    }
+  }
+  const auto sep = [&](std::size_t i, std::size_t j) { return separation(i, j); };
+
   QualityIndices q;
-  // DB/DB* involve centroid distances, which a point-pairwise matrix cannot
-  // supply; Dunn and silhouette read only point pairs and use the matrix.
-  q.davies_bouldin = davies_bouldin(data, clustering, dist);
-  q.davies_bouldin_star = davies_bouldin_star(data, clustering, dist);
+  q.davies_bouldin = davies_bouldin_impl(groups, scatter, sep);
+  q.davies_bouldin_star = davies_bouldin_star_impl(groups, scatter, sep);
   q.dunn = dunn_index(pairwise, clustering.assignments);
   q.silhouette = silhouette(pairwise, clustering.assignments);
   return q;

@@ -5,7 +5,9 @@
 // — minimum is best — and Dunn, Silhouette — maximum is best.
 //
 // All indices are parameterized by a distance function so they apply to both
-// SBD (k-Shape) and Euclidean (k-means baseline) geometries.
+// SBD (k-Shape) and Euclidean (k-means baseline) geometries. The SBD sweep
+// uses the cached-spectra overload of evaluate_quality instead, which gives
+// the same bits from a ts::SeriesBatch and a precomputed pairwise matrix.
 #pragma once
 
 #include <functional>
@@ -15,6 +17,8 @@
 #include "ts/distance_matrix.hpp"
 
 namespace appscope::ts {
+
+class SeriesBatch;
 
 using DistanceFn =
     std::function<double(std::span<const double>, std::span<const double>)>;
@@ -73,14 +77,14 @@ QualityIndices evaluate_quality(const std::vector<std::vector<double>>& data,
                                 const ClusteringView& clustering,
                                 const DistanceFn& dist);
 
-/// evaluate_quality with the point-to-point distances read from `pairwise`
-/// instead of recomputed through `dist` (which is still used for the
-/// centroid distances in DB/DB*). With a consistent matrix the result is
-/// identical to the functor-only overload; for SBD the pairwise matrix is
-/// the dominant cost and is typically already on hand from the k sweep.
-QualityIndices evaluate_quality(const std::vector<std::vector<double>>& data,
+/// evaluate_quality under SBD, on cached spectra: the point-to-point
+/// distances are read from `pairwise` (ts::sbd_distance_matrix(data)), and
+/// DB/DB* share one SeriesBatch of the centroids, each member-to-centroid
+/// SBD and each ordered centroid pair computed once. Bitwise identical to
+/// the functor overload with ts::sbd_distance for DB and DB*, and to
+/// dunn_index/silhouette over `pairwise` for the other two.
+QualityIndices evaluate_quality(const SeriesBatch& data,
                                 const ClusteringView& clustering,
-                                const DistanceFn& dist,
                                 const DistanceMatrix& pairwise);
 
 }  // namespace appscope::ts

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
+#include <numeric>
 
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
@@ -29,69 +29,61 @@ std::vector<std::size_t> KShapeResult::members(std::size_t c) const {
 
 namespace {
 
-/// Eigen-decomposition core of shape extraction, shared by the public
-/// per-pair entry point and the k-Shape batch path; `aligned_member(i, buf)`
-/// writes member i into `buf` already aligned to the reference (both paths
-/// produce bit-identical alignments, so the extracted shapes agree bitwise
-/// too). One buffer is reused across all members — no per-member
-/// allocations in the extraction loop.
-template <typename AlignedFn>
-std::vector<double> shape_extract_core(std::size_t member_count, std::size_t n,
-                                       std::span<const double> probe,
-                                       AlignedFn&& aligned_member) {
-  la::Matrix s(n, n);
-  std::vector<double> aligned;
-  for (std::size_t mi = 0; mi < member_count; ++mi) {
-    aligned_member(mi, aligned);
+/// Shape extraction over cached spectra: the members are rows `member_idx`
+/// of `data`, the reference is row `c` of `centroids` (no alignment when
+/// that row is all zero).
+///
+/// Paparrizos & Gravano's centroid is the top eigenvector of M = Q S Q, with
+/// S = AᵀA summing the aligned, z-normalized members (the rows of A) and
+/// Q = I - (1/n)·1·1ᵀ. With B = A Q (each row minus its mean), M = BᵀB,
+/// which shares its nonzero spectrum with the m×m Gram matrix G = B Bᵀ:
+/// G u = λ u gives BᵀB (Bᵀu) = λ (Bᵀu). So the centroid is Bᵀu for G's top
+/// eigenvector u, an exact solve on m² entries (m = cluster size) instead
+/// of an iterative one on n². An all-zero B (constant members) gives an
+/// all-zero centroid, which the assignment step skips.
+std::vector<double> shape_extract_batch(const SeriesBatch& data,
+                                        const std::vector<std::size_t>& member_idx,
+                                        const SeriesBatch& centroids,
+                                        std::size_t c, SbdScratch& scratch) {
+  const std::size_t m = member_idx.size();
+  const std::size_t n = data.length();
+  const bool have_reference = centroids.norm(c) > 0.0;
+  la::Matrix b(m, n);
+  std::vector<double> aligned;  // reused across members
+  for (std::size_t mi = 0; mi < m; ++mi) {
+    const std::span<const double> member = data.series(member_idx[mi]);
+    if (have_reference) {
+      const SbdResult r = sbd_pair(centroids, c, data, member_idx[mi], scratch);
+      shift_series_into(member, r.shift, aligned);
+    } else {
+      aligned.assign(member.begin(), member.end());
+    }
     znormalize_inplace(aligned);
-    // S += aligned alignedᵀ (accumulate symmetric rank-1 update); each row
-    // update is an elementwise axpy, which dispatches to la::simd.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ai = aligned[i];
-      if (ai == 0.0) continue;
-      la::axpy(ai, aligned, std::span<double>(&s(i, 0), n));
-    }
+    const double mean = la::mean(aligned);
+    const std::span<double> row = b.row(mi);
+    for (std::size_t t = 0; t < n; ++t) row[t] = aligned[t] - mean;
   }
 
-  // M = Q S Q with Q = I - (1/n) 1·1ᵀ. Multiplying by Q on both sides is
-  // row- and column-mean centering, so M is assembled directly in O(n²):
-  //   M(i, j) = S(i, j) - rmean(i) - cmean(j) + gmean.
-  const double inv_n = 1.0 / static_cast<double>(n);
-  std::vector<double> rmean(n, 0.0);
-  std::vector<double> cmean(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = &s(i, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      rmean[i] += row[j];
-      cmean[j] += row[j];
+  std::vector<double> u{1.0};
+  if (m > 1) {
+    la::Matrix gram(m, m);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = i; j < m; ++j) {
+        gram(i, j) = gram(j, i) = la::dot(b.row(i), b.row(j));
+      }
     }
+    const la::EigenDecomposition eig = la::jacobi_eigen(gram);
+    const std::span<const double> top = eig.vectors.row(0);
+    u.assign(top.begin(), top.end());
   }
-  double gmean = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    rmean[i] *= inv_n;
-    gmean += rmean[i];
-  }
-  gmean *= inv_n;
-  for (std::size_t j = 0; j < n; ++j) cmean[j] *= inv_n;
-  la::Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* srow = &s(i, 0);
-    double* mrow = &m(i, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      mrow[j] = srow[j] - rmean[i] - cmean[j] + gmean;
-    }
-  }
+  std::vector<double> centroid(n, 0.0);
+  for (std::size_t mi = 0; mi < m; ++mi) la::axpy(u[mi], b.row(mi), centroid);
 
-  la::PowerIterationOptions pio;
-  pio.seed = 1234;
-  const la::EigenPair top = la::power_iteration(m, pio);
-
-  std::vector<double> centroid = top.vector;
   // Eigenvectors have arbitrary sign: pick the orientation closer to the
   // cluster members (compare squared distance to the first member).
   double dist_pos = 0.0;
   double dist_neg = 0.0;
-  const std::vector<double> zprobe = znormalize(probe);
+  const std::vector<double> zprobe = znormalize(data.series(member_idx.front()));
   for (std::size_t i = 0; i < n; ++i) {
     const double dp = zprobe[i] - centroid[i];
     const double dn = zprobe[i] + centroid[i];
@@ -105,27 +97,6 @@ std::vector<double> shape_extract_core(std::size_t member_count, std::size_t n,
   return centroid;
 }
 
-/// Batch-path shape extraction: members live in `data` (spectra cached
-/// across all k-Shape iterations), the reference is row `c` of `centroids`.
-std::vector<double> shape_extract_batch(const SeriesBatch& data,
-                                        const std::vector<std::size_t>& member_idx,
-                                        const SeriesBatch& centroids,
-                                        std::size_t c, SbdScratch& scratch) {
-  const std::size_t n = data.length();
-  const bool have_reference = centroids.norm(c) > 0.0;
-  return shape_extract_core(
-      member_idx.size(), n, data.series(member_idx.front()),
-      [&](std::size_t mi, std::vector<double>& buf) {
-        const std::span<const double> member = data.series(member_idx[mi]);
-        if (!have_reference) {
-          buf.assign(member.begin(), member.end());
-          return;
-        }
-        const SbdResult r = sbd_pair(centroids, c, data, member_idx[mi], scratch);
-        shift_series_into(member, r.shift, buf);
-      });
-}
-
 }  // namespace
 
 std::vector<double> shape_extract(const std::vector<std::vector<double>>& members,
@@ -136,22 +107,16 @@ std::vector<double> shape_extract(const std::vector<std::vector<double>>& member
   for (const auto& m : members) {
     APPSCOPE_REQUIRE(m.size() == n, "shape_extract: ragged members");
   }
+  APPSCOPE_REQUIRE(reference.empty() || reference.size() == n,
+                   "shape_extract: reference length differs from the members'");
 
-  const bool have_reference =
-      reference.size() == n && la::norm2(reference) > 0.0;
-
-  // Align members to the reference (old centroid), then z-normalize each —
-  // shape extraction assumes zero-mean unit-variance rows.
-  return shape_extract_core(
-      members.size(), n, std::span<const double>(members.front()),
-      [&](std::size_t mi, std::vector<double>& buf) {
-        if (have_reference) {
-          const SbdResult r = sbd(reference, members[mi]);
-          shift_series_into(members[mi], r.shift, buf);
-        } else {
-          buf.assign(members[mi].begin(), members[mi].end());
-        }
-      });
+  const SeriesBatch data(members);
+  SeriesBatch reference_batch(1, n);
+  if (!reference.empty()) reference_batch.set_series(0, reference);
+  std::vector<std::size_t> member_idx(members.size());
+  std::iota(member_idx.begin(), member_idx.end(), std::size_t{0});
+  return shape_extract_batch(data, member_idx, reference_batch, 0,
+                             sbd_scratch());
 }
 
 KShapeResult kshape(const std::vector<std::vector<double>>& series,
@@ -177,16 +142,11 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
                        : s);
   }
 
-  // Batch mode: member spectra computed once here and reused by every
-  // assignment and refinement across all iterations; centroid rows refresh
-  // via set_series as centroids change.
-  const bool batch_mode = opts.use_cached_spectra;
-  std::optional<SeriesBatch> data_batch;
-  std::optional<SeriesBatch> centroid_batch;
-  if (batch_mode) {
-    data_batch.emplace(data);
-    centroid_batch.emplace(opts.k, n);
-  }
+  // Member spectra are computed once here and reused by every assignment
+  // and refinement across all iterations; centroid rows refresh via
+  // set_series as centroids change.
+  const SeriesBatch data_batch(data);
+  SeriesBatch centroid_batch(opts.k, n);
 
   util::Rng rng(opts.seed);
   KShapeResult result;
@@ -219,16 +179,9 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
       util::parallel_for(0, opts.k, 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t c = lo; c < hi; ++c) {
           if (member_idx[c].empty()) continue;  // re-seeded after assignment
-          if (batch_mode) {
-            result.centroids[c] = shape_extract_batch(
-                *data_batch, member_idx[c], *centroid_batch, c, sbd_scratch());
-            centroid_batch->set_series(c, result.centroids[c]);
-          } else {
-            std::vector<std::vector<double>> members;
-            members.reserve(member_idx[c].size());
-            for (const std::size_t i : member_idx[c]) members.push_back(data[i]);
-            result.centroids[c] = shape_extract(members, result.centroids[c]);
-          }
+          result.centroids[c] = shape_extract_batch(
+              data_batch, member_idx[c], centroid_batch, c, sbd_scratch());
+          centroid_batch.set_series(c, result.centroids[c]);
         }
       });
     }
@@ -246,15 +199,9 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
             double best = std::numeric_limits<double>::infinity();
             std::size_t best_c = prev_assignments[i];
             for (std::size_t c = 0; c < opts.k; ++c) {
-              const double cnorm = batch_mode
-                                       ? centroid_batch->norm(c)
-                                       : la::norm2(result.centroids[c]);
-              if (cnorm == 0.0) continue;
+              if (centroid_batch.norm(c) == 0.0) continue;
               const double d =
-                  batch_mode
-                      ? sbd_pair_distance(*centroid_batch, c, *data_batch, i,
-                                          scratch)
-                      : sbd_distance(result.centroids[c], data[i]);
+                  sbd_pair_distance(centroid_batch, c, data_batch, i, scratch);
               if (d < best) {
                 best = d;
                 best_c = c;
@@ -282,13 +229,9 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
       SbdScratch& scratch = sbd_scratch();
       for (std::size_t i = 0; i < data.size(); ++i) {
         const auto owner = result.assignments[i];
-        const double onorm = batch_mode ? centroid_batch->norm(owner)
-                                        : la::norm2(result.centroids[owner]);
-        if (onorm == 0.0) continue;
-        const double d = batch_mode
-                             ? sbd_pair_distance(*centroid_batch, owner,
-                                                 *data_batch, i, scratch)
-                             : sbd_distance(result.centroids[owner], data[i]);
+        if (centroid_batch.norm(owner) == 0.0) continue;
+        const double d =
+            sbd_pair_distance(centroid_batch, owner, data_batch, i, scratch);
         if (d > worst) {
           worst = d;
           worst_i = i;
@@ -298,7 +241,7 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
       result.centroids[c] = data[worst_i];
       // Keep the centroid batch in sync immediately: a later empty cluster
       // in this same loop may measure distances against cluster c.
-      if (batch_mode) centroid_batch->set_series(c, data[worst_i]);
+      centroid_batch.set_series(c, data[worst_i]);
     }
 
     if (result.assignments == prev_assignments) {

@@ -10,6 +10,13 @@
 //                 members are cross-correlation-aligned to the old centroid,
 //                 and the new centroid is the dominant eigenvector of
 //                 M = Q S Q, with S = Σ aligned xᵢ xᵢᵀ and Q = I - (1/n)·1.
+//                 M = BᵀB for B the m×n matrix of mean-centred aligned
+//                 members, so the eigenvector is Bᵀu for u the top
+//                 eigenvector of the m×m Gram matrix B Bᵀ (m = cluster size),
+//                 solved exactly by la::jacobi_eigen.
+//
+// Series spectra are cached in ts::SeriesBatch: member spectra once per run,
+// centroid spectra once per refinement.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +31,6 @@ struct KShapeOptions {
   std::uint64_t seed = 7;
   /// z-normalize every series before clustering (the canonical setting).
   bool z_normalize_input = true;
-  /// Use the ts::SeriesBatch spectrum cache for assignment and refinement:
-  /// member spectra are computed once and persist across iterations,
-  /// centroid spectra refresh once per refinement. false falls back to
-  /// per-pair sbd() calls. Both paths are bitwise identical (they share the
-  /// SBD kernel; property-tested) — the flag exists for that comparison and
-  /// for memory-constrained callers.
-  bool use_cached_spectra = true;
 };
 
 struct KShapeResult {
@@ -54,8 +54,11 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
                     const KShapeOptions& opts);
 
 /// Shape extraction for a single cluster: returns the z-normalized dominant
-/// eigenvector of QSQ built from `members` aligned to `reference`.
-/// If `reference` is empty or all-zero, members are used unaligned.
+/// eigenvector of QSQ built from `members` aligned to `reference`, computed
+/// as Bᵀu from the top eigenvector u of the members' m×m Gram matrix (see
+/// the file comment). Members all constant give an all-zero centroid.
+/// If `reference` is empty or all-zero, members are used unaligned; a
+/// non-empty reference must have the members' length.
 /// Exposed for tests and for incremental/streaming re-clustering.
 std::vector<double> shape_extract(const std::vector<std::vector<double>>& members,
                                   const std::vector<double>& reference);

@@ -4,6 +4,7 @@
 // the outputs exactly (doubles with ==, not tolerances).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -234,17 +235,31 @@ TEST(MetricsDeterminism, ClusteringIsIdenticalWithSamplerAttached) {
   util::MetricsRegistry::global().reset();
   obs::MetricsSampler sampler({std::chrono::milliseconds(1)});
   sampler.start();
-  const auto on = ts::kshape(series, opts);
+  // One run may end before the first tick, so repeat the instrumented run,
+  // checking every result, until the sampler has ticked twice during the
+  // runs. The deadline turns a sampler that never ticks into a failure.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool timed_out = false;
+  std::size_t runs = 0;
+  do {
+    const auto on = ts::kshape(series, opts);
+    ++runs;
+    EXPECT_EQ(off.assignments, on.assignments) << "run " << runs;
+    EXPECT_EQ(off.iterations, on.iterations) << "run " << runs;
+    EXPECT_EQ(off.centroids, on.centroids) << "run " << runs;
+    EXPECT_EQ(off.inertia, on.inertia) << "run " << runs;
+    if (::testing::Test::HasFailure()) break;
+    timed_out = std::chrono::steady_clock::now() > deadline;
+  } while (!timed_out && sampler.samples() < 2);
   sampler.stop();
   util::MetricsRegistry::set_enabled(was);
   util::MetricsRegistry::global().reset();
   util::TraceRecorder::global().reset();
 
-  EXPECT_EQ(off.assignments, on.assignments);
-  EXPECT_EQ(off.iterations, on.iterations);
-  EXPECT_EQ(off.centroids, on.centroids);
-  EXPECT_EQ(off.inertia, on.inertia);
-  // The sampler did retain series about the run it watched.
+  EXPECT_FALSE(timed_out) << sampler.samples() << " ticks in " << runs
+                          << " runs";
+  // The sampler did retain series about the runs it watched.
   std::vector<obs::SeriesSnapshot> retained = sampler.series();
   EXPECT_FALSE(retained.empty());
 }

@@ -13,50 +13,6 @@ namespace {
 
 Matrix diag2(double a, double b) { return Matrix(2, 2, {a, 0.0, 0.0, b}); }
 
-TEST(PowerIteration, DiagonalDominantEigenpair) {
-  const EigenPair p = power_iteration(diag2(5.0, 2.0));
-  EXPECT_NEAR(p.value, 5.0, 1e-8);
-  EXPECT_NEAR(std::abs(p.vector[0]), 1.0, 1e-6);
-  EXPECT_NEAR(p.vector[1], 0.0, 1e-6);
-}
-
-TEST(PowerIteration, ReturnsLargestAlgebraicNotLargestMagnitude) {
-  // Eigenvalues -10 and 1; shape extraction needs +1 (Rayleigh max).
-  const EigenPair p = power_iteration(diag2(-10.0, 1.0));
-  EXPECT_NEAR(p.value, 1.0, 1e-7);
-}
-
-TEST(PowerIteration, SymmetricMatrixKnownSpectrum) {
-  // [[2,1],[1,2]] has eigenvalues 3 and 1; top eigenvector is (1,1)/√2.
-  const Matrix m(2, 2, {2, 1, 1, 2});
-  const EigenPair p = power_iteration(m);
-  EXPECT_NEAR(p.value, 3.0, 1e-8);
-  EXPECT_NEAR(std::abs(p.vector[0]), std::abs(p.vector[1]), 1e-6);
-  EXPECT_NEAR(norm2(p.vector), 1.0, 1e-9);
-}
-
-TEST(PowerIteration, RejectsNonSymmetric) {
-  const Matrix m(2, 2, {1, 2, 3, 4});
-  EXPECT_THROW(power_iteration(m), util::PreconditionError);
-  EXPECT_THROW(power_iteration(Matrix()), util::PreconditionError);
-}
-
-TEST(PowerIteration, EigenEquationHoldsOnRandomSymmetric) {
-  util::Rng rng(11);
-  const std::size_t n = 24;
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      m(i, j) = m(j, i) = rng.uniform(-1.0, 1.0);
-    }
-  }
-  const EigenPair p = power_iteration(m);
-  const auto mv = m.multiply(p.vector);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(mv[i], p.value * p.vector[i], 1e-5);
-  }
-}
-
 TEST(JacobiEigen, DiagonalMatrix) {
   const EigenDecomposition d = jacobi_eigen(diag2(2.0, 7.0));
   ASSERT_EQ(d.values.size(), 2u);
@@ -102,16 +58,49 @@ TEST(JacobiEigen, TraceEqualsEigenvalueSum) {
   EXPECT_NEAR(sum, m.trace(), 1e-8);
 }
 
-TEST(JacobiEigen, AgreesWithPowerIteration) {
-  util::Rng rng(14);
-  const std::size_t n = 16;
+TEST(JacobiEigen, TopEigenvectorOfKnownMatrices) {
+  const EigenDecomposition diag = jacobi_eigen(diag2(5.0, 2.0));
+  EXPECT_NEAR(diag.values[0], 5.0, 1e-12);
+  EXPECT_NEAR(std::abs(diag.vectors(0, 0)), 1.0, 1e-12);
+  EXPECT_NEAR(diag.vectors(0, 1), 0.0, 1e-12);
+
+  // [[2,1],[1,2]] has eigenvalues 3 and 1; top eigenvector is (1,1)/√2.
+  const EigenDecomposition d = jacobi_eigen(Matrix(2, 2, {2, 1, 1, 2}));
+  EXPECT_NEAR(d.values[0], 3.0, 1e-12);
+  EXPECT_NEAR(std::abs(d.vectors(0, 0)), std::abs(d.vectors(0, 1)), 1e-12);
+  EXPECT_NEAR(norm2(d.vectors.row(0)), 1.0, 1e-12);
+}
+
+TEST(JacobiEigen, ReturnsLargestAlgebraicNotLargestMagnitude) {
+  // Eigenvalues -10 and 1; shape extraction needs +1 (Rayleigh max).
+  const EigenDecomposition d = jacobi_eigen(diag2(-10.0, 1.0));
+  EXPECT_EQ(d.values[0], 1.0);
+  EXPECT_EQ(d.values[1], -10.0);
+}
+
+TEST(JacobiEigen, RejectsNonSymmetricAndEmpty) {
+  EXPECT_THROW(jacobi_eigen(Matrix(2, 2, {1, 2, 3, 4})),
+               util::PreconditionError);
+  EXPECT_THROW(jacobi_eigen(Matrix(2, 3)), util::PreconditionError);
+  EXPECT_THROW(jacobi_eigen(Matrix()), util::PreconditionError);
+}
+
+TEST(JacobiEigen, EigenEquationHoldsOnRandomSymmetric) {
+  util::Rng rng(11);
+  const std::size_t n = 24;
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) m(i, j) = m(j, i) = rng.uniform(-1, 1);
+    for (std::size_t j = i; j < n; ++j) {
+      m(i, j) = m(j, i) = rng.uniform(-1.0, 1.0);
+    }
   }
-  const EigenDecomposition full = jacobi_eigen(m);
-  const EigenPair top = power_iteration(m);
-  EXPECT_NEAR(full.values.front(), top.value, 1e-6);
+  const EigenDecomposition d = jacobi_eigen(m);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto mv = m.multiply(d.vectors.row(r));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(mv[i], d.values[r] * d.vectors(r, i), 1e-9) << r << "," << i;
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "ts/kmeans.hpp"
 #include "ts/kshape.hpp"
 #include "ts/sbd.hpp"
+#include "ts/series_batch.hpp"
 #include "ts/znorm.hpp"
 #include "util/rng.hpp"
 
@@ -120,13 +121,29 @@ TEST_P(ClusteringProperties, QualityIndicesWellDefinedOnBothClusterers) {
   KShapeOptions kopts;
   kopts.k = GetParam();
   const KShapeResult ks = kshape(series, kopts);
-  const QualityIndices qs =
-      evaluate_quality(z, {ks.assignments, ks.centroids}, sbd_dist);
+  const ClusteringView view{ks.assignments, ks.centroids};
+  const QualityIndices qs = evaluate_quality(z, view, sbd_dist);
   EXPECT_GE(qs.davies_bouldin, 0.0);
   EXPECT_GE(qs.davies_bouldin_star, qs.davies_bouldin - 1e-9);
   EXPECT_GE(qs.dunn, 0.0);
   EXPECT_GE(qs.silhouette, -1.0);
   EXPECT_LE(qs.silhouette, 1.0);
+
+  // The cached-spectra overload computes every SBD of DB/DB* in the functor
+  // overload's argument order, so both indices match bitwise. Dunn and
+  // silhouette read the pairwise matrix, which mirrors its upper triangle
+  // where the functor evaluates both argument orders (SBD is symmetric only
+  // to round-off): bitwise equal to the matrix overloads, and within
+  // round-off of the functor.
+  const SeriesBatch batch(z);
+  const DistanceMatrix pairwise = sbd_distance_matrix(batch);
+  const QualityIndices qb = evaluate_quality(batch, view, pairwise);
+  EXPECT_EQ(qb.davies_bouldin, qs.davies_bouldin);
+  EXPECT_EQ(qb.davies_bouldin_star, qs.davies_bouldin_star);
+  EXPECT_EQ(qb.dunn, dunn_index(pairwise, view.assignments));
+  EXPECT_EQ(qb.silhouette, silhouette(pairwise, view.assignments));
+  EXPECT_NEAR(qb.dunn, qs.dunn, 1e-12);
+  EXPECT_NEAR(qb.silhouette, qs.silhouette, 1e-12);
 
   KMeansOptions mopts;
   mopts.k = GetParam();

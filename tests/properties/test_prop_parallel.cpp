@@ -8,6 +8,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/dataset.hpp"
+#include "core/temporal_analysis.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/correlation.hpp"
 #include "synth/generator.hpp"
@@ -115,6 +117,38 @@ TEST(ParallelDeterminism, KShapeIsBitwiseIdentical) {
     }
     flat.push_back(result.inertia);
     flat.push_back(static_cast<double>(result.iterations));
+    return flat;
+  });
+}
+
+TEST(ParallelDeterminism, ClusterSweepIsBitwiseIdentical) {
+  // The Fig. 5 sweep runs one pool task per k, with the pool calls inside
+  // k-Shape and SeriesBatch inline on that task's thread.
+  auto config = synth::ScenarioConfig::test_scale();
+  config.country.commune_count = 50;
+  config.country.metro_count = 2;
+  const core::TrafficDataset dataset = core::TrafficDataset::generate(config);
+  core::ClusterSweepOptions opts;
+  opts.include_kmeans_baseline = true;
+
+  expect_identical_across_thread_counts([&] {
+    std::vector<double> flat;
+    const auto append = [&flat](const ts::QualityIndices& q) {
+      flat.insert(flat.end(), {q.davies_bouldin, q.davies_bouldin_star,
+                               q.dunn, q.silhouette});
+    };
+    for (const auto d :
+         {workload::Direction::kDownlink, workload::Direction::kUplink}) {
+      const core::ClusterSweepReport report =
+          core::cluster_sweep(dataset, d, opts);
+      EXPECT_EQ(report.rows.size(), opts.k_max - opts.k_min + 1);
+      for (const core::ClusterQualityRow& row : report.rows) {
+        flat.push_back(static_cast<double>(row.k));
+        append(row.kshape);
+        EXPECT_TRUE(row.kmeans.has_value()) << "k=" << row.k;
+        if (row.kmeans) append(*row.kmeans);
+      }
+    }
     return flat;
   });
 }

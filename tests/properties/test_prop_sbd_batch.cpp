@@ -1,8 +1,9 @@
 // Determinism and equivalence properties for the spectrum-cached SBD batch
 // path (ts/series_batch.hpp):
 //
-//  - the flat SeriesBatch distance matrix and the k-Shape cached-spectra
-//    path are bitwise identical to the per-pair path, at any thread count;
+//  - the flat SeriesBatch distance matrix is bitwise identical to the
+//    per-pair path, and it and k-Shape (which always runs on cached
+//    spectra) are bitwise identical at any thread count;
 //  - the DistanceMatrix overloads of hierarchical clustering and the
 //    cluster-quality indices equal their distance-functor counterparts.
 //
@@ -109,27 +110,10 @@ TEST(ParallelSbdBatch, BatchMatrixEqualsPerPairMatrix) {
   }
 }
 
-TEST(ParallelSbdBatch, KShapeCachedSpectraEqualsPerPairPath) {
-  const auto series = noisy_weekly_series(30, 57);
-  for (const std::size_t threads : kThreadCounts) {
-    util::ThreadPool::set_global_threads(threads);
-    ts::KShapeOptions cached;
-    cached.k = 4;
-    cached.use_cached_spectra = true;
-    ts::KShapeOptions per_pair = cached;
-    per_pair.use_cached_spectra = false;
-    const auto a = flatten_kshape(ts::kshape(series, cached));
-    const auto b = flatten_kshape(ts::kshape(series, per_pair));
-    EXPECT_TRUE(a == b) << "paths diverge at " << threads << " threads";
-  }
-  util::ThreadPool::set_global_threads(0);
-}
-
 TEST(ParallelSbdBatch, KShapeCachedSpectraIsBitwiseIdenticalAcrossThreads) {
   const auto series = noisy_weekly_series(30, 59);
   ts::KShapeOptions opts;
   opts.k = 4;
-  opts.use_cached_spectra = true;
   expect_identical_across_thread_counts(
       [&] { return flatten_kshape(ts::kshape(series, opts)); });
 }

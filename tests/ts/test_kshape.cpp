@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "la/eigen.hpp"
+#include "la/matrix.hpp"
 #include "la/vector_ops.hpp"
 #include "ts/sbd.hpp"
 #include "ts/znorm.hpp"
@@ -78,6 +80,92 @@ TEST(ShapeExtract, Preconditions) {
   EXPECT_THROW(shape_extract({}, {}), util::PreconditionError);
   EXPECT_THROW(shape_extract({{1.0}}, {}), util::PreconditionError);
   EXPECT_THROW(shape_extract({{1.0, 2.0}, {1.0}}, {}), util::PreconditionError);
+  // A reference of another length is an error, not "no reference".
+  EXPECT_THROW(shape_extract({{1.0, 2.0, 3.0}}, {1.0, 2.0}),
+               util::PreconditionError);
+  EXPECT_THROW(shape_extract({{1.0, 2.0, 3.0}}, {1.0, 2.0, 3.0, 4.0}),
+               util::PreconditionError);
+}
+
+/// The centroid definition spelled out on an explicit n×n matrix: the top
+/// eigenvector of M = Q S Q, S = Σ aᵢaᵢᵀ over the aligned, z-normalized
+/// members, Q = I - (1/n)·1·1ᵀ, oriented towards the first member.
+std::vector<double> qsq_top_eigenvector(
+    const std::vector<std::vector<double>>& members,
+    const std::vector<double>& reference) {
+  const std::size_t n = members.front().size();
+  la::Matrix s(n, n);
+  for (const auto& member : members) {
+    std::vector<double> a =
+        reference.empty() ? member
+                          : shift_series(member, sbd(reference, member).shift);
+    znormalize_inplace(a);
+    s += la::Matrix::outer(a, a);
+  }
+  la::Matrix q = la::Matrix::identity(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) q(i, j) -= 1.0 / static_cast<double>(n);
+  }
+  la::Matrix m = q * s * q;
+  for (std::size_t i = 0; i < n; ++i) {  // symmetric to the last bit
+    for (std::size_t j = i + 1; j < n; ++j) m(j, i) = m(i, j);
+  }
+  const la::EigenDecomposition eig = la::jacobi_eigen(m);
+  std::vector<double> top(eig.vectors.row(0).begin(), eig.vectors.row(0).end());
+  const auto probe = znormalize(std::span<const double>(members.front()));
+  if (la::dot(probe, top) < 0.0) {
+    for (double& v : top) v = -v;
+  }
+  return top;
+}
+
+TEST(ShapeExtract, MatchesTopEigenvectorOfQSQ) {
+  util::Rng rng(12);
+  for (const std::size_t n : {24u, 48u}) {
+    for (const std::size_t m : {1u, 2u, 3u, 8u}) {
+      // One daily-like shape with jittered phase and noise, so the top
+      // eigenvalue is well separated from the rest.
+      std::vector<std::vector<double>> members;
+      for (std::size_t i = 0; i < m; ++i) {
+        std::vector<double> v(n);
+        const double phase = rng.uniform(-0.4, 0.4);
+        for (std::size_t h = 0; h < n; ++h) {
+          const double x = 2.0 * M_PI * static_cast<double>(h) / 12.0 + phase;
+          v[h] = 3.0 + std::sin(x) + 0.5 * std::sin(2.0 * x) +
+                 0.2 * rng.normal();
+        }
+        members.push_back(std::move(v));
+      }
+      const std::vector<double> reference = znormalize(std::span<const double>(
+          sine(n, 12.0, 0.2, 0.1, rng)));
+      for (const bool aligned : {false, true}) {
+        const std::vector<double> ref =
+            aligned ? reference : std::vector<double>{};
+        const auto centroid = shape_extract(members, ref);
+        const auto expected = qsq_top_eigenvector(members, ref);
+        const double cos = la::dot(centroid, expected) /
+                           (la::norm2(centroid) * la::norm2(expected));
+        EXPECT_GE(std::abs(cos), 1.0 - 1e-9)
+            << "n=" << n << " m=" << m << " aligned=" << aligned;
+        EXPECT_GT(cos, 0.0) << "n=" << n << " m=" << m
+                            << " aligned=" << aligned;
+      }
+    }
+  }
+}
+
+TEST(ShapeExtract, AllConstantMembersGiveZeroCentroid) {
+  // Unaligned (no reference, or an all-zero one), constant members
+  // z-normalize to zero rows. Alignment to a real reference would shift
+  // them, zero-padded, into non-constant steps.
+  const std::vector<std::vector<double>> members{
+      std::vector<double>(24, 3.0), std::vector<double>(24, 0.0),
+      std::vector<double>(24, -1.5)};
+  for (const auto& ref : {std::vector<double>{}, std::vector<double>(24, 0.0)}) {
+    EXPECT_EQ(shape_extract(members, ref), std::vector<double>(24, 0.0));
+    EXPECT_EQ(shape_extract({members.front()}, ref),
+              std::vector<double>(24, 0.0));
+  }
 }
 
 TEST(KShape, SeparatesTwoShapeFamilies) {

@@ -78,31 +78,32 @@ ClusterSweepReport cluster_sweep(const TrafficDataset& dataset,
   ClusterSweepReport report;
   report.direction = d;
   report.rows.resize(opts.k_max - opts.k_min + 1);
-  util::parallel_for(opts.k_min, opts.k_max + 1, 1,
-                     [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      ClusterQualityRow& row = report.rows[k - opts.k_min];
-      row.k = k;
+  util::parallel_for(
+      opts.k_min, opts.k_max + 1, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          ClusterQualityRow& row = report.rows[k - opts.k_min];
+          row.k = k;
 
-      ts::KShapeOptions kopts;
-      kopts.k = k;
-      kopts.seed = opts.seed;
-      const ts::KShapeResult kshape = ts::kshape(series, kopts);
-      row.kshape = ts::evaluate_quality(
-          batch, ts::ClusteringView{kshape.assignments, kshape.centroids},
-          sbd_pairwise);
+          ts::KShapeOptions kopts;
+          kopts.k = k;
+          kopts.seed = opts.seed;
+          const ts::KShapeResult kshape = ts::kshape(series, kopts);
+          row.kshape = ts::evaluate_quality(
+              batch, ts::ClusteringView{kshape.assignments, kshape.centroids},
+              sbd_pairwise);
 
-      if (opts.include_kmeans_baseline) {
-        ts::KMeansOptions mopts;
-        mopts.k = k;
-        mopts.seed = opts.seed;
-        const ts::KMeansResult kmeans = ts::kmeans(series, mopts);
-        row.kmeans = ts::evaluate_quality(
-            series, ts::ClusteringView{kmeans.assignments, kmeans.centroids},
-            euclidean);
-      }
-    }
-  });
+          if (opts.include_kmeans_baseline) {
+            ts::KMeansOptions mopts;
+            mopts.k = k;
+            mopts.seed = opts.seed;
+            const ts::KMeansResult kmeans = ts::kmeans(series, mopts);
+            row.kmeans = ts::evaluate_quality(
+                series,
+                ts::ClusteringView{kmeans.assignments, kmeans.centroids},
+                euclidean);
+          }
+        }
+      });
   return report;
 }
 

@@ -38,9 +38,10 @@ namespace {
 /// Q = I - (1/n)·1·1ᵀ. With B = A Q (each row minus its mean), M = BᵀB,
 /// which shares its nonzero spectrum with the m×m Gram matrix G = B Bᵀ:
 /// G u = λ u gives BᵀB (Bᵀu) = λ (Bᵀu). So the centroid is Bᵀu for G's top
-/// eigenvector u, an exact solve on m² entries (m = cluster size) instead
-/// of an iterative one on n². An all-zero B (constant members) gives an
-/// all-zero centroid, which the assignment step skips.
+/// eigenvector u: an exact m×m eigenproblem (m = cluster size, at most the
+/// series count) where M is n×n (n = series length, 168 for a week). An
+/// all-zero B (constant members) gives an all-zero centroid, which the
+/// assignment step skips.
 std::vector<double> shape_extract_batch(const SeriesBatch& data,
                                         const std::vector<std::size_t>& member_idx,
                                         const SeriesBatch& centroids,

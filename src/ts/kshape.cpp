@@ -208,6 +208,12 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
                 best_c = c;
               }
             }
+            if (best == std::numeric_limits<double>::infinity()) {
+              // Every centroid is all zero (all members constant): the
+              // series stays put, at the kernel's SBD 1 from a zero shape.
+              best = sbd_pair_distance(centroid_batch, best_c, data_batch, i,
+                                       scratch);
+            }
             result.assignments[i] = best_c;
             best_dist[i] = best;
           }

@@ -284,6 +284,25 @@ TEST(KShape, SurvivesConstantSeries) {
   for (const auto a : result.assignments) EXPECT_LT(a, 2u);
 }
 
+TEST(KShape, AllConstantSeriesSitAtUnitDistance) {
+  // Every centroid extracts to all zero. No series can move to a real
+  // shape, so each keeps its cluster at SBD 1 (the zero-norm convention)
+  // and the inertia stays the documented sum of those distances.
+  std::vector<std::vector<double>> series(6, std::vector<double>(24, 3.0));
+  series[2] = std::vector<double>(24, -1.0);
+  series[4] = std::vector<double>(24, 0.0);
+  KShapeOptions opts;
+  opts.k = 2;
+  const KShapeResult result = kshape(series, opts);
+  ASSERT_EQ(result.assignments.size(), series.size());
+  for (const auto a : result.assignments) EXPECT_LT(a, 2u);
+  for (const auto& centroid : result.centroids) {
+    EXPECT_EQ(centroid, std::vector<double>(24, 0.0));
+  }
+  EXPECT_EQ(result.inertia, static_cast<double>(series.size()));
+  EXPECT_TRUE(result.converged);
+}
+
 TEST(KShape, DuplicateSeriesShareACluster) {
   util::Rng rng(11);
   std::vector<std::vector<double>> series;

@@ -1,347 +1,218 @@
 #!/usr/bin/env bash
-# Full verification: configure, build (warnings as errors), run every test,
-# every figure bench and every example. This is the CI entry point.
+# The end-to-end check of appscope. Each CI job is one call of this script,
+# so a local run with the same arguments checks what that job checks.
 #
-# Flags (combinable, any order):
-#   --tsan     rebuild with ThreadSanitizer and run the Parallel* tests
-#              (also enabled by APPSCOPE_TSAN=1)
-#   --metrics  run an instrumented bench and assert metrics.json is
-#              produced and well-formed (also enabled by APPSCOPE_METRICS_CHECK=1)
-#   --trace    run paper_report with --trace, assert the Chrome trace
-#              validates (scripts/trace_summary.py), the critical path covers
-#              >=90% of the run, and the report is byte-identical to an
-#              untraced run (also enabled by APPSCOPE_TRACE_CHECK=1)
-#   --serve    run the appscope_serve ingest daemon for a short soak,
-#              assert the metrics JSON (net.ingested, net.sampled,
-#              serve.queue.depth) and that the sealed epoch snapshot loads
-#              through paper_report; then rerun throttled with the live
-#              admin endpoint attached (--admin-port=0), scrape /healthz and
-#              /metrics mid-run, and lint the Prometheus exposition with
-#              scripts/promcheck.py (also enabled by APPSCOPE_SERVE_CHECK=1)
-#   --query    seal a test-scale snapshot, run appscope_query on the lazy
-#              read path with --check (bitwise cross-validation against the
-#              full-load path), and assert the query.* metrics counters and
-#              the partial-mapping invariant (also enabled by
-#              APPSCOPE_QUERY_CHECK=1)
-#   --region   run a 4-region appscope_region campaign (orchestrate ->
-#              merge -> comparison report), assert the warm rerun reuses
-#              every region with a byte-identical report, and that the
-#              merged national snapshot loads through paper_report --load
-#              (also enabled by APPSCOPE_REGION_CHECK=1)
+# Every run configures, builds and tests the preset from CMakePresets.json
+# (default release; every test three times over), then runs every bench at
+# APPSCOPE_SCALE=test and every example the preset builds. Each mode adds
+# end-to-end checks against that build:
+#   --metrics     every bench writes a well-formed metrics document
+#   --trace       a traced test-scale report equals the untraced one, and
+#                 the trace's critical path covers 90% of core.run_study
+#   --query       example-scale snapshot save/reload gives the same report;
+#                 appscope_query answers on the lazy path and agrees with
+#                 the eager one (--check)
+#   --region      a 4-region campaign, its warm rerun (every region reused,
+#                 same report) and the merged snapshot through paper_report
+#   --serve       a ~30 s throttled appscope_serve run scraped live, drained
+#                 by SIGTERM; its sealed snapshot feeds paper_report and
+#                 appscope_query
+#   --bench-gate  perf_core against BENCH_core.json (bench_regression.py;
+#                 APPSCOPE_BENCH_REGRESSION_SKIP=1 skips the comparison)
+# scripts/metrics_contract.py makes every assertion on the documents these
+# runs write. The compiler, generator and compiler launcher come from the
+# environment (CC/CXX, CMAKE_GENERATOR, CMAKE_CXX_COMPILER_LAUNCHER), which
+# CMake reads itself. Outputs land in build-<preset>/check/, the CI
+# artifacts in its metrics-artifacts/, snapshot-artifacts/ and
+# soak-artifacts/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="${BUILD_DIR:-build-check}"
-
-RUN_TSAN="${APPSCOPE_TSAN:-0}"
-RUN_METRICS="${APPSCOPE_METRICS_CHECK:-0}"
-RUN_TRACE="${APPSCOPE_TRACE_CHECK:-0}"
-RUN_SERVE="${APPSCOPE_SERVE_CHECK:-0}"
-RUN_QUERY="${APPSCOPE_QUERY_CHECK:-0}"
-RUN_REGION="${APPSCOPE_REGION_CHECK:-0}"
+USAGE="usage: scripts/check.sh [--preset=dev|release|scalar|tsan|asan] \
+[--metrics] [--trace] [--query] [--region] [--serve] [--bench-gate]"
+PRESET=release
+METRICS=0 TRACE=0 QUERY=0 REGION=0 SERVE=0 GATE=0
 for arg in "$@"; do
   case "$arg" in
-    --tsan) RUN_TSAN=1 ;;
-    --metrics) RUN_METRICS=1 ;;
-    --trace) RUN_TRACE=1 ;;
-    --serve) RUN_SERVE=1 ;;
-    --query) RUN_QUERY=1 ;;
-    --region) RUN_REGION=1 ;;
-    *) echo "usage: $0 [--tsan] [--metrics] [--trace] [--serve] [--query] [--region]" >&2; exit 2 ;;
+    --preset=*) PRESET="${arg#--preset=}" ;;
+    --metrics) METRICS=1 ;;
+    --trace) TRACE=1 ;;
+    --query) QUERY=1 ;;
+    --region) REGION=1 ;;
+    --serve) SERVE=1 ;;
+    --bench-gate) GATE=1 ;;
+    *) echo "$USAGE" >&2; exit 2 ;;
   esac
 done
-
-# Prefer Ninja but don't require it: fall back to CMake's default generator
-# when ninja is not installed. An existing cache keeps whatever generator
-# configured it (passing -G against a differently-configured cache errors).
-generator_args() {
-  local dir="$1"
-  if [ ! -f "$dir/CMakeCache.txt" ] && command -v ninja > /dev/null 2>&1; then
-    echo "-G Ninja"
+for tool in python3 curl; do
+  if ! command -v "$tool" > /dev/null; then
+    echo "check.sh: $tool is required" >&2
+    exit 2
   fi
-}
+done
+trap 'echo "check.sh: FAILED: $BASH_COMMAND (line $LINENO)" >&2' ERR
 
-# shellcheck disable=SC2046  # generator_args is intentionally word-split
-cmake -B "$BUILD_DIR" $(generator_args "$BUILD_DIR") -DAPPSCOPE_WARNINGS_AS_ERRORS=ON
-cmake --build "$BUILD_DIR" -j"$(nproc)"
-ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure --repeat until-fail:3
+BUILD="$PWD/build-$PRESET"  # the base preset's binaryDir
+OUT="$BUILD/check"
+ART="$OUT/metrics-artifacts"
+contract() { python3 scripts/metrics_contract.py "$@"; }
 
-for b in "$BUILD_DIR"/bench/*; do
+cmake --preset "$PRESET"
+cmake --build --preset "$PRESET" -j "$(nproc)"
+# Three rounds of the parallel suite also catch sibling tests sharing
+# scratch files.
+ctest --preset "$PRESET" -j "$(nproc)" --repeat until-fail:3
+
+rm -rf "$OUT"
+mkdir -p "$ART"
+for b in "$BUILD"/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
-  echo "==== $b"
-  APPSCOPE_SCALE=test "$b"
+  name="$(basename "$b")"
+  echo "==== $name"
+  if [ "$name" = perf_core ]; then
+    "$b" --benchmark_min_time=0.05
+  elif [ "$METRICS" = 1 ]; then
+    APPSCOPE_SCALE=test APPSCOPE_METRICS=1 \
+      APPSCOPE_METRICS_PATH="$ART/$name.metrics.json" "$b"
+  else
+    APPSCOPE_SCALE=test "$b"
+  fi
 done
-
-for e in "$BUILD_DIR"/examples/*; do
+for e in "$BUILD"/examples/*; do
   [ -f "$e" ] && [ -x "$e" ] || continue
-  echo "==== $e"
-  "$e" > /dev/null
+  echo "==== $(basename "$e")"
+  (cd "$OUT" && "$e" > /dev/null)  # some write their snapshot to the cwd
 done
-
-# Observability check (--metrics): run one instrumented bench with
-# APPSCOPE_METRICS=1 and assert the machine-readable metrics document is
-# written and well-formed (schema, stage timings, spans).
-if [ "$RUN_METRICS" != "0" ]; then
-  echo "==== metrics.json validation"
-  METRICS_FILE="$BUILD_DIR/metrics-check.json"
-  rm -f "$METRICS_FILE"
-  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$METRICS_FILE" APPSCOPE_SCALE=test \
-    "$BUILD_DIR"/bench/perf_core \
-    --benchmark_filter='BM_KShape/2$|BM_PeakDetection' \
-    --benchmark_min_time=0.05 > /dev/null
-  if [ ! -s "$METRICS_FILE" ]; then
-    echo "FAIL: $METRICS_FILE was not written" >&2
-    exit 1
-  fi
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "$METRICS_FILE" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "appscope.metrics/1", doc.get("schema")
-for key in ("counters", "gauges", "histograms", "spans", "spans_dropped"):
-    assert key in doc, f"missing key: {key}"
-assert any(k.startswith("stage.") for k in doc["histograms"]), "no stage timings"
-assert any(k.endswith(".calls") for k in doc["counters"]), "no stage call counters"
-print(f"metrics OK: {len(doc['counters'])} counters, "
-      f"{len(doc['histograms'])} histograms, {len(doc['spans'])} spans")
-PY
-  else
-    grep -q '"schema": "appscope.metrics/1"' "$METRICS_FILE"
-    grep -q '"stage\.' "$METRICS_FILE"
-    echo "metrics OK (grep validation; python3 unavailable)"
-  fi
+if [ "$METRICS" = 1 ]; then
+  # Some perf_core benchmarks reset the registry, dropping the dispatch
+  # counter recorded at startup, so its document comes from a subset that
+  # keeps it.
+  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$ART/perf_core.metrics.json" \
+    "$BUILD"/bench/perf_core --benchmark_min_time=0.05 \
+    --benchmark_filter='BM_KShape|BM_PeakDetection|BM_SbdWeeklySeries'
+  contract perf_core "$ART/perf_core.metrics.json"
 fi
 
-# Tracing check (--trace): run paper_report twice — once with --trace, once
-# plain — assert the reports are byte-identical (observation must not
-# perturb the analysis), then validate the Chrome trace document and its
-# critical-path coverage with scripts/trace_summary.py.
-if [ "$RUN_TRACE" != "0" ]; then
-  echo "==== trace export validation"
-  TRACE_FILE="$BUILD_DIR/trace-check.json"
-  rm -f "$TRACE_FILE"
-  "$BUILD_DIR"/examples/paper_report --scale=test \
-    --trace="$TRACE_FILE" > "$BUILD_DIR/report-traced.md" 2> /dev/null
-  "$BUILD_DIR"/examples/paper_report --scale=test \
-    > "$BUILD_DIR/report-plain.md" 2> /dev/null
-  if ! cmp -s "$BUILD_DIR/report-traced.md" "$BUILD_DIR/report-plain.md"; then
-    echo "FAIL: report differs with tracing enabled" >&2
-    exit 1
-  fi
-  if [ ! -s "$TRACE_FILE" ]; then
-    echo "FAIL: $TRACE_FILE was not written" >&2
-    exit 1
-  fi
-  if command -v python3 > /dev/null 2>&1; then
-    python3 scripts/trace_summary.py "$TRACE_FILE" \
-      --root core.run_study --min-coverage 0.9
-  else
-    grep -q '"schema": "appscope.trace/1"' "$TRACE_FILE"
-    grep -q '"core.run_study"' "$TRACE_FILE"
-    echo "trace OK (grep validation; python3 unavailable)"
-  fi
+REPORT="$BUILD/examples/paper_report"
+QUERY_CLI="$BUILD/src/query/appscope_query"
+
+if [ "$TRACE" = 1 ]; then
+  echo "==== trace export"
+  APPSCOPE_METRICS_PATH="$OUT/report_traced.metrics.json" \
+    "$REPORT" --scale=test --trace="$ART/paper_report.trace.json" \
+    --out="$OUT/report_traced.md"
+  "$REPORT" --scale=test --out="$OUT/report_untraced.md"
+  cmp "$OUT/report_traced.md" "$OUT/report_untraced.md"
+  python3 scripts/trace_summary.py "$ART/paper_report.trace.json" \
+    --root core.run_study --min-coverage 0.9
 fi
 
-# Serving check (--serve): replay one full synthetic week through the
-# appscope_serve ingest daemon (unthrottled, so this takes ~a second),
-# assert the metrics document carries the ingest counters and the
-# queue-depth histogram, and that the sealed epoch snapshot loads into the
-# offline study via paper_report.
-if [ "$RUN_SERVE" != "0" ]; then
-  echo "==== appscope_serve soak validation"
-  SERVE_DIR="$BUILD_DIR/serve-check"
-  SERVE_METRICS="$BUILD_DIR/serve-metrics.json"
-  rm -rf "$SERVE_DIR" "$SERVE_METRICS"
-  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$SERVE_METRICS" \
-    "$BUILD_DIR"/src/serve/appscope_serve \
-    --scale=test --weeks=1 --epoch-seconds=21600 \
-    --snapshot-dir="$SERVE_DIR" 2> /dev/null
-  if [ ! -s "$SERVE_METRICS" ] || [ ! -s "$SERVE_DIR/latest.snapshot" ]; then
-    echo "FAIL: serve metrics or latest.snapshot missing" >&2
-    exit 1
-  fi
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "$SERVE_METRICS" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-counters = doc["counters"]
-assert counters.get("net.ingested", 0) > 0, counters
-assert "net.sampled" in counters, sorted(counters)
-assert counters.get("serve.epochs.sealed", 0) > 0, counters
-assert doc["histograms"].get("serve.queue.depth", {}).get("count", 0) > 0
-print(f"serve OK: ingested {counters['net.ingested']}, "
-      f"sampled {counters['net.sampled']}, "
-      f"epochs {counters['serve.epochs.sealed']}")
-PY
-  else
-    grep -q '"net.ingested"' "$SERVE_METRICS"
-    grep -q '"net.sampled"' "$SERVE_METRICS"
-    echo "serve metrics OK (grep validation; python3 unavailable)"
-  fi
-  "$BUILD_DIR"/examples/paper_report --scale=test \
-    --snapshot="$SERVE_DIR/latest.snapshot" > /dev/null 2>&1
-  echo "serve sealed snapshot loads through paper_report"
-
-  # Live telemetry scrape: rerun the daemon throttled with the admin plane
-  # on an ephemeral port (printed at startup), pull /healthz and /metrics
-  # mid-run, lint the exposition, then SIGTERM and expect a clean exit.
-  fetch() {
-    if command -v curl > /dev/null 2>&1; then
-      curl -fsS --max-time 5 "$1"
-    else
-      python3 -c 'import sys, urllib.request
-sys.stdout.write(urllib.request.urlopen(sys.argv[1], timeout=5).read().decode())' "$1"
-    fi
-  }
-  if command -v curl > /dev/null 2>&1 || command -v python3 > /dev/null 2>&1; then
-    echo "==== live admin endpoint scrape"
-    ADMIN_LOG="$BUILD_DIR/serve-admin.log"
-    ADMIN_PROM="$BUILD_DIR/serve-metrics.prom"
-    rm -f "$ADMIN_LOG" "$ADMIN_PROM"
-    "$BUILD_DIR"/src/serve/appscope_serve \
-      --scale=test --weeks=100 --rate=60000 --epoch-seconds=21600 \
-      --admin-port=0 --snapshot-dir="$BUILD_DIR/serve-admin-check" \
-      2> "$ADMIN_LOG" &
-    SERVE_PID=$!
-    ADMIN_PORT=""
-    for _ in $(seq 1 100); do
-      ADMIN_PORT="$(sed -n 's|.*admin endpoint on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$ADMIN_LOG")"
-      [ -n "$ADMIN_PORT" ] && break
-      sleep 0.1
-    done
-    if [ -z "$ADMIN_PORT" ]; then
-      echo "FAIL: admin endpoint never came up" >&2
-      kill "$SERVE_PID" 2> /dev/null || true
-      exit 1
-    fi
-    sleep 2  # let a couple of epochs seal so the latency histograms exist
-    fetch "http://127.0.0.1:$ADMIN_PORT/healthz" | grep -qx ok
-    fetch "http://127.0.0.1:$ADMIN_PORT/metrics" > "$ADMIN_PROM"
-    kill -TERM "$SERVE_PID"
-    wait "$SERVE_PID"
-    grep -q '^net_ingested ' "$ADMIN_PROM"
-    grep -q '^obs_health_healthy 1' "$ADMIN_PROM"
-    if command -v python3 > /dev/null 2>&1; then
-      python3 scripts/promcheck.py "$ADMIN_PROM"
-    fi
-    echo "admin endpoint scrape OK on port $ADMIN_PORT"
-  else
-    echo "skipping admin scrape (neither curl nor python3 available)"
-  fi
-fi
-
-# Query check (--query): seal a test-scale snapshot, answer a slice over it
-# through appscope_query on the lazy read path, cross-validate against the
-# eager full-load path (--check exits non-zero on any divergence), and
-# assert the query.* counters plus the partial-mapping invariant
-# (io.snapshot.mapped_bytes strictly below the file size).
-if [ "$RUN_QUERY" != "0" ]; then
-  echo "==== appscope_query validation"
-  QUERY_SNAP="$BUILD_DIR/query-check.snapshot"
-  QUERY_METRICS="$BUILD_DIR/query-metrics.json"
-  rm -f "$QUERY_SNAP" "$QUERY_METRICS"
-  "$BUILD_DIR"/examples/paper_report --scale=test \
-    --snapshot="$QUERY_SNAP" > /dev/null 2>&1
-  # Metered run stays lazy-only; --check (which adds an eager full-file
-  # load to the mapping counter) runs unmetered afterwards.
-  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$QUERY_METRICS" \
-    "$BUILD_DIR"/src/query/appscope_query \
-    --snapshot="$QUERY_SNAP" --hours=18:22 --op=sum --repeat=3 \
+if [ "$QUERY" = 1 ]; then
+  echo "==== snapshot round trip and query engine"
+  SNAP="$OUT/snapshot-artifacts/example.snapshot"
+  mkdir -p "$OUT/snapshot-artifacts"
+  for run in save load; do
+    APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$ART/snapshot_$run.metrics.json" \
+      "$REPORT" --scale=example --snapshot="$SNAP" --out="$OUT/report_$run.md"
+    contract "snapshot_$run" "$ART/snapshot_$run.metrics.json"
+  done
+  cmp "$OUT/report_save.md" "$OUT/report_load.md"
+  # The metered run stays on the lazy path: --check adds an eager full-file
+  # load to io.snapshot.mapped_bytes.
+  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$ART/appscope_query.metrics.json" \
+    "$QUERY_CLI" --snapshot="$SNAP" --hours=18:22 --op=sum --repeat=3 \
     --stats --slicing > /dev/null
-  "$BUILD_DIR"/src/query/appscope_query \
-    --snapshot="$QUERY_SNAP" --hours=18:22 --op=sum --check > /dev/null
-  "$BUILD_DIR"/src/query/appscope_query \
-    --snapshot="$QUERY_SNAP" --source=communes --op=topk --k=5 \
+  contract query "$ART/appscope_query.metrics.json" "$SNAP"
+  "$QUERY_CLI" --snapshot="$SNAP" --hours=18:22 --op=sum --check > /dev/null
+  "$QUERY_CLI" --snapshot="$SNAP" --source=communes --op=topk --k=5 \
     --group-by=commune --check > /dev/null
-  if [ ! -s "$QUERY_METRICS" ]; then
-    echo "FAIL: $QUERY_METRICS was not written" >&2
-    exit 1
-  fi
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "$QUERY_METRICS" "$QUERY_SNAP" <<'PY'
-import json, os, sys
-doc = json.load(open(sys.argv[1]))
-counters = doc["counters"]
-assert counters.get("query.executed", 0) >= 1, counters
-assert counters.get("query.bytes_scanned", 0) > 0, counters
-assert counters.get("query.cache.hits", 0) >= 2, counters  # --repeat=3
-mapped = counters.get("io.snapshot.mapped_bytes", 0)
-size = os.path.getsize(sys.argv[2])
-assert 0 < mapped < size, (mapped, size)
-print(f"query OK: scanned {counters['query.bytes_scanned']} bytes, "
-      f"mapped {mapped} of {size}")
-PY
-  else
-    grep -q '"query.executed"' "$QUERY_METRICS"
-    grep -q '"io.snapshot.mapped_bytes"' "$QUERY_METRICS"
-    echo "query metrics OK (grep validation; python3 unavailable)"
-  fi
 fi
 
-# Multi-region check (--region): drive a 4-region campaign through
-# appscope_region — per-region snapshots under a region-keyed layout, one
-# merged national snapshot, the comparison report — then prove the warm
-# rerun reuses every published snapshot with a byte-identical report, and
-# that the merged snapshot feeds the full offline study via --load.
-if [ "$RUN_REGION" != "0" ]; then
-  echo "==== appscope_region validation"
-  REGION_DIR="$BUILD_DIR/region-check"
-  REGION_METRICS="$BUILD_DIR/region-metrics.json"
-  rm -rf "$REGION_DIR" "$REGION_METRICS"
-  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$REGION_METRICS" \
-    "$BUILD_DIR"/src/region/appscope_region \
-    --count=4 --scale=test --out="$REGION_DIR" \
-    --report="$REGION_DIR/report.md" 2> /dev/null
-  if [ ! -s "$REGION_DIR/report.md" ] || [ ! -s "$REGION_DIR/national.snapshot" ]; then
-    echo "FAIL: region report or national snapshot missing" >&2
-    exit 1
-  fi
-  "$BUILD_DIR"/src/region/appscope_region \
-    --count=4 --scale=test --out="$REGION_DIR" \
-    --report="$REGION_DIR/report-warm.md" 2> "$REGION_DIR/warm.log"
-  if ! cmp -s "$REGION_DIR/report.md" "$REGION_DIR/report-warm.md"; then
-    echo "FAIL: warm rerun report differs" >&2
-    exit 1
-  fi
-  if [ "$(grep -c ': reused' "$REGION_DIR/warm.log")" != "4" ]; then
-    echo "FAIL: warm rerun regenerated a region" >&2
-    cat "$REGION_DIR/warm.log" >&2
-    exit 1
-  fi
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "$REGION_METRICS" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-counters = doc["counters"]
-assert counters.get("region.orchestrate.regions", 0) == 4, counters
-assert counters.get("region.orchestrate.generated", 0) == 4, counters
-assert counters.get("region.merge.regions", 0) == 4, counters
-assert counters.get("region.compare.pairs", 0) == 6, counters
-print(f"region OK: merged {counters['region.merge.communes']} communes, "
-      f"{counters['region.merge.bytes']} snapshot bytes")
-PY
-  else
-    grep -q '"region.merge.regions"' "$REGION_METRICS"
-    echo "region metrics OK (grep validation; python3 unavailable)"
-  fi
-  "$BUILD_DIR"/examples/paper_report \
-    --load="$REGION_DIR/national.snapshot" > /dev/null 2>&1
-  echo "merged national snapshot loads through paper_report --load"
+if [ "$REGION" = 1 ]; then
+  echo "==== multi-region campaign"
+  R="$OUT/region"
+  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$ART/appscope_region.metrics.json" \
+    "$BUILD"/src/region/appscope_region --count=4 --scale=test --out="$R" \
+    --report="$R/report.md"
+  for f in report.md national.snapshot \
+           {paris,lyon,marseille,toulouse}/latest.snapshot; do
+    test -s "$R/$f"
+  done
+  contract region "$ART/appscope_region.metrics.json"
+  "$BUILD"/src/region/appscope_region --count=4 --scale=test --out="$R" \
+    --report="$R/report_warm.md" 2> "$OUT/region_warm.log"
+  cmp "$R/report.md" "$R/report_warm.md"
+  test "$(grep -c ': reused' "$OUT/region_warm.log")" = 4
+  "$REPORT" --load="$R/national.snapshot" --out="$OUT/national_report.md"
+  test -s "$OUT/national_report.md"
 fi
 
-# Optional ThreadSanitizer pass over the parallel/determinism tests
-# (APPSCOPE_TSAN=1 or --tsan): rebuilds with -DAPPSCOPE_SANITIZE=thread and
-# runs every Parallel* test under TSan.
-if [ "$RUN_TSAN" != "0" ]; then
-  TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
-  echo "==== TSan pass ($TSAN_BUILD_DIR)"
-  # shellcheck disable=SC2046
-  cmake -B "$TSAN_BUILD_DIR" $(generator_args "$TSAN_BUILD_DIR") \
-    -DAPPSCOPE_SANITIZE=thread \
-    -DAPPSCOPE_BUILD_BENCH=OFF \
-    -DAPPSCOPE_BUILD_EXAMPLES=OFF
-  cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)"
-  ctest --test-dir "$TSAN_BUILD_DIR" -R '^Parallel' --output-on-failure
+if [ "$SERVE" = 1 ]; then
+  echo "==== serve soak"
+  S="$OUT/soak-artifacts"
+  SNAPS="$OUT/serve"
+  mkdir -p "$S/snapshots"
+  # 60k ev/s covers a test-scale week (~1.26M events) in ~21 s, so the
+  # sealed state feeds the study's full-week analyses; --weeks=100 keeps the
+  # daemon running until the SIGTERM below.
+  APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$S/serve.metrics.json" \
+    "$BUILD"/src/serve/appscope_serve --scale=test --rate=60000 --weeks=100 \
+    --epoch-seconds=21600 --admin-port=0 --snapshot-dir="$SNAPS" \
+    2> "$OUT/serve.log" &
+  SERVE_PID=$!
+  trap 'kill "$SERVE_PID" 2> /dev/null || true' EXIT
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's|.*admin endpoint on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' \
+      "$OUT/serve.log")"
+    [ -n "$port" ] && break
+    sleep 0.1
+  done
+  test -n "$port"
+  URL="http://127.0.0.1:$port"
+  scrapes=0
+  for _ in $(seq 1 15); do
+    sleep 2
+    kill -0 "$SERVE_PID" 2> /dev/null || break
+    curl -fsS --max-time 5 "$URL/healthz" | grep -qx ok
+    curl -fsS --max-time 5 "$URL/metrics" > "$S/metrics.prom"
+    curl -fsS --max-time 5 "$URL/statusz" > "$S/statusz.json"
+    scrapes=$((scrapes + 1))
+  done
+  test "$scrapes" -ge 10
+  curl -fsS --max-time 5 "$URL/tracez" > "$S/tracez.json"
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID"
+  trap - EXIT
+  test -s "$SNAPS/latest.snapshot"  # else paper_report would generate one
+  python3 scripts/promcheck.py "$S/metrics.prom"
+  contract exposition "$S/metrics.prom"
+  contract statusz "$S/statusz.json"
+  contract serve "$S/serve.metrics.json"
+  # The query engine's slicing section, on the lazy read path, must match
+  # the full-load paper_report's byte for byte.
+  "$REPORT" --scale=test --snapshot="$SNAPS/latest.snapshot" \
+    --out="$OUT/soak_report.md"
+  "$QUERY_CLI" --snapshot="$SNAPS/latest.snapshot" --hours=18:22 --op=sum \
+    --slicing --check > "$OUT/soak_query.txt"
+  for f in soak_report.md soak_query.txt; do
+    grep -A4 '^### Network-slicing economics' "$OUT/$f" > "$OUT/$f.slicing"
+  done
+  cmp "$OUT/soak_report.md.slicing" "$OUT/soak_query.txt.slicing"
+  epochs=("$SNAPS"/epoch_*.snapshot)
+  cp "$SNAPS/latest.snapshot" "${epochs[0]}" "${epochs[-1]}" "$S/snapshots/"
 fi
 
-echo "ALL CHECKS PASSED"
+if [ "$METRICS" = 1 ]; then
+  contract metrics "$ART"/*.metrics.json
+fi
+
+if [ "$GATE" = 1 ]; then
+  echo "==== bench regression gate"
+  APPSCOPE_BENCH_JSON="$OUT/BENCH_fresh.json" APPSCOPE_THREADS=1 \
+    "$BUILD"/bench/perf_core \
+    --benchmark_filter='^(BM_SbdMatrix/real_time|BM_KShape/5|BM_Fft/512|BM_RealFft/512|BM_SbdWeeklySeries|BM_Znorm/168|BM_ConjMultiply/257|BM_DatasetGenerate/real_time|BM_SnapshotSave/real_time|BM_SnapshotLoad/real_time|BM_SnapshotLazyLoad/real_time|BM_IngestEvents/4/real_time|BM_QueryHourSlice/1/real_time|BM_QueryCommuneFingerprint/1/real_time|BM_RegionOrchestrate/real_time|BM_RegionMerge/real_time)$' \
+    --benchmark_min_time=0.5
+  python3 scripts/bench_regression.py BENCH_core.json "$OUT/BENCH_fresh.json"
+fi
+echo "ALL CHECKS PASSED ($PRESET)"

@@ -136,28 +136,18 @@ TrafficDataset load_or_generate_snapshot(const synth::ScenarioConfig& config,
                                          const std::string& path) {
   APPSCOPE_REQUIRE(!path.empty(), "load_or_generate_snapshot: empty path");
   if (std::filesystem::exists(path)) {
-    const std::uint64_t stored = io::read_snapshot_config_hash(path);
-    const std::uint64_t wanted = io::config_hash(config);
-    if (stored != wanted) {
+    io::LoadedSnapshot snapshot = io::read_snapshot(path);
+    if (snapshot.config_hash != io::config_hash(config)) {
       throw util::InputError(
           "snapshot: " + path +
           ": stored scenario config does not match the requested one "
           "(delete the file to regenerate)");
     }
-    return TrafficDataset::load(path);
+    return TrafficDataset::from_snapshot(std::move(snapshot), path);
   }
   TrafficDataset dataset = TrafficDataset::generate(config);
   dataset.save(path);
   return dataset;
-}
-
-std::string find_latest_snapshot(const std::string& directory) {
-  return io::find_latest_snapshot(directory);
-}
-
-std::string find_latest_snapshot(const std::string& directory,
-                                 const std::string& subdir) {
-  return io::find_latest_snapshot(directory, subdir);
 }
 
 namespace detail {
@@ -180,7 +170,7 @@ TrafficDataset load_epoch_snapshot(const std::string& directory) {
   // so persistent failure means real corruption, not racing.
   constexpr int kAttempts = 3;
   for (int attempt = 0;; ++attempt) {
-    const std::string path = find_latest_snapshot(directory);
+    const std::string path = io::find_latest_snapshot(directory);
     if (path.empty()) {
       throw util::InputError("load_epoch_snapshot: no snapshot in " + directory);
     }

@@ -57,21 +57,6 @@ std::vector<CommuneTotalsRow> read_commune_totals_csv(std::string_view text);
 TrafficDataset load_or_generate_snapshot(const synth::ScenarioConfig& config,
                                          const std::string& path);
 
-/// Most recent complete snapshot in a directory the appscope_serve daemon
-/// seals epochs into: `latest.snapshot` when present, otherwise the
-/// epoch_<index>.snapshot with the highest index, otherwise "". Only
-/// regular files match, so region-keyed publish dirs nested underneath
-/// (`<root>/<region>/epoch_*.snapshot`) never cross-match.
-/// (Forwards to io::find_latest_snapshot, where the resolution lives so the
-/// query layer can share it.)
-std::string find_latest_snapshot(const std::string& directory);
-
-/// Resolution restricted to the region-keyed subdirectory
-/// `<directory>/<subdir>`. `subdir` must be a single path component;
-/// anything else (separators, "..") throws util::InputError.
-std::string find_latest_snapshot(const std::string& directory,
-                                 const std::string& subdir);
-
 /// Loads the most recent sealed epoch from a daemon snapshot directory.
 /// Retries (bounded) when the publisher atomically replaces the file
 /// between path resolution and open/validate, so readers racing the sealer

@@ -1,7 +1,5 @@
 #include "core/study.hpp"
 
-#include <optional>
-
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -17,11 +15,10 @@ workload::ServiceIndex resolve(const TrafficDataset& dataset,
   return *idx;
 }
 
-/// Runs one analysis stage under a trace span so per-stage wall time shows
-/// up in the exported metrics document.
+/// Runs one analysis stage under a stage timer (and so a trace span) so
+/// per-stage wall time shows up in the exported metrics document.
 template <typename Fn>
 auto staged(const char* name, Fn&& fn) {
-  const util::ScopedSpan span(name);
   const util::StageTimer timer(name);
   return fn();
 }
@@ -34,10 +31,8 @@ StudyReport run_study(const TrafficDataset& dataset, const StudyOptions& options
   if (options.metrics) {
     util::MetricsRegistry::set_enabled(true);
   }
-  // Held in an optional so it can be closed before the trace export below;
-  // an open span would otherwise be invisible to the critical-path pass.
-  std::optional<util::ScopedSpan> span;
-  span.emplace("core.run_study");
+  // Stopped before the exports below: an open span would be invisible to the
+  // critical-path pass, and an open timer absent from the metrics document.
   util::StageTimer timer("core.run_study");
   const auto svc_a = resolve(dataset, options.map_service_a);
   const auto svc_b = resolve(dataset, options.map_service_b);
@@ -126,8 +121,7 @@ StudyReport run_study(const TrafficDataset& dataset, const StudyOptions& options
 
   if (util::MetricsRegistry::enabled() &&
       (!options.metrics_path.empty() || !options.trace_path.empty())) {
-    timer.stop();   // close the study-wide timer so it appears in the export
-    span.reset();   // close the study-wide span so it appears in the trace
+    timer.stop();
     if (!options.metrics_path.empty()) {
       util::write_metrics_json(options.metrics_path);
     }

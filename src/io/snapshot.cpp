@@ -174,11 +174,6 @@ LoadedSnapshot read_snapshot(const std::string& path) {
   return loaded;
 }
 
-std::uint64_t read_snapshot_config_hash(const std::string& path) {
-  const SnapshotReader reader(path);
-  return reader.header().config_hash;
-}
-
 std::string epoch_filename(std::uint64_t index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "epoch_%06llu.snapshot",

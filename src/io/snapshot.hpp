@@ -59,10 +59,6 @@ struct LoadedSnapshot {
 /// Any mismatch throws util::InputError.
 LoadedSnapshot read_snapshot(const std::string& path);
 
-/// Reads only the header fingerprint of `path` (cheap; validates the whole
-/// file structurally). Throws util::InputError like read_snapshot.
-std::uint64_t read_snapshot_config_hash(const std::string& path);
-
 /// Name of sealed epoch `index` in a publish directory,
 /// "epoch_<index>.snapshot" with the index zero-padded to six digits so
 /// that name order is index order (find_latest_snapshot relies on it).

@@ -1,23 +1,17 @@
 #include "io/snapshot_reader.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "io/binary.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define APPSCOPE_SNAPSHOT_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define APPSCOPE_SNAPSHOT_HAVE_MMAP 0
-#endif
 
 namespace appscope::io {
 
@@ -29,26 +23,21 @@ namespace {
 
 }  // namespace
 
-/// Owns the file bytes. Eager mode: one whole-file mmap view (base/size) or,
-/// on platforms without mmap, a buffered copy. Lazy mode: the fd stays open,
-/// `base` points at the header + table window only, and each section gets
-/// its own page-aligned mapping on first touch (recorded in SectionState).
+/// Owns the file bytes. Eager mode: one whole-file mmap view (base/size).
+/// Lazy mode: the fd stays open, `base` points at the header + table window
+/// only, and each section gets its own page-aligned mapping on first touch
+/// (recorded in SectionState).
 struct SnapshotReader::Backing {
   const std::byte* base = nullptr;
   std::size_t size = 0;
   bool is_mapping = false;
-#if APPSCOPE_SNAPSHOT_HAVE_MMAP
   void* map_addr = nullptr;
   std::size_t map_bytes = 0;
   int fd = -1;  // kept open only in lazy mode
-#endif
-  std::vector<std::byte> buffer;
 
   ~Backing() {
-#if APPSCOPE_SNAPSHOT_HAVE_MMAP
     if (map_addr != nullptr) ::munmap(map_addr, map_bytes);
     if (fd >= 0) ::close(fd);
-#endif
   }
 };
 
@@ -57,17 +46,14 @@ struct SnapshotReader::Backing {
 /// fields are owned for unmap at destruction.
 struct SnapshotReader::SectionState {
   std::atomic<const std::byte*> payload{nullptr};
-#if APPSCOPE_SNAPSHOT_HAVE_MMAP
   void* map_addr = nullptr;
   std::size_t map_bytes = 0;
-#endif
 };
 
 SnapshotReader::SnapshotReader(const std::string& path, ValidationMode mode)
     : path_(path), mode_(mode), backing_(std::make_unique<Backing>()) {
   util::ScopedSpan span(mode == ValidationMode::kLazy ? "snapshot.open_lazy"
                                                       : "snapshot.open");
-#if APPSCOPE_SNAPSHOT_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) fail(path_, "cannot open for reading");
   struct stat st{};
@@ -106,22 +92,6 @@ SnapshotReader::SnapshotReader(const std::string& path, ValidationMode mode)
   } else {
     ::close(fd);
   }
-#else
-  // No mmap: one buffered read regardless of mode; kLazy degrades to eager.
-  mode_ = ValidationMode::kEager;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(path_, "cannot open for reading");
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  if (end < 0) fail(path_, "cannot stat");
-  in.seekg(0);
-  backing_->buffer.resize(static_cast<std::size_t>(end));
-  in.read(reinterpret_cast<char*>(backing_->buffer.data()),
-          static_cast<std::streamsize>(backing_->buffer.size()));
-  if (!in) fail(path_, "read failed");
-  backing_->base = backing_->buffer.data();
-  backing_->size = backing_->buffer.size();
-#endif
   validate_header_and_table({backing_->base, backing_->size}, backing_->size);
   validate_all_sections();
   record_mapped(backing_->size);
@@ -132,7 +102,6 @@ SnapshotReader::SnapshotReader(const std::string& path, ValidationMode mode)
 }
 
 SnapshotReader::~SnapshotReader() {
-#if APPSCOPE_SNAPSHOT_HAVE_MMAP
   if (lazy_sections_ != nullptr) {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (lazy_sections_[i].map_addr != nullptr) {
@@ -140,7 +109,6 @@ SnapshotReader::~SnapshotReader() {
       }
     }
   }
-#endif
 }
 
 std::span<const std::byte> SnapshotReader::bytes() const noexcept {
@@ -286,7 +254,6 @@ std::span<const std::byte> SnapshotReader::payload(const SectionEntry& e) const 
 
 std::span<const std::byte> SnapshotReader::lazy_payload(
     const SectionEntry& e) const {
-#if APPSCOPE_SNAPSHOT_HAVE_MMAP
   SectionState& state = lazy_sections_[entry_index(e)];
   // Fast path: already mapped + validated by some thread.
   if (const std::byte* p = state.payload.load(std::memory_order_acquire)) {
@@ -329,9 +296,6 @@ std::span<const std::byte> SnapshotReader::lazy_payload(
   }
   state.payload.store(payload_ptr, std::memory_order_release);
   return {payload_ptr, static_cast<std::size_t>(e.payload_bytes)};
-#else
-  fail(path_, "lazy section mapping requires mmap");
-#endif
 }
 
 std::span<const std::byte> SnapshotReader::section(SectionId id) const {

@@ -1,11 +1,10 @@
 // appscope/io/snapshot_reader.hpp
 //
 // Validating reader for the "appscope.snapshot/1" format with an
-// mmap-backed zero-copy path: on POSIX the file is mapped read-only and
-// every section accessor returns a span pointing straight into the mapping
+// mmap-backed zero-copy path: the file is mapped read-only and every
+// section accessor returns a span pointing straight into the mapping
 // (payloads are kSectionAlignment-aligned in the file, so f64/u64 columns
-// can be viewed in place); platforms without mmap fall back to one buffered
-// read.
+// can be viewed in place).
 //
 // Two validation modes:
 //   - kEager (default): the whole file is mapped and every section CRC is
@@ -47,8 +46,7 @@ enum class ValidationMode {
 class SnapshotReader {
  public:
   /// Opens `path` and validates per `mode`. Throws util::InputError on any
-  /// structural problem (see file comment). On platforms without mmap,
-  /// kLazy silently degrades to the eager buffered read.
+  /// structural problem (see file comment).
   explicit SnapshotReader(const std::string& path,
                           ValidationMode mode = ValidationMode::kEager);
   ~SnapshotReader();
@@ -69,13 +67,12 @@ class SnapshotReader {
   std::span<const double> f64_section(SectionId id) const;
   std::span<const std::uint64_t> u64_section(SectionId id) const;
 
-  /// True when the file is mmap-viewed (zero-copy); false on the buffered
-  /// fallback path.
+  /// True when the file is mmap-viewed (zero-copy).
   bool mapped() const noexcept;
 
   ValidationMode mode() const noexcept { return mode_; }
 
-  /// Bytes of the file currently mapped (or buffered). Eager mode reports
+  /// Bytes of the file currently mapped. Eager mode reports
   /// the whole file; lazy mode starts at the header + table window and
   /// grows as sections are first touched.
   std::uint64_t mapped_bytes() const noexcept {
@@ -86,7 +83,7 @@ class SnapshotReader {
   std::uint64_t file_bytes() const noexcept { return header_.file_bytes; }
 
  private:
-  struct Backing;       // mmap handles / owned buffer
+  struct Backing;       // mmap handles
   struct SectionState;  // lazy per-section mapping + validation cache
 
   std::span<const std::byte> bytes() const noexcept;

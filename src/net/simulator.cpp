@@ -8,7 +8,6 @@
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
-#include "util/trace.hpp"
 #include "workload/spatial_profile.hpp"
 #include "workload/temporal_profile.hpp"
 
@@ -43,7 +42,6 @@ SessionSimulator::SessionSimulator(const geo::Territory& territory,
 }
 
 SessionSimReport SessionSimulator::run(const Probe::Sink& sink) {
-  const util::ScopedSpan span("net.session_sim");
   util::StageTimer timer("net.session_sim");
   // Co-located gateways with one probe tapping both interfaces (Fig. 1).
   Probe probe(cells_, dpi_);

@@ -63,8 +63,8 @@ void MetricsSampler::sample_once(double dt_seconds) {
                           .count();
     if (dt <= 0.0) dt = 1e-9;  // same-instant ticks (tests): avoid inf rates
 
-    // Deltas are computed inline against prev_ (not via metrics_delta) so
-    // the tick allocates nothing once every name has its Series entry.
+    // Deltas are computed inline against prev_ so the tick allocates
+    // nothing once every name has its Series entry.
     for (const auto& [name, value] : cur_.counters) {
       Series& s = series_[name];
       s.kind = SeriesKind::kCounterRate;

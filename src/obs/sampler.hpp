@@ -2,9 +2,8 @@
 //
 // MetricsSampler: the periodic heart of the live telemetry plane. A single
 // background thread snapshots the process-wide MetricsRegistry on a fixed
-// cadence (default 1 s), diffs against the previous snapshot
-// (util::metrics_delta) and retains the derived series in fixed-size
-// SampleRing buffers:
+// cadence (default 1 s), diffs against the previous snapshot in place and
+// retains the derived series in fixed-size SampleRing buffers:
 //
 //   counter    -> per-second rate of the interval delta, plus the total;
 //   gauge      -> the sampled value;

@@ -51,7 +51,6 @@ Result Engine::run(const SnapshotView& view, const Slice& slice) {
 }
 
 Result execute_plan(const SnapshotView& view, const QueryPlan& plan) {
-  util::ScopedSpan span("query.scan");
   util::StageTimer timer("query.scan");
   const la::simd::Kernels& k = la::simd::active();
   const Slice& q = plan.slice;

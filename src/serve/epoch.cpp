@@ -6,7 +6,6 @@
 #include "io/publish.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace appscope::serve {
 
@@ -37,7 +36,6 @@ std::string EpochSealer::latest_path() const {
 
 SealedEpoch EpochSealer::seal(std::uint64_t index,
                               const EventAggregates& rolling) {
-  util::ScopedSpan span("serve.epoch.seal");
   util::StageTimer timer("serve.epoch.seal");
 
   SealedEpoch sealed;

@@ -8,7 +8,6 @@
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
-#include "util/trace.hpp"
 
 namespace appscope::stats {
 
@@ -82,7 +81,6 @@ la::Matrix pairwise_r2(const std::vector<std::vector<double>>& vectors) {
     APPSCOPE_REQUIRE(v.size() == len, "pairwise_r2: ragged vectors");
   }
   const std::size_t n = vectors.size();
-  const util::ScopedSpan span("stats.pairwise_r2");
   util::StageTimer timer("stats.pairwise_r2");
   timer.add_items(n * n);  // matrix entries filled (mirrored pairs included)
   // Row-sharded fill over the global pool: every (i, j) entry is an

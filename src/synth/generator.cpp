@@ -7,7 +7,6 @@
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/trace.hpp"
 #include "workload/spatial_profile.hpp"
 #include "workload/temporal_profile.hpp"
 
@@ -121,7 +120,6 @@ void AnalyticGenerator::generate_commune(const geo::Commune& commune,
 }
 
 void AnalyticGenerator::generate(TrafficSink& sink) const {
-  const util::ScopedSpan span("synth.generate");
   util::StageTimer timer("synth.generate");
   const auto& communes = territory_.communes();
   // Fixed shard grain: the decomposition (and so the replay order) is the

@@ -6,7 +6,6 @@
 #include "ts/calendar.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace appscope::synth {
 namespace {
@@ -76,7 +75,6 @@ EventReplaySource::EventReplaySource(const geo::Territory& territory,
                                      std::size_t events_per_cell) {
   APPSCOPE_REQUIRE(events_per_cell >= 1,
                    "EventReplaySource: events_per_cell must be >= 1");
-  util::ScopedSpan span("serve.replay.stage");
   util::StageTimer timer("serve.replay.stage");
 
   std::vector<std::vector<net::ServiceEvent>> hours(ts::kHoursPerWeek);

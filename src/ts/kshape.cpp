@@ -122,7 +122,6 @@ std::vector<double> shape_extract(const std::vector<std::vector<double>>& member
 
 KShapeResult kshape(const std::vector<std::vector<double>>& series,
                     const KShapeOptions& opts) {
-  const util::ScopedSpan span("ts.kshape");
   util::StageTimer timer("ts.kshape");
   timer.add_items(series.size());
   APPSCOPE_REQUIRE(!series.empty(), "kshape: no series");

@@ -10,7 +10,6 @@
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
-#include "util/trace.hpp"
 
 namespace appscope::ts {
 
@@ -263,7 +262,6 @@ double sbd_pair_distance(const SeriesBatch& x, std::size_t i,
 DistanceMatrix sbd_distance_matrix(const SeriesBatch& batch) {
   const std::size_t n = batch.size();
   APPSCOPE_REQUIRE(n >= 1, "sbd_distance_matrix: no series");
-  const util::ScopedSpan span("ts.sbd_matrix");
   util::StageTimer timer("ts.sbd_matrix");
   timer.add_items(n * (n - 1) / 2);  // pairwise distances computed
 

@@ -277,7 +277,9 @@ void MetricsRegistry::set_enabled(bool on) noexcept {
 
 StageTimer::StageTimer(std::string stage)
     : active_(MetricsRegistry::enabled()), stage_(std::move(stage)) {
-  if (active_) start_ = std::chrono::steady_clock::now();
+  if (!active_) return;
+  span_.emplace(stage_);
+  start_ = std::chrono::steady_clock::now();
 }
 
 StageTimer::~StageTimer() { stop(); }
@@ -296,6 +298,7 @@ void StageTimer::stop() {
   if (items > 0) reg.add(prefix + ".items", items);
   const std::uint64_t bytes = bytes_.load(std::memory_order_relaxed);
   if (bytes > 0) reg.add(prefix + ".bytes", bytes);
+  span_.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -506,36 +509,6 @@ double histogram_quantile(const HistogramSnapshot& h, double q) noexcept {
     }
   }
   return h.max;
-}
-
-MetricsSnapshot metrics_delta(const MetricsSnapshot& prev,
-                              const MetricsSnapshot& cur) {
-  MetricsSnapshot out;
-  for (const auto& [name, value] : cur.counters) {
-    const auto it = prev.counters.find(name);
-    const std::uint64_t before = it == prev.counters.end() ? 0 : it->second;
-    out.counters[name] = value >= before ? value - before : value;
-  }
-  out.gauges = cur.gauges;
-  for (const auto& [name, h] : cur.histograms) {
-    const auto it = prev.histograms.find(name);
-    if (it == prev.histograms.end()) {
-      out.histograms[name] = h;
-      continue;
-    }
-    const HistogramSnapshot& p = it->second;
-    HistogramSnapshot d;
-    d.count = h.count >= p.count ? h.count - p.count : h.count;
-    d.sum = h.sum - p.sum;
-    d.min = h.min;  // running extremes: interval-local extremes are not
-    d.max = h.max;  // recoverable from the cumulative form
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      d.buckets[b] =
-          h.buckets[b] >= p.buckets[b] ? h.buckets[b] - p.buckets[b] : h.buckets[b];
-    }
-    out.histograms[name] = d;
-  }
-  return out;
 }
 
 void write_metrics_at_exit() {

@@ -30,9 +30,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/trace.hpp"
 
 namespace appscope::util {
 
@@ -128,8 +131,9 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// RAII wall-clock timer for one pipeline stage. On stop (or destruction)
-/// it records, under "stage.<name>.":
+/// RAII wall-clock timer for one pipeline stage. It opens a trace span named
+/// <name> at construction, and on stop (or destruction) closes it and
+/// records, under "stage.<name>.":
 ///   .wall_seconds  histogram of the stage's elapsed wall time
 ///   .calls         counter of completed stage executions
 ///   .items         counter of processed items (if add_items was called)
@@ -149,7 +153,8 @@ class StageTimer {
   void add_bytes(std::uint64_t n) noexcept {
     if (active_) bytes_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Records now instead of at destruction; further calls are no-ops.
+  /// Records and closes the span now instead of at destruction; further
+  /// calls are no-ops.
   void stop();
   bool active() const noexcept { return active_; }
 
@@ -159,6 +164,7 @@ class StageTimer {
   std::chrono::steady_clock::time_point start_;
   std::atomic<std::uint64_t> items_{0};
   std::atomic<std::uint64_t> bytes_{0};
+  std::optional<ScopedSpan> span_;
 };
 
 // ---------------------------------------------------------------------------
@@ -206,14 +212,6 @@ void install_metrics_signal_flush();
 // ---------------------------------------------------------------------------
 // Interval diffing: the live telemetry plane (src/obs) samples the registry
 // periodically and works on per-interval deltas rather than process totals.
-
-/// Per-interval difference cur - prev. Counters subtract (clamped at zero if
-/// a reset intervened); gauges take cur's latest value; histogram count, sum
-/// and buckets subtract per slot while min/max are taken from cur (they are
-/// running extremes, not interval aggregates). Names present only in `cur`
-/// diff against zero; names present only in `prev` are dropped.
-MetricsSnapshot metrics_delta(const MetricsSnapshot& prev,
-                              const MetricsSnapshot& cur);
 
 /// Upper bound (exclusive) of power-of-two histogram bucket `index`, i.e.
 /// 2^(index + 1 + kHistogramMinExp). The last bucket is clamped and has no

@@ -38,7 +38,7 @@ std::string prometheus_name(std::string_view name) {
     out += '_';
   }
   for (const char c : name) out += legal_name_byte(c) ? c : '_';
-  if (out.empty()) out = "_";
+  if (out.empty()) out += '_';
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "io/snapshot.hpp"
 #include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
@@ -175,15 +176,15 @@ TEST(DatasetIo, LoadEpochSnapshotEmptyDirectoryThrows) {
   EXPECT_THROW(load_epoch_snapshot(e.dir.string()), util::InputError);
 }
 
-TEST(DatasetIo, FindLatestSnapshotForwardsToIo) {
+TEST(DatasetIo, FindLatestSnapshotPrefersLatestOverEpochs) {
   EpochDir e("appscope_epoch_find");
-  EXPECT_EQ(find_latest_snapshot(e.dir.string()), "");
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string()), "");
   { std::ofstream((e.dir / "epoch_0003.snapshot").string()) << "x"; }
   { std::ofstream((e.dir / "epoch_0011.snapshot").string()) << "x"; }
-  EXPECT_EQ(find_latest_snapshot(e.dir.string()),
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string()),
             (e.dir / "epoch_0011.snapshot").string());
   { std::ofstream(e.latest()) << "x"; }
-  EXPECT_EQ(find_latest_snapshot(e.dir.string()), e.latest());
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string()), e.latest());
 }
 
 TEST(DatasetIo, FindLatestSnapshotIgnoresRegionSubdirectories) {
@@ -194,15 +195,15 @@ TEST(DatasetIo, FindLatestSnapshotIgnoresRegionSubdirectories) {
   EpochDir e("appscope_epoch_nested");
   fs::create_directories(e.dir / "paris");
   { std::ofstream((e.dir / "paris" / "epoch_000007.snapshot").string()) << "x"; }
-  EXPECT_EQ(find_latest_snapshot(e.dir.string()), "");
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string()), "");
 
   // Even a directory NAMED like a snapshot is not a snapshot.
   fs::create_directories(e.dir / "epoch_000009.snapshot");
   fs::create_directories(e.dir / "latest.snapshot");
-  EXPECT_EQ(find_latest_snapshot(e.dir.string()), "");
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string()), "");
 
   { std::ofstream((e.dir / "epoch_000001.snapshot").string()) << "x"; }
-  EXPECT_EQ(find_latest_snapshot(e.dir.string()),
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string()),
             (e.dir / "epoch_000001.snapshot").string());
 }
 
@@ -216,18 +217,18 @@ TEST(DatasetIo, FindLatestSnapshotSubdirectoryFilter) {
 
   // The filter resolves inside exactly one region directory; siblings and
   // the root's own snapshots are invisible.
-  EXPECT_EQ(find_latest_snapshot(e.dir.string(), "paris"),
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string(), "paris"),
             (e.dir / "paris" / "epoch_000002.snapshot").string());
-  EXPECT_EQ(find_latest_snapshot(e.dir.string(), "lyon"),
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string(), "lyon"),
             (e.dir / "lyon" / "latest.snapshot").string());
-  EXPECT_EQ(find_latest_snapshot(e.dir.string(), "nice"), "");
+  EXPECT_EQ(io::find_latest_snapshot(e.dir.string(), "nice"), "");
 
   // A filter that is not a single path component can never escape the root.
-  EXPECT_THROW(find_latest_snapshot(e.dir.string(), ""), util::InputError);
-  EXPECT_THROW(find_latest_snapshot(e.dir.string(), "."), util::InputError);
-  EXPECT_THROW(find_latest_snapshot(e.dir.string(), ".."), util::InputError);
-  EXPECT_THROW(find_latest_snapshot(e.dir.string(), "a/b"), util::InputError);
-  EXPECT_THROW(find_latest_snapshot(e.dir.string(), "a\\b"), util::InputError);
+  EXPECT_THROW(io::find_latest_snapshot(e.dir.string(), ""), util::InputError);
+  EXPECT_THROW(io::find_latest_snapshot(e.dir.string(), "."), util::InputError);
+  EXPECT_THROW(io::find_latest_snapshot(e.dir.string(), ".."), util::InputError);
+  EXPECT_THROW(io::find_latest_snapshot(e.dir.string(), "a/b"), util::InputError);
+  EXPECT_THROW(io::find_latest_snapshot(e.dir.string(), "a\\b"), util::InputError);
 }
 
 }  // namespace

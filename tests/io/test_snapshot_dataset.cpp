@@ -119,7 +119,15 @@ TEST(SnapshotDataset, LoadOrGenerateCachesAndValidates) {
 
   const TrafficDataset first = load_or_generate_snapshot(config, path);
   ASSERT_TRUE(std::filesystem::exists(path));
+  // The cached call reads and validates each section exactly once.
+  util::MetricsRegistry::set_enabled(true);
+  util::MetricsRegistry::global().reset();
   const TrafficDataset second = load_or_generate_snapshot(config, path);
+  const auto snap = util::MetricsRegistry::global().snapshot();
+  util::MetricsRegistry::set_enabled(false);
+  EXPECT_EQ(snap.counters.at("io.snapshot.bytes_read"),
+            std::filesystem::file_size(path));
+  EXPECT_EQ(snap.counters.at("io.snapshot.sections"), 9u);
   EXPECT_EQ(second.direction_total(workload::Direction::kDownlink),
             first.direction_total(workload::Direction::kDownlink));
   EXPECT_TRUE(std::ranges::equal(

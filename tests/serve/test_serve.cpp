@@ -16,6 +16,7 @@
 
 #include "core/dataset.hpp"
 #include "core/dataset_io.hpp"
+#include "io/snapshot.hpp"
 #include "net/event.hpp"
 #include "serve/aggregates.hpp"
 #include "serve/daemon.hpp"
@@ -334,7 +335,7 @@ TEST(IngestDaemon, SealedSnapshotLoadsAndMatchesBatchDataset) {
   }
 
   // find_latest_snapshot resolves the directory the daemon sealed into.
-  EXPECT_EQ(core::find_latest_snapshot(dir.string()), stats.latest_snapshot);
+  EXPECT_EQ(io::find_latest_snapshot(dir.string()), stats.latest_snapshot);
   const core::TrafficDataset via_dir = core::load_epoch_snapshot(dir.string());
   EXPECT_EQ(via_dir.direction_total(workload::Direction::kDownlink),
             loaded.direction_total(workload::Direction::kDownlink));

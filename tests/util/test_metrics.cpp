@@ -142,13 +142,27 @@ TEST(Metrics, StageTimerRecordsWallItemsBytes) {
   const HistogramSnapshot h = snap.histograms.at("stage.unit.wall_seconds");
   EXPECT_EQ(h.count, 1u);
   EXPECT_GE(h.sum, 0.0);
+  // The timer also records one trace span under the stage name.
+  const std::vector<TraceEvent> spans = TraceRecorder::global().snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "unit");
 }
 
 TEST(Metrics, StageTimerStopIsIdempotent) {
   const MetricsOn guard;
   StageTimer timer("once");
   timer.stop();
+  // stop() closes the span while the timer is still alive: it is recorded,
+  // and a span opened next is a root, not the timer span's child.
+  std::vector<TraceEvent> spans = TraceRecorder::global().snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "once");
+  { const ScopedSpan after("after"); }
   timer.stop();
+  spans = TraceRecorder::global().snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[1].name, "after");
+  EXPECT_EQ(spans[1].parent_id, 0u);
   const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
   EXPECT_EQ(snap.counters.at("stage.once.calls"), 1u);
 }

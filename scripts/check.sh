@@ -154,7 +154,9 @@ if [ "$SERVE" = 1 ]; then
   mkdir -p "$S/snapshots"
   # 60k ev/s covers a test-scale week (~1.26M events) in ~21 s, so the
   # sealed state feeds the study's full-week analyses; --weeks=100 keeps the
-  # daemon running until the SIGTERM below.
+  # daemon running until the SIGTERM below. The log exists before the daemon
+  # starts, so the port poll never reads a missing file.
+  : > "$OUT/serve.log"
   APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$S/serve.metrics.json" \
     "$BUILD"/src/serve/appscope_serve --scale=test --rate=60000 --weeks=100 \
     --epoch-seconds=21600 --admin-port=0 --snapshot-dir="$SNAPS" \

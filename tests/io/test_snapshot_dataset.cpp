@@ -14,6 +14,7 @@
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "query/snapshot_view.hpp"
+#include "support/metrics_on.hpp"
 #include "support/temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -120,11 +121,13 @@ TEST(SnapshotDataset, LoadOrGenerateCachesAndValidates) {
   const TrafficDataset first = load_or_generate_snapshot(config, path);
   ASSERT_TRUE(std::filesystem::exists(path));
   // The cached call reads and validates each section exactly once.
-  util::MetricsRegistry::set_enabled(true);
-  util::MetricsRegistry::global().reset();
-  const TrafficDataset second = load_or_generate_snapshot(config, path);
-  const auto snap = util::MetricsRegistry::global().snapshot();
-  util::MetricsRegistry::set_enabled(false);
+  util::MetricsSnapshot snap;
+  const TrafficDataset second = [&] {
+    const test_support::MetricsOn metrics;
+    TrafficDataset loaded = load_or_generate_snapshot(config, path);
+    snap = util::MetricsRegistry::global().snapshot();
+    return loaded;
+  }();
   EXPECT_EQ(snap.counters.at("io.snapshot.bytes_read"),
             std::filesystem::file_size(path));
   EXPECT_EQ(snap.counters.at("io.snapshot.sections"), 9u);

@@ -23,6 +23,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/watchdog.hpp"
 #include "serve/ingest.hpp"
+#include "support/metrics_on.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -30,24 +31,7 @@
 namespace appscope::obs {
 namespace {
 
-/// Same guard as the util metrics tests: gate on, registry clean, restored
-/// after.
-class MetricsOn {
- public:
-  MetricsOn() : was_(util::MetricsRegistry::enabled()) {
-    util::MetricsRegistry::set_enabled(true);
-    util::MetricsRegistry::global().reset();
-    util::TraceRecorder::global().reset();
-  }
-  ~MetricsOn() {
-    util::MetricsRegistry::global().reset();
-    util::TraceRecorder::global().reset();
-    util::MetricsRegistry::set_enabled(was_);
-  }
-
- private:
-  bool was_;
-};
+using test_support::MetricsOn;
 
 /// Minimal HTTP client for the e2e tests: one request, read to EOF.
 std::string http_request(std::uint16_t port, const std::string& request) {

@@ -26,6 +26,7 @@
 #include "obs/telemetry.hpp"
 #include "serve/daemon.hpp"
 #include "serve/epoch.hpp"
+#include "support/metrics_on.hpp"
 #include "support/temp_dir.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -35,22 +36,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-class MetricsOn {
- public:
-  MetricsOn() : was_(util::MetricsRegistry::enabled()) {
-    util::MetricsRegistry::set_enabled(true);
-    util::MetricsRegistry::global().reset();
-    util::TraceRecorder::global().reset();
-  }
-  ~MetricsOn() {
-    util::MetricsRegistry::global().reset();
-    util::TraceRecorder::global().reset();
-    util::MetricsRegistry::set_enabled(was_);
-  }
-
- private:
-  bool was_;
-};
+using test_support::MetricsOn;
 
 synth::ScenarioConfig tiny_config() {
   auto cfg = synth::ScenarioConfig::test_scale();

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/metrics_on.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -18,24 +19,7 @@
 namespace appscope::util {
 namespace {
 
-/// Flips the global metrics gate on for one test and restores it after, so
-/// tests compose with any APPSCOPE_METRICS environment setting.
-class MetricsOn {
- public:
-  MetricsOn() : was_(MetricsRegistry::enabled()) {
-    MetricsRegistry::set_enabled(true);
-    MetricsRegistry::global().reset();
-    TraceRecorder::global().reset();
-  }
-  ~MetricsOn() {
-    MetricsRegistry::global().reset();
-    TraceRecorder::global().reset();
-    MetricsRegistry::set_enabled(was_);
-  }
-
- private:
-  bool was_;
-};
+using test_support::MetricsOn;
 
 TEST(Metrics, CountersAccumulate) {
   const MetricsOn guard;

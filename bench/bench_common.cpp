@@ -39,12 +39,12 @@ synth::ScenarioConfig select_scenario(int argc, char** argv) {
   // APPSCOPE_TRACE=PATH) leaves a Chrome trace-event document behind.
   util::write_metrics_at_exit();
   util::enable_trace_export(trace_flag(argc, argv));
-  const std::string name = scale_name(argc, argv);
-  if (name == "test") return synth::ScenarioConfig::test_scale();
-  if (name == "paper") return synth::ScenarioConfig::paper_scale();
-  if (name == "example") return synth::ScenarioConfig::example_scale();
-  std::cerr << "unknown scale '" << name << "', using example scale\n";
-  return synth::ScenarioConfig::example_scale();
+  try {
+    return synth::ScenarioConfig::for_scale(scale_name(argc, argv));
+  } catch (const util::InputError& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 bool has_flag(int argc, char** argv, const std::string& flag) {

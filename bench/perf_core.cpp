@@ -1,6 +1,5 @@
 // Micro-benchmarks (google-benchmark) of the core algorithms, including the
 // ablations called out in DESIGN.md:
-//  - SBD cross-correlation: direct O(n²) vs FFT O(n log n) crossover;
 //  - k-Shape vs k-means on the 20 weekly service series;
 //  - streaming generator throughput (cells/second into the sinks);
 //  - smoothed z-score peak detection.
@@ -27,7 +26,6 @@
 #include "serve/aggregates.hpp"
 #include "serve/ingest.hpp"
 #include "synth/replay.hpp"
-#include "la/fft.hpp"
 #include "la/fft_plan.hpp"
 #include "la/simd.hpp"
 #include "synth/generator.hpp"
@@ -52,28 +50,6 @@ std::vector<double> random_series(std::size_t n, std::uint64_t seed) {
   for (double& v : out) v = rng.normal();
   return out;
 }
-
-void BM_CrossCorrelationDirect(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_series(n, 1);
-  const auto b = random_series(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::cross_correlation_direct(a, b));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_CrossCorrelationDirect)->RangeMultiplier(2)->Range(32, 1024);
-
-void BM_CrossCorrelationFft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_series(n, 1);
-  const auto b = random_series(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::cross_correlation_fft(a, b));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_CrossCorrelationFft)->RangeMultiplier(2)->Range(32, 1024);
 
 // Plan-cached transforms at the SBD working size for weekly series
 // (m = 168 -> padded 512). Tracked in BENCH_core.json.

@@ -14,14 +14,16 @@
 #include "core/dataset_io.hpp"
 #include "core/report.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 #include "util/trace_analysis.hpp"
 
 using namespace appscope;
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+namespace {
+
+int run(const util::CliArgs& args) {
   // APPSCOPE_METRICS=1 exports the per-stage timings of the run to
   // metrics.json (or APPSCOPE_METRICS_PATH) when the process exits.
   util::write_metrics_at_exit();
@@ -32,10 +34,10 @@ int main(int argc, char** argv) {
   const std::string trace_path =
       util::enable_trace_export(args.get_string("trace", ""));
 
-  synth::ScenarioConfig config = synth::ScenarioConfig::test_scale();
-  const std::string scale = args.get_string("scale", "test");
-  if (scale == "example") config = synth::ScenarioConfig::example_scale();
-  if (scale == "paper") config = synth::ScenarioConfig::paper_scale();
+  const synth::ScenarioConfig config =
+      synth::ScenarioConfig::for_scale(args.get_string("scale", "test"));
+  core::StudyOptions study_options;
+  study_options.cluster.k_max = args.get_count<std::size_t>("kmax", 19);
 
   // --snapshot=<path>: reuse the binary dataset snapshot at <path> if it
   // exists (mmap-backed load, no regeneration), otherwise generate and save
@@ -59,9 +61,6 @@ int main(int argc, char** argv) {
     return core::TrafficDataset::generate(config);
   }();
 
-  core::StudyOptions study_options;
-  study_options.cluster.k_max =
-      static_cast<std::size_t>(args.get_int("kmax", 19));
   std::cerr << "running the study (clustering sweep up to k="
             << study_options.cluster.k_max << ")...\n";
   const core::StudyReport report = core::run_study(dataset, study_options);
@@ -98,4 +97,16 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const util::CliArgs args(argc, argv);
+  try {
+    return run(args);
+  } catch (const util::Error& e) {
+    std::cerr << "paper_report: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -14,6 +14,7 @@
 #include "core/spatial_analysis.hpp"
 #include "core/urbanization_analysis.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -21,13 +22,15 @@ using namespace appscope;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
+  synth::ScenarioConfig base;
+  try {
+    base = synth::ScenarioConfig::for_scale(args.get_string("scale", "test"));
+  } catch (const util::InputError& e) {
+    std::cerr << "what_if_4g: " << e.what() << "\n";
+    return 1;
+  }
   std::cout << util::rule("appscope example: what if rural 4G were upgraded?")
             << "\n";
-
-  synth::ScenarioConfig base = synth::ScenarioConfig::test_scale();
-  if (args.get_string("scale", "test") == "example") {
-    base = synth::ScenarioConfig::example_scale();
-  }
 
   util::TextTable table({"rural 4G coverage", "Netflix zero-traffic communes",
                          "Netflix mean spatial r2", "Netflix rural/urban",

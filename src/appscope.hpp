@@ -49,7 +49,6 @@
 #include "geo/point.hpp"
 #include "geo/spatial_index.hpp"
 #include "geo/territory.hpp"
-#include "geo/territory_io.hpp"
 #include "geo/urbanization.hpp"
 
 // workload — services, profiles, population, mobility

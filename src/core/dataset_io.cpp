@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <ostream>
 #include <system_error>
 
@@ -148,39 +147,6 @@ TrafficDataset load_or_generate_snapshot(const synth::ScenarioConfig& config,
   TrafficDataset dataset = TrafficDataset::generate(config);
   dataset.save(path);
   return dataset;
-}
-
-namespace detail {
-
-namespace {
-std::function<void(int)> g_epoch_load_hook;
-}  // namespace
-
-void set_epoch_load_test_hook(std::function<void(int)> hook) {
-  g_epoch_load_hook = std::move(hook);
-}
-
-}  // namespace detail
-
-TrafficDataset load_epoch_snapshot(const std::string& directory) {
-  // The sealer publishes latest.snapshot by atomic rename, so a reader can
-  // lose the race between resolving the path and opening/validating it
-  // (ENOENT, or a half-observed replacement failing CRC). A bounded retry
-  // re-resolves and reloads: each retry observes a complete published file,
-  // so persistent failure means real corruption, not racing.
-  constexpr int kAttempts = 3;
-  for (int attempt = 0;; ++attempt) {
-    const std::string path = io::find_latest_snapshot(directory);
-    if (path.empty()) {
-      throw util::InputError("load_epoch_snapshot: no snapshot in " + directory);
-    }
-    if (detail::g_epoch_load_hook) detail::g_epoch_load_hook(attempt);
-    try {
-      return TrafficDataset::load(path);
-    } catch (const util::InputError&) {
-      if (attempt + 1 >= kAttempts) throw;
-    }
-  }
 }
 
 }  // namespace appscope::core

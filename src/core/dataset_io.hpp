@@ -6,7 +6,6 @@
 // commune-totals table for cross-run comparisons.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -56,20 +55,5 @@ std::vector<CommuneTotalsRow> read_commune_totals_csv(std::string_view text);
 /// snapshot path almost always means a mistyped flag, not intent.
 TrafficDataset load_or_generate_snapshot(const synth::ScenarioConfig& config,
                                          const std::string& path);
-
-/// Loads the most recent sealed epoch from a daemon snapshot directory.
-/// Retries (bounded) when the publisher atomically replaces the file
-/// between path resolution and open/validate, so readers racing the sealer
-/// never see a spurious error. Throws util::InputError when the directory
-/// holds no snapshot or the snapshot is genuinely corrupt.
-TrafficDataset load_epoch_snapshot(const std::string& directory);
-
-namespace detail {
-/// Test hook invoked between resolving the snapshot path and loading it,
-/// with the 0-based attempt index — lets a regression test swap the file
-/// mid-load to exercise the retry. Pass nullptr to clear. Not thread-safe;
-/// tests install/remove it around single-threaded calls.
-void set_epoch_load_test_hook(std::function<void(int)> hook);
-}  // namespace detail
 
 }  // namespace appscope::core

@@ -2,8 +2,6 @@
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
-#include "util/parallel.hpp"
-#include "util/trace.hpp"
 
 namespace appscope::core {
 
@@ -25,15 +23,7 @@ auto staged(const char* name, Fn&& fn) {
 }  // namespace
 
 StudyReport run_study(const TrafficDataset& dataset, const StudyOptions& options) {
-  if (options.threads > 0) {
-    util::ThreadPool::set_global_threads(options.threads);
-  }
-  if (options.metrics) {
-    util::MetricsRegistry::set_enabled(true);
-  }
-  // Stopped before the exports below: an open span would be invisible to the
-  // critical-path pass, and an open timer absent from the metrics document.
-  util::StageTimer timer("core.run_study");
+  const util::StageTimer timer("core.run_study");
   const auto svc_a = resolve(dataset, options.map_service_a);
   const auto svc_b = resolve(dataset, options.map_service_b);
   const auto svc_conc = resolve(dataset, options.concentration_service);
@@ -119,16 +109,6 @@ StudyReport run_study(const TrafficDataset& dataset, const StudyOptions& options
                         }),
   };
 
-  if (util::MetricsRegistry::enabled() &&
-      (!options.metrics_path.empty() || !options.trace_path.empty())) {
-    timer.stop();
-    if (!options.metrics_path.empty()) {
-      util::write_metrics_json(options.metrics_path);
-    }
-    if (!options.trace_path.empty()) {
-      util::write_trace_json(options.trace_path);
-    }
-  }
   return report;
 }
 

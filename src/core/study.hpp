@@ -23,26 +23,6 @@ struct StudyOptions {
   std::string concentration_service = "Twitter";
   ClusterSweepOptions cluster;
   ts::ZScorePeakOptions peaks;
-  /// Worker threads for the parallel stages (clustering, correlation,
-  /// bootstrap). 0 keeps the current global pool size (APPSCOPE_THREADS or
-  /// hardware concurrency); any other value resizes the global
-  /// util::ThreadPool before the analyses run. Results are identical at
-  /// every setting — this is a throughput knob only.
-  std::size_t threads = 0;
-  /// Turn on the util::MetricsRegistry for this run (per-stage timers,
-  /// thread-pool utilization, trace spans). Metrics are pure observation:
-  /// the report is bitwise identical with metrics on or off. The
-  /// APPSCOPE_METRICS environment variable enables collection too; this
-  /// flag only ever switches it on, never off.
-  bool metrics = false;
-  /// When non-empty (and metrics are enabled), run_study writes the
-  /// machine-readable metrics document here after the analyses finish.
-  std::string metrics_path;
-  /// When non-empty (and metrics are enabled), run_study writes the Chrome
-  /// trace-event document (schema appscope.trace/1, loadable in
-  /// chrome://tracing / Perfetto) here after the analyses finish. Tracing
-  /// is pure observation: the report is bitwise identical either way.
-  std::string trace_path;
 };
 
 struct StudyReport {

@@ -30,7 +30,6 @@ namespace {
 struct SnapshotReader::Backing {
   const std::byte* base = nullptr;
   std::size_t size = 0;
-  bool is_mapping = false;
   void* map_addr = nullptr;
   std::size_t map_bytes = 0;
   int fd = -1;  // kept open only in lazy mode
@@ -73,7 +72,6 @@ SnapshotReader::SnapshotReader(const std::string& path, ValidationMode mode)
       backing_->map_bytes = head_bytes;
       backing_->base = static_cast<const std::byte*>(addr);
       backing_->size = head_bytes;
-      backing_->is_mapping = true;
     }
     validate_header_and_table({backing_->base, backing_->size}, size);
     lazy_sections_ = std::make_unique<SectionState[]>(entries_.size());
@@ -88,7 +86,6 @@ SnapshotReader::SnapshotReader(const std::string& path, ValidationMode mode)
     backing_->map_bytes = size;
     backing_->base = static_cast<const std::byte*>(addr);
     backing_->size = size;
-    backing_->is_mapping = true;
   } else {
     ::close(fd);
   }
@@ -114,8 +111,6 @@ SnapshotReader::~SnapshotReader() {
 std::span<const std::byte> SnapshotReader::bytes() const noexcept {
   return {backing_->base, backing_->size};
 }
-
-bool SnapshotReader::mapped() const noexcept { return backing_->is_mapping; }
 
 void SnapshotReader::record_mapped(std::uint64_t bytes) const noexcept {
   mapped_bytes_.fetch_add(bytes, std::memory_order_relaxed);

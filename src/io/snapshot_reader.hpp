@@ -57,7 +57,7 @@ class SnapshotReader {
   const std::vector<SectionEntry>& sections() const noexcept { return entries_; }
   bool has_section(SectionId id) const noexcept;
 
-  /// Payload view of one section (zero-copy into the mapping when mapped).
+  /// Payload view of one section (zero-copy into the mapping).
   /// Throws util::InputError if the section is absent, or — in lazy mode,
   /// on first touch — if its payload fails the CRC check.
   std::span<const std::byte> section(SectionId id) const;
@@ -66,9 +66,6 @@ class SnapshotReader {
   /// element size does not match.
   std::span<const double> f64_section(SectionId id) const;
   std::span<const std::uint64_t> u64_section(SectionId id) const;
-
-  /// True when the file is mmap-viewed (zero-copy).
-  bool mapped() const noexcept;
 
   ValidationMode mode() const noexcept { return mode_; }
 

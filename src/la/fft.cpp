@@ -1,6 +1,6 @@
 #include "la/fft.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/error.hpp"
 
@@ -12,42 +12,9 @@ std::size_t next_pow2(std::size_t n) noexcept {
   return p;
 }
 
-void fft(std::vector<std::complex<double>>& data, bool inverse) {
-  const std::size_t n = data.size();
-  APPSCOPE_REQUIRE(n != 0 && (n & (n - 1)) == 0, "fft: size must be a power of two");
-  const FftPlan& plan = FftPlan::plan_for(n);
-  if (inverse) {
-    plan.inverse(data.data());
-  } else {
-    plan.forward(data.data());
-  }
-}
-
-std::vector<std::complex<double>> rfft(std::span<const double> x, std::size_t n) {
-  const RealFftPlan& plan = RealFftPlan::plan_for(n);
-  std::vector<std::complex<double>> spectrum(plan.spectrum_size());
-  plan.forward(x, spectrum);
-  return spectrum;
-}
-
-std::vector<double> irfft(std::span<const std::complex<double>> spectrum,
-                          std::size_t n) {
-  const RealFftPlan& plan = RealFftPlan::plan_for(n);
-  APPSCOPE_REQUIRE(spectrum.size() >= plan.spectrum_size(),
-                   "irfft: spectrum too small for size");
-  // The plan consumes its spectrum argument as workspace; copy so the
-  // caller's view stays intact.
-  std::vector<std::complex<double>> work(spectrum.begin(),
-                                         spectrum.begin() + static_cast<std::ptrdiff_t>(
-                                             plan.spectrum_size()));
-  std::vector<double> out(n);
-  plan.inverse(work, out);
-  return out;
-}
-
 std::vector<double> cross_correlation_direct(std::span<const double> a,
                                              std::span<const double> b) {
-  APPSCOPE_REQUIRE(!a.empty() && !b.empty(), "cross_correlation: empty input");
+  APPSCOPE_REQUIRE(!a.empty() && !b.empty(), "cross_correlation_direct: empty input");
   const std::size_t na = a.size();
   const std::size_t nb = b.size();
   const std::size_t out_len = na + nb - 1;
@@ -66,74 +33,6 @@ std::vector<double> cross_correlation_direct(std::span<const double> a,
     out[k] = acc;
   }
   return out;
-}
-
-std::vector<double> cross_correlation_fft(std::span<const double> a,
-                                          std::span<const double> b) {
-  APPSCOPE_REQUIRE(!a.empty() && !b.empty(), "cross_correlation: empty input");
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  const std::size_t out_len = na + nb - 1;
-  const std::size_t n = next_pow2(out_len);
-  if (n < 2) return cross_correlation_direct(a, b);  // 1x1: rfft needs n >= 2
-
-  // Correlation via the conjugate product: with A = rfft(a), B = rfft(b),
-  // c = irfft(A . conj(B)) is the circular cross-correlation
-  // c[s mod n] = sum_j a[j + s] * b[j]; n >= na + nb - 1 makes it linear.
-  // This is the same arithmetic as the cached-spectrum SBD batch kernel
-  // (ts/series_batch.hpp), which keeps both paths bitwise identical.
-  std::vector<std::complex<double>> fa = rfft(a, n);
-  const std::vector<std::complex<double>> fb = rfft(b, n);
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    const double ar = fa[i].real();
-    const double ai = fa[i].imag();
-    const double br = fb[i].real();
-    const double bi = fb[i].imag();
-    fa[i] = {ar * br + ai * bi, ai * br - ar * bi};
-  }
-  const RealFftPlan& plan = RealFftPlan::plan_for(n);
-  std::vector<double> c(n);
-  plan.inverse(fa, c);
-
-  std::vector<double> out(out_len);
-  for (std::size_t k = 0; k < out_len; ++k) {
-    const std::ptrdiff_t s =
-        static_cast<std::ptrdiff_t>(k) - static_cast<std::ptrdiff_t>(nb - 1);
-    out[k] = c[s >= 0 ? static_cast<std::size_t>(s)
-                      : n - static_cast<std::size_t>(-s)];
-  }
-  return out;
-}
-
-std::vector<double> cross_correlation(std::span<const double> a,
-                                      std::span<const double> b) {
-  if (a.size() <= kCrossCorrelationDirectThreshold &&
-      b.size() <= kCrossCorrelationDirectThreshold) {
-    return cross_correlation_direct(a, b);
-  }
-  return cross_correlation_fft(a, b);
-}
-
-std::vector<double> convolve(const std::vector<double>& a,
-                             const std::vector<double>& b) {
-  APPSCOPE_REQUIRE(!a.empty() && !b.empty(), "convolve: empty input");
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t n = next_pow2(out_len);
-  if (n < 2) return {a[0] * b[0]};
-
-  std::vector<std::complex<double>> fa = rfft(a, n);
-  const std::vector<std::complex<double>> fb = rfft(b, n);
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    const double ar = fa[i].real();
-    const double ai = fa[i].imag();
-    const double br = fb[i].real();
-    const double bi = fb[i].imag();
-    fa[i] = {ar * br - ai * bi, ar * bi + ai * br};
-  }
-  const RealFftPlan& plan = RealFftPlan::plan_for(n);
-  std::vector<double> c(n);
-  plan.inverse(fa, c);
-  return {c.begin(), c.begin() + static_cast<std::ptrdiff_t>(out_len)};
 }
 
 }  // namespace appscope::la

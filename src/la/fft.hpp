@@ -1,92 +1,34 @@
 // appscope/la/fft.hpp
 //
-// Radix-2 complex FFT plus real cross-correlation helpers. Used by the SBD
-// shape distance (ts/sbd.hpp): the normalized cross-correlation across all
-// shifts of two length-n series is a length-(2n-1) linear cross-correlation,
-// computed either directly (O(n^2)) or spectrally (O(n log n)).
-//
-// All transforms run through the process-wide plan cache (la/fft_plan.hpp):
-// twiddle factors and bit-reversal tables are computed once per size, and
-// real inputs use the half-size rfft/irfft pair, so repeated correlations
-// at one size — the SBD distance-matrix workload — pay no per-call trig.
+// Cross-correlation helpers for the SBD shape distance (ts/sbd.hpp): the
+// normalized cross-correlation across all shifts of two length-n series is
+// a length-(2n-1) linear cross-correlation. The SBD kernel
+// (ts::detail::sbd_spans) evaluates it directly or through the cached
+// real-FFT plans (la/fft_plan.hpp); cross_correlation_direct is the O(n^2)
+// reference that tests hold both paths against.
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include "la/fft_plan.hpp"
 
 namespace appscope::la {
 
 /// Smallest power of two >= n (n = 0 -> 1).
 std::size_t next_pow2(std::size_t n) noexcept;
 
-/// In-place iterative radix-2 FFT. Requires data.size() to be a power of two.
-/// inverse == true applies the conjugate transform and scales by 1/N.
-void fft(std::vector<std::complex<double>>& data, bool inverse);
-
-/// Real-input forward transform: x is zero-padded to n (power of two >= 2,
-/// n >= x.size()) and the n/2 + 1 non-redundant spectrum bins are returned.
-std::vector<std::complex<double>> rfft(std::span<const double> x, std::size_t n);
-
-/// Inverse of rfft: reconstructs the n real samples from the n/2 + 1 bins
-/// (spectrum[0] and spectrum[n/2] must be real). Includes the 1/n scale.
-std::vector<double> irfft(std::span<const std::complex<double>> spectrum,
-                          std::size_t n);
-
-/// Direct evaluation is faster than the spectral path up to this series
-/// length (both inputs <=). Re-measured with the plan cache in place
-/// (release build, -O2): direct wins through m = 176 (14.1us vs 15.7us per
-/// call) and loses from m = 192 (17.5us vs 16.3us) — the m in (128, 256]
-/// bracket all pads to n = 512, so the cutover sits where the O(m^2) direct
-/// cost crosses that bracket's flat spectral cost. The boundary is covered
-/// by a both-paths-agree test on either side (tests/la/test_fft.cpp).
-///
-/// Note ts::sbd_uses_spectral has a *lower* cutover: the SeriesBatch path
-/// caches forward spectra, so its per-pair cost is only the conj-multiply
-/// and one inverse transform.
-inline constexpr std::size_t kCrossCorrelationDirectThreshold = 176;
-
 /// Full linear cross-correlation r[k] = sum_i a[i] * b[i - (k - (nb-1))]:
 /// output length na + nb - 1, with lag k - (nb - 1) ranging over
-/// [-(nb-1), na-1]. Direct O(na*nb) evaluation. Spans (not vectors) so hot
-/// callers — the SBD inner loop runs one of these per distance — pass views
-/// without materializing copies.
+/// [-(nb-1), na-1]. Direct O(na*nb) evaluation.
 std::vector<double> cross_correlation_direct(std::span<const double> a,
                                              std::span<const double> b);
 
-/// Same result as cross_correlation_direct, computed spectrally: rfft both
-/// inputs, conj-multiply, one irfft.
-std::vector<double> cross_correlation_fft(std::span<const double> a,
-                                          std::span<const double> b);
-
-/// Dispatches to the faster implementation based on input size
-/// (kCrossCorrelationDirectThreshold).
-std::vector<double> cross_correlation(std::span<const double> a,
-                                      std::span<const double> b);
-
-/// Vector conveniences (brace-init-list friendly); forward to the span
-/// overloads without copying.
+/// Vector convenience (brace-init-list friendly); forwards to the span
+/// overload without copying.
 inline std::vector<double> cross_correlation_direct(const std::vector<double>& a,
                                                     const std::vector<double>& b) {
   return cross_correlation_direct(std::span<const double>(a),
                                   std::span<const double>(b));
 }
-inline std::vector<double> cross_correlation_fft(const std::vector<double>& a,
-                                                 const std::vector<double>& b) {
-  return cross_correlation_fft(std::span<const double>(a),
-                               std::span<const double>(b));
-}
-inline std::vector<double> cross_correlation(const std::vector<double>& a,
-                                             const std::vector<double>& b) {
-  return cross_correlation(std::span<const double>(a),
-                           std::span<const double>(b));
-}
-
-/// Linear convolution (a * b), length na + nb - 1, via rfft.
-std::vector<double> convolve(const std::vector<double>& a,
-                             const std::vector<double>& b);
 
 }  // namespace appscope::la

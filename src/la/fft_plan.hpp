@@ -4,7 +4,7 @@
 //
 // Every radix-2 transform of a given size shares the same twiddle factors
 // and bit-reversal permutation; recomputing them per call (as the seed
-// la::fft did) makes the trig the dominant cost at SBD sizes. A plan
+// FFT did) makes the trig the dominant cost at SBD sizes. A plan
 // precomputes both once per power-of-two size and lives forever in a
 // lock-free process-wide cache, so the steady-state cost of a transform is
 // just the butterfly arithmetic.

@@ -26,12 +26,6 @@ double norm2(std::span<const double> a) noexcept {
   return std::sqrt(acc);
 }
 
-double norm1(std::span<const double> a) noexcept {
-  double acc = 0.0;
-  for (const double v : a) acc += std::abs(v);
-  return acc;
-}
-
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   APPSCOPE_REQUIRE(a.size() == b.size(), "squared_distance: length mismatch");
   double acc = 0.0;
@@ -94,11 +88,6 @@ std::size_t argmax(std::span<const double> a) {
   APPSCOPE_REQUIRE(!a.empty(), "argmax: empty input");
   return static_cast<std::size_t>(
       std::distance(a.begin(), std::max_element(a.begin(), a.end())));
-}
-
-void normalize_l2(std::span<double> x) noexcept {
-  const double n = norm2(x);
-  if (n > 0.0) scale(x, 1.0 / n);
 }
 
 }  // namespace appscope::la

@@ -16,9 +16,6 @@ double dot(std::span<const double> a, std::span<const double> b);
 /// Euclidean (L2) norm.
 double norm2(std::span<const double> a) noexcept;
 
-/// L1 norm.
-double norm1(std::span<const double> a) noexcept;
-
 /// Squared Euclidean distance between equal-length vectors.
 double squared_distance(std::span<const double> a, std::span<const double> b);
 
@@ -49,8 +46,5 @@ double min_element(std::span<const double> a);
 
 /// Index of the maximum element; requires non-empty input.
 std::size_t argmax(std::span<const double> a);
-
-/// Normalizes to unit L2 norm in place; zero vectors are left unchanged.
-void normalize_l2(std::span<double> x) noexcept;
 
 }  // namespace appscope::la

@@ -3,21 +3,13 @@
 // The streaming ingest event: one service-classified volume report for one
 // commune, the unit the appscope_serve daemon aggregates at production
 // rates. Where net::UsageRecord is the *offline* probe output (optional
-// service, hour granularity), ServiceEvent is the *wire* shape — fixed-size,
-// always classified, second-granular timestamp — so a frame of events can be
-// encoded, shipped and replayed without any per-event allocation.
-//
-// Framing ("appscope.events/1"): a frame is a 24-byte header followed by
-// `count` fixed 28-byte little-endian records and protected by an FNV-1a-64
-// checksum over the record payload. decode_event_frame validates magic,
-// version, size and checksum and throws util::InputError on any mismatch —
-// a truncated or corrupted frame never decodes partially.
+// service, hour granularity), ServiceEvent is the *streaming* shape —
+// fixed-size, always classified, second-granular timestamp — so the daemon
+// routes events by value without any per-event allocation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "geo/commune.hpp"
 #include "net/types.hpp"
@@ -43,19 +35,5 @@ struct ServiceEvent {
 
   friend bool operator==(const ServiceEvent&, const ServiceEvent&) = default;
 };
-
-/// Wire sizes of the appscope.events/1 framing.
-inline constexpr std::size_t kEventFrameHeaderBytes = 24;
-inline constexpr std::size_t kEventWireBytes = 28;
-inline constexpr std::uint32_t kEventFrameMagic = 0x56455341u;  // "ASEV" LE
-inline constexpr std::uint16_t kEventFrameVersion = 1;
-
-/// Serializes events into one self-validating frame.
-std::vector<std::uint8_t> encode_event_frame(std::span<const ServiceEvent> events);
-
-/// Parses and validates a frame produced by encode_event_frame. Throws
-/// util::InputError on bad magic, version skew, truncation, trailing bytes
-/// or checksum mismatch.
-std::vector<ServiceEvent> decode_event_frame(std::span<const std::uint8_t> bytes);
 
 }  // namespace appscope::net

@@ -4,10 +4,9 @@
 // (`latest.snapshot`, atomically renamed into place at each epoch seal) and
 // hands out a shared SnapshotView of the newest sealed snapshot. refresh()
 // re-resolves the publish point; when the published file changed it opens a
-// new view and swaps it in, with a bounded retry against the find/open race
-// (same discipline as core::load_epoch_snapshot). Readers keep their
-// shared_ptr for as long as a query runs, so a republish never invalidates
-// an in-flight scan.
+// new view and swaps it in, with a bounded retry against the find/open race.
+// Readers keep their shared_ptr for as long as a query runs, so a republish
+// never invalidates an in-flight scan.
 #pragma once
 
 #include <cstdint>

@@ -104,7 +104,7 @@ query::Slice slice_from_args(const util::CliArgs& args) {
   } else {
     throw util::InputError("unknown --op=" + op + " (sum|max|mean|topk)");
   }
-  slice.k = static_cast<std::uint32_t>(args.get_int("k", 5));
+  slice.k = args.get_count<std::uint32_t>("k", 5);
 
   const std::string group = args.get_string("group-by", "none");
   if (group == "none") {
@@ -242,10 +242,9 @@ int main(int argc, char** argv) {
       std::cerr << "appscope_query: --follow needs --dir\n";
       return 2;
     }
-    const auto repeat =
-        static_cast<std::size_t>(args.get_int("repeat", 1));
-    const auto interval =
-        std::chrono::milliseconds(args.get_int("interval-ms", 200));
+    const auto repeat = args.get_count<std::size_t>("repeat", 1);
+    const auto interval = std::chrono::milliseconds(
+        args.get_count<std::uint32_t>("interval-ms", 200));
 
     std::unique_ptr<obs::TelemetryPlane> telemetry;
     if (follow) {
@@ -254,8 +253,8 @@ int main(int argc, char** argv) {
       if (admin_port >= 0) {
         obs::TelemetryOptions topts;
         topts.admin.port = static_cast<std::uint16_t>(admin_port);
-        topts.sampler.interval =
-            std::chrono::milliseconds(args.get_int("admin-sample-ms", 1000));
+        topts.sampler.interval = std::chrono::milliseconds(
+            args.get_count<std::uint32_t>("admin-sample-ms", 1000));
         telemetry = std::make_unique<obs::TelemetryPlane>(topts);
         telemetry->start();
         std::cerr << "appscope_query: admin endpoint on http://127.0.0.1:"
@@ -265,8 +264,7 @@ int main(int argc, char** argv) {
     }
 
     query::Engine engine(
-        {.cache_capacity =
-             static_cast<std::size_t>(args.get_int("cache", 128))});
+        {.cache_capacity = args.get_count<std::size_t>("cache", 128)});
 
     std::shared_ptr<const query::SnapshotView> view;
     query::Follower follower(dir);

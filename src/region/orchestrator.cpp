@@ -19,13 +19,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Seals one freshly generated region snapshot with the serve-daemon
-/// publish sequence: save() publishes the epoch file, then latest.snapshot
-/// is republished as a link to it. A crash between the two leaves a valid
-/// epoch file that find_latest_snapshot still resolves.
+/// Seals one freshly generated region snapshot as epoch 0 with the
+/// serve-daemon publish sequence: save() publishes the epoch file, then
+/// latest.snapshot is republished as a link to it. A crash between the two
+/// leaves a valid epoch file that find_latest_snapshot still resolves.
 std::string publish_shard(const core::TrafficDataset& dataset,
-                          const fs::path& dir, std::uint64_t epoch) {
-  const std::string epoch_path = (dir / io::epoch_filename(epoch)).string();
+                          const fs::path& dir) {
+  const std::string epoch_path = (dir / io::epoch_filename(0)).string();
   dataset.save(epoch_path);
   io::publish_link(epoch_path, (dir / "latest.snapshot").string());
   return epoch_path;
@@ -69,7 +69,7 @@ RegionRun run_shard(const RegionSpec& spec, const OrchestratorOptions& options) 
   }
 
   const core::TrafficDataset dataset = core::TrafficDataset::generate(spec.config);
-  run.snapshot_path = publish_shard(dataset, dir, options.epoch);
+  run.snapshot_path = publish_shard(dataset, dir);
   run.bytes = static_cast<std::uint64_t>(fs::file_size(run.snapshot_path, ec));
   run.communes = dataset.commune_count();
   return run;

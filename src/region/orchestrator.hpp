@@ -38,8 +38,6 @@ struct OrchestratorOptions {
   /// size; any other value resizes the global util::ThreadPool first.
   /// Results are identical at every setting.
   std::size_t threads = 0;
-  /// Epoch index used in published filenames (epoch_<index>.snapshot).
-  std::uint64_t epoch = 0;
 };
 
 /// Outcome of one region shard.

@@ -73,13 +73,13 @@ int run(const util::CliArgs& args) {
   const region::RegionSet regions =
       names.empty()
           ? region::RegionSet::metro_areas(
-                static_cast<std::size_t>(args.get_int("count", 4)), scale)
+                args.get_count<std::size_t>("count", 4), scale)
           : region::RegionSet::metro_areas_named(split_ids(names), scale);
 
   region::OrchestratorOptions options;
   options.root = args.get_string("out", "region_out");
   options.reuse_snapshots = !args.has("regenerate");
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  options.threads = args.get_count<std::size_t>("threads", 0);
 
   const region::OrchestrationReport orchestration =
       region::orchestrate(regions, options);
@@ -122,8 +122,7 @@ int run(const util::CliArgs& args) {
                                                           "downlink")));
 
   region::RegionReportOptions report_options;
-  report_options.max_rows =
-      static_cast<std::size_t>(args.get_int("max-rows", 10));
+  report_options.max_rows = args.get_count<std::size_t>("max-rows", 10);
   const std::string report_path = args.get_string("report", "");
   if (report_path.empty()) {
     region::write_region_report(comparison, &merge, std::cout, report_options);
@@ -142,7 +141,6 @@ int run(const util::CliArgs& args) {
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  if (args.has("metrics")) util::MetricsRegistry::set_enabled(true);
   util::write_metrics_at_exit();
   util::enable_trace_export(args.get_string("trace", ""));
 

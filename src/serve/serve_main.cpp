@@ -57,37 +57,26 @@ int main(int argc, char** argv) {
   util::write_metrics_at_exit();
   util::enable_trace_export(args.get_string("trace", ""));
 
-  serve::ServeConfig config;
-  const std::string scale = args.get_string("scale", "test");
-  if (scale == "example") {
-    config.scenario = synth::ScenarioConfig::example_scale();
-  } else if (scale == "paper") {
-    config.scenario = synth::ScenarioConfig::paper_scale();
-  } else if (scale != "test") {
-    std::cerr << "unknown --scale=" << scale << " (test|example|paper)\n";
-    return 2;
-  }
-
-  config.shard_count = static_cast<std::size_t>(args.get_int("shards", 4));
-  config.queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue-capacity", 1 << 16));
-  config.epoch_seconds =
-      static_cast<std::uint32_t>(args.get_int("epoch-seconds", 3600));
-  config.events_per_cell =
-      static_cast<std::size_t>(args.get_int("events-per-cell", 1));
-  config.target_events_per_second = args.get_double("rate", 0.0);
-  config.duration_seconds = args.get_double("duration", 0.0);
-  config.weeks = static_cast<std::size_t>(args.get_int("weeks", 1));
-  config.sample_period =
-      static_cast<std::uint64_t>(args.get_int("sample-period", 8));
-  config.force_sampling = args.has("force-sampling");
-  config.snapshot_dir = args.get_string("snapshot-dir", "");
-  config.stop_flag = &g_stop;
-
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
 
   try {
+    serve::ServeConfig config;
+    config.scenario =
+        synth::ScenarioConfig::for_scale(args.get_string("scale", "test"));
+    config.shard_count = args.get_count<std::size_t>("shards", 4);
+    config.queue_capacity =
+        args.get_count<std::size_t>("queue-capacity", 1 << 16);
+    config.epoch_seconds = args.get_count<std::uint32_t>("epoch-seconds", 3600);
+    config.events_per_cell = args.get_count<std::size_t>("events-per-cell", 1);
+    config.target_events_per_second = args.get_double("rate", 0.0);
+    config.duration_seconds = args.get_double("duration", 0.0);
+    config.weeks = args.get_count<std::size_t>("weeks", 1);
+    config.sample_period = args.get_count<std::uint64_t>("sample-period", 8);
+    config.force_sampling = args.has("force-sampling");
+    config.snapshot_dir = args.get_string("snapshot-dir", "");
+    config.stop_flag = &g_stop;
+
     // Live telemetry plane: only when asked for via flag or environment.
     std::unique_ptr<obs::TelemetryPlane> telemetry;
     const int admin_port =
@@ -96,8 +85,8 @@ int main(int argc, char** argv) {
       obs::TelemetryOptions topts;
       topts.admin.port = static_cast<std::uint16_t>(admin_port);
       topts.admin.bind_address = args.get_string("admin-bind", "127.0.0.1");
-      topts.sampler.interval =
-          std::chrono::milliseconds(args.get_int("admin-sample-ms", 1000));
+      topts.sampler.interval = std::chrono::milliseconds(
+          args.get_count<std::uint32_t>("admin-sample-ms", 1000));
       topts.watchdog.expected_epoch_seconds =
           args.get_double("epoch-stall-seconds", 0.0);
       topts.watchdog.seal_p99_slo_seconds = args.get_double("seal-slo", 0.0);

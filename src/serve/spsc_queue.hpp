@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -24,9 +25,14 @@ template <typename T>
 class SpscQueue {
  public:
   /// Capacity is rounded up to a power of two (masked indexing); the queue
-  /// holds up to `capacity` elements.
+  /// holds up to `capacity` elements. A capacity above the largest power of
+  /// two has nothing to round up to and throws PreconditionError.
   explicit SpscQueue(std::size_t capacity) {
     APPSCOPE_REQUIRE(capacity > 0, "SpscQueue: capacity must be positive");
+    constexpr std::size_t kMaxCapacity =
+        std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+    APPSCOPE_REQUIRE(capacity <= kMaxCapacity,
+                     "SpscQueue: capacity exceeds the largest power of two");
     std::size_t cap = 1;
     while (cap < capacity) cap <<= 1;
     ring_.resize(cap);

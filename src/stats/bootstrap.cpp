@@ -11,12 +11,9 @@
 
 namespace appscope::stats {
 
-namespace {
-
-template <typename Statistic>
-BootstrapCi bootstrap_ci(std::span<const double> sample, std::size_t iterations,
-                         double alpha, std::uint64_t seed,
-                         Statistic&& statistic) {
+BootstrapCi bootstrap_mean_ci(std::span<const double> sample,
+                              std::size_t iterations, double alpha,
+                              std::uint64_t seed) {
   APPSCOPE_REQUIRE(!sample.empty(), "bootstrap: empty sample");
   APPSCOPE_REQUIRE(iterations >= 100, "bootstrap: needs >= 100 iterations");
   APPSCOPE_REQUIRE(alpha > 0.0 && alpha < 0.5, "bootstrap: alpha in (0, 0.5)");
@@ -38,14 +35,14 @@ BootstrapCi bootstrap_ci(std::span<const double> sample, std::size_t iterations,
           for (double& v : resample) {
             v = sample[rng.uniform_index(sample.size())];
           }
-          estimates[it] = statistic(resample);
+          estimates[it] = mean(resample);
         }
       });
   std::sort(estimates.begin(), estimates.end());
 
   BootstrapCi ci;
   ci.alpha = alpha;
-  ci.point = statistic(std::vector<double>(sample.begin(), sample.end()));
+  ci.point = mean(sample);
   const auto at = [&estimates](double q) {
     const auto idx = static_cast<std::size_t>(
         q * static_cast<double>(estimates.size() - 1));
@@ -54,22 +51,6 @@ BootstrapCi bootstrap_ci(std::span<const double> sample, std::size_t iterations,
   ci.lower = at(alpha / 2.0);
   ci.upper = at(1.0 - alpha / 2.0);
   return ci;
-}
-
-}  // namespace
-
-BootstrapCi bootstrap_mean_ci(std::span<const double> sample,
-                              std::size_t iterations, double alpha,
-                              std::uint64_t seed) {
-  return bootstrap_ci(sample, iterations, alpha, seed,
-                      [](const std::vector<double>& xs) { return mean(xs); });
-}
-
-BootstrapCi bootstrap_median_ci(std::span<const double> sample,
-                                std::size_t iterations, double alpha,
-                                std::uint64_t seed) {
-  return bootstrap_ci(sample, iterations, alpha, seed,
-                      [](const std::vector<double>& xs) { return median(xs); });
 }
 
 }  // namespace appscope::stats

@@ -26,9 +26,4 @@ BootstrapCi bootstrap_mean_ci(std::span<const double> sample,
                               std::size_t iterations = 2000,
                               double alpha = 0.05, std::uint64_t seed = 1234);
 
-/// Same machinery for the median.
-BootstrapCi bootstrap_median_ci(std::span<const double> sample,
-                                std::size_t iterations = 2000,
-                                double alpha = 0.05, std::uint64_t seed = 1234);
-
 }  // namespace appscope::stats

@@ -1,5 +1,7 @@
 #include "synth/scenario.hpp"
 
+#include "util/error.hpp"
+
 namespace appscope::synth {
 
 ScenarioConfig ScenarioConfig::test_scale() {
@@ -36,6 +38,14 @@ ScenarioConfig ScenarioConfig::example_scale() {
 ScenarioConfig ScenarioConfig::paper_scale() {
   ScenarioConfig cfg;  // defaults are the nationwide parameters
   return cfg;
+}
+
+ScenarioConfig ScenarioConfig::for_scale(std::string_view name) {
+  if (name == "test") return test_scale();
+  if (name == "example") return example_scale();
+  if (name == "paper") return paper_scale();
+  throw util::InputError("unknown scale '" + std::string(name) +
+                         "' (test|example|paper)");
 }
 
 }  // namespace appscope::synth

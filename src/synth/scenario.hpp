@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "geo/territory.hpp"
 #include "workload/mobility.hpp"
@@ -48,6 +49,9 @@ struct ScenarioConfig {
   static ScenarioConfig example_scale();
   /// Full nationwide scenario matching the paper (~36,000 communes).
   static ScenarioConfig paper_scale();
+  /// The preset named "test", "example" or "paper"; throws util::InputError
+  /// naming the valid scales for any other name.
+  static ScenarioConfig for_scale(std::string_view name);
 };
 
 }  // namespace appscope::synth

@@ -85,20 +85,4 @@ std::optional<TopicalTime> classify_topical(WeekHour wh,
   return best;
 }
 
-std::vector<std::size_t> topical_interval_hours(TopicalTime t,
-                                                std::size_t tolerance_hours) {
-  std::vector<std::size_t> out;
-  const auto anchor = static_cast<long>(topical_anchor_hour(t));
-  const auto tol = static_cast<long>(tolerance_hours);
-  const std::size_t day_lo = topical_is_weekend(t) ? 0 : 2;
-  const std::size_t day_hi = topical_is_weekend(t) ? 2 : kDaysPerWeek;
-  for (std::size_t d = day_lo; d < day_hi; ++d) {
-    for (long h = anchor - tol; h <= anchor + tol; ++h) {
-      if (h < 0 || h >= static_cast<long>(kHoursPerDay)) continue;
-      out.push_back(d * kHoursPerDay + static_cast<std::size_t>(h));
-    }
-  }
-  return out;
-}
-
 }  // namespace appscope::ts

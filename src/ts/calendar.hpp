@@ -81,9 +81,4 @@ bool topical_is_weekend(TopicalTime t) noexcept;
 std::optional<TopicalTime> classify_topical(WeekHour wh,
                                             std::size_t tolerance_hours = 1);
 
-/// All week-hour indices belonging to a topical time's interval
-/// (anchor ± tolerance on each matching day).
-std::vector<std::size_t> topical_interval_hours(TopicalTime t,
-                                                std::size_t tolerance_hours = 1);
-
 }  // namespace appscope::ts

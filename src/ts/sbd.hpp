@@ -25,11 +25,6 @@ struct SbdResult {
   double ncc = 0.0;
 };
 
-/// Full normalized cross-correlation sequence NCCc_w, w = 1..2m-1
-/// (index i corresponds to shift s = i - (m-1)). If either series has zero
-/// norm, the sequence is all zeros.
-std::vector<double> ncc_c(std::span<const double> x, std::span<const double> y);
-
 /// SBD with optimal shift. Requires equal, non-zero lengths.
 SbdResult sbd(std::span<const double> x, std::span<const double> y);
 
@@ -46,10 +41,6 @@ std::vector<double> shift_series(std::span<const double> y, std::ptrdiff_t shift
 /// same buffer repeatedly.
 void shift_series_into(std::span<const double> y, std::ptrdiff_t shift,
                        std::vector<double>& out);
-
-/// Aligns y against reference x: computes sbd(x, y) and returns y shifted by
-/// the optimal shift.
-std::vector<double> align_to(std::span<const double> x, std::span<const double> y);
 
 /// Symmetric pairwise SBD matrix over `series` (all equal length >= 2),
 /// zero diagonal, in the legacy nested layout. Compatibility shim over the

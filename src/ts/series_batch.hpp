@@ -32,11 +32,10 @@
 namespace appscope::ts {
 
 /// Direct evaluation wins for SBD up to this series length; above it the
-/// batch spectral path is faster. Lower than
-/// la::kCrossCorrelationDirectThreshold because cached spectra reduce the
-/// per-pair spectral cost to one conj-multiply plus one inverse transform:
-/// measured (release, -O2, plan cache warm) direct wins at m = 80 (2.3us vs
-/// 2.8us per pair) and loses from m = 96 (3.9us vs 2.9us).
+/// batch spectral path is faster. Cached spectra reduce the per-pair
+/// spectral cost to one conj-multiply plus one inverse transform: measured
+/// (release, -O2, plan cache warm) direct wins at m = 80 (2.3us vs 2.8us per
+/// pair) and loses from m = 96 (3.9us vs 2.9us).
 inline constexpr std::size_t kSbdSpectralThreshold = 80;
 
 /// True when SBD over length-m series takes the spectral path (above

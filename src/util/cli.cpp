@@ -52,6 +52,19 @@ std::int64_t CliArgs::get_int(std::string_view name,
   return parse_int(*v);
 }
 
+std::uint64_t CliArgs::checked_count(std::string_view name,
+                                    std::uint64_t default_value,
+                                    std::uint64_t max) const {
+  const auto v = value(name);
+  if (!v) return default_value;
+  const std::int64_t n = parse_int(*v);
+  if (n < 0 || static_cast<std::uint64_t>(n) > max) {
+    throw InputError("--" + std::string(name) + "=" + *v +
+                     ": expected a count in [0, " + std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(n);
+}
+
 double CliArgs::get_double(std::string_view name, double default_value) const {
   const auto v = value(name);
   if (!v) return default_value;

@@ -5,7 +5,9 @@
 // typed accessors and an auto-generated usage string.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,6 +33,14 @@ class CliArgs {
   std::int64_t get_int(std::string_view name, std::int64_t default_value) const;
   double get_double(std::string_view name, double default_value) const;
 
+  /// "--name=N" as a count of unsigned type T. Throws InputError when N is
+  /// negative or exceeds T's range, which a cast would silently wrap.
+  template <std::unsigned_integral T>
+  T get_count(std::string_view name, T default_value) const {
+    return static_cast<T>(
+        checked_count(name, default_value, std::numeric_limits<T>::max()));
+  }
+
   const std::vector<std::string>& positionals() const noexcept {
     return positionals_;
   }
@@ -40,6 +50,10 @@ class CliArgs {
     std::string name;
     std::optional<std::string> value;
   };
+
+  std::uint64_t checked_count(std::string_view name,
+                              std::uint64_t default_value,
+                              std::uint64_t max) const;
 
   std::string program_;
   std::vector<Option> options_;

@@ -1,90 +1,10 @@
 #include "util/mem_stats.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
 #include <sys/resource.h>
-#include <unistd.h>
-#endif
-
-#ifdef APPSCOPE_MEM_TRACE
-#include <cstddef>
-#include <new>
 #endif
 
 namespace appscope::util {
-
-namespace {
-
-#ifdef APPSCOPE_MEM_TRACE
-/// Trivial PODs only: operator new can run during thread-local storage
-/// setup, so these must need no dynamic initialization (zero-filled .tbss).
-struct ThreadMemTls {
-  std::uint64_t alloc_count;
-  std::uint64_t alloc_bytes;
-  std::uint64_t free_count;
-};
-thread_local ThreadMemTls t_mem;
-
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_free_count{0};
-
-inline void note_alloc(std::size_t size) noexcept {
-  ++t_mem.alloc_count;
-  t_mem.alloc_bytes += size;
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-}
-
-inline void note_free() noexcept {
-  ++t_mem.free_count;
-  g_free_count.fetch_add(1, std::memory_order_relaxed);
-}
-#endif  // APPSCOPE_MEM_TRACE
-
-bool env_mem_sampling() {
-  const char* env = std::getenv("APPSCOPE_MEM_TRACE");
-  if (env == nullptr) return false;
-  return *env != '\0' && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "false") != 0 && std::strcmp(env, "off") != 0;
-}
-
-std::atomic<bool>& mem_sampling_flag() {
-  static std::atomic<bool> flag{env_mem_sampling()};
-  return flag;
-}
-
-}  // namespace
-
-bool mem_trace_compiled() noexcept {
-#ifdef APPSCOPE_MEM_TRACE
-  return true;
-#else
-  return false;
-#endif
-}
-
-MemCounters thread_mem_counters() noexcept {
-#ifdef APPSCOPE_MEM_TRACE
-  return {t_mem.alloc_count, t_mem.alloc_bytes, t_mem.free_count};
-#else
-  return {};
-#endif
-}
-
-MemCounters process_mem_counters() noexcept {
-#ifdef APPSCOPE_MEM_TRACE
-  return {g_alloc_count.load(std::memory_order_relaxed),
-          g_alloc_bytes.load(std::memory_order_relaxed),
-          g_free_count.load(std::memory_order_relaxed)};
-#else
-  return {};
-#endif
-}
 
 std::uint64_t peak_rss_bytes() noexcept {
 #if defined(__unix__) || defined(__APPLE__)
@@ -100,155 +20,4 @@ std::uint64_t peak_rss_bytes() noexcept {
 #endif
 }
 
-std::uint64_t current_rss_bytes() noexcept {
-#if defined(__linux__)
-  // /proc/self/statm: "<size> <resident> ..." in pages. Raw read with a
-  // stack buffer — no allocation, so the span hooks can call this freely.
-  const int fd = ::open("/proc/self/statm", O_RDONLY);
-  if (fd < 0) return 0;
-  char buf[128];
-  const ssize_t n = ::read(fd, buf, sizeof(buf) - 1);
-  ::close(fd);
-  if (n <= 0) return 0;
-  buf[n] = '\0';
-  const char* p = buf;
-  while (*p != '\0' && *p != ' ') ++p;  // skip <size>
-  if (*p != ' ') return 0;
-  std::uint64_t resident_pages = 0;
-  for (++p; *p >= '0' && *p <= '9'; ++p) {
-    resident_pages = resident_pages * 10 + static_cast<std::uint64_t>(*p - '0');
-  }
-  const long page = ::sysconf(_SC_PAGESIZE);
-  return resident_pages * static_cast<std::uint64_t>(page > 0 ? page : 4096);
-#else
-  return 0;
-#endif
-}
-
-bool mem_sampling_enabled() noexcept {
-  return mem_sampling_flag().load(std::memory_order_relaxed);
-}
-
-void set_mem_sampling(bool on) noexcept {
-  mem_sampling_flag().store(on, std::memory_order_relaxed);
-}
-
 }  // namespace appscope::util
-
-#ifdef APPSCOPE_MEM_TRACE
-// ---------------------------------------------------------------------------
-// Counting operator new/delete shim. Compiled only under APPSCOPE_MEM_TRACE;
-// this translation unit is always linked (the accessors above are referenced
-// by util/trace.cpp), so the replacements reliably take effect.
-
-namespace {
-
-void* counted_alloc(std::size_t size) noexcept {
-  appscope::util::note_alloc(size);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) noexcept {
-  appscope::util::note_alloc(size);
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     size == 0 ? 1 : size) != 0) {
-    return nullptr;
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = counted_alloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) {
-  void* p = counted_alloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  void* p = counted_aligned_alloc(size, static_cast<std::size_t>(align));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  void* p = counted_aligned_alloc(size, static_cast<std::size_t>(align));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t&) noexcept {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-
-void operator delete(void* p) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete[](void* p) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete(void* p, std::size_t) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete[](void* p, std::size_t) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete(void* p, std::align_val_t) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete[](void* p, std::align_val_t) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  appscope::util::note_free();
-  std::free(p);
-}
-#endif  // APPSCOPE_MEM_TRACE

@@ -1,55 +1,16 @@
 // appscope/util/mem_stats.hpp
 //
-// Opt-in memory accounting for the per-stage trace spans (util/trace.hpp):
-//
-//   * allocation count/bytes come from a counting operator new/delete shim
-//     that is compiled only when the build sets -DAPPSCOPE_MEM_TRACE=ON
-//     (cmake option). Without the shim the counters read as zero and
-//     mem_trace_compiled() is false — the accessors below always link.
-//   * peak/current RSS come from portable process probes (getrusage /
-//     /proc/self/statm) and work in every build.
-//
-// Sampling into spans is additionally gated at runtime by the
-// APPSCOPE_MEM_TRACE environment variable (or set_mem_sampling), so a
-// shim-enabled binary pays only the per-allocation counter updates until
-// sampling is requested. Accounting is pure observation: it changes no
-// allocation and no analysis result.
+// Process memory probe: the peak resident set size behind the metrics
+// document's mem.peak_rss_bytes gauge and perfbench's peak_rss_mb. It only
+// observes; it changes no allocation and no analysis result.
 #pragma once
 
 #include <cstdint>
 
 namespace appscope::util {
 
-struct MemCounters {
-  std::uint64_t alloc_count = 0;
-  std::uint64_t alloc_bytes = 0;
-  std::uint64_t free_count = 0;
-};
-
-/// True when this binary was built with the counting operator new shim
-/// (-DAPPSCOPE_MEM_TRACE=ON).
-bool mem_trace_compiled() noexcept;
-
-/// Allocations made by the calling thread since it started (zeros when the
-/// shim is compiled out). Reading takes no lock and never allocates.
-MemCounters thread_mem_counters() noexcept;
-
-/// Allocations made by the whole process (zeros when the shim is out).
-MemCounters process_mem_counters() noexcept;
-
 /// Peak resident set size of the process in bytes (getrusage ru_maxrss;
-/// 0 when the platform offers no probe). Monotone, so spans sample it only
-/// at close.
+/// 0 when the platform offers no probe).
 std::uint64_t peak_rss_bytes() noexcept;
-
-/// Current resident set size in bytes (/proc/self/statm on Linux; 0 when
-/// unavailable). Never allocates, so it is safe inside the span hooks.
-std::uint64_t current_rss_bytes() noexcept;
-
-/// Runtime gate for per-span memory sampling. Initialized from the
-/// APPSCOPE_MEM_TRACE environment variable ("0"/"false"/"off"/empty mean
-/// off); tests flip it via set_mem_sampling.
-bool mem_sampling_enabled() noexcept;
-void set_mem_sampling(bool on) noexcept;
 
 }  // namespace appscope::util

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
@@ -324,12 +323,6 @@ Json histogram_to_json(const HistogramSnapshot& h) {
   return Json(std::move(obj));
 }
 
-std::string format_csv_double(double v) {
-  std::array<char, 40> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.17g", v);
-  return buf.data();
-}
-
 }  // namespace
 
 Json metrics_to_json(const MetricsSnapshot& snapshot) {
@@ -384,22 +377,6 @@ MetricsSnapshot metrics_from_json(const Json& doc) {
   return out;
 }
 
-std::string metrics_to_csv(const MetricsSnapshot& snapshot) {
-  std::string out = "kind,name,value,count,sum,min,max\n";
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "counter," + name + "," + std::to_string(value) + ",,,,\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += "gauge," + name + "," + format_csv_double(value) + ",,,,\n";
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    out += "histogram," + name + ",," + std::to_string(h.count) + "," +
-           format_csv_double(h.sum) + "," + format_csv_double(h.min) + "," +
-           format_csv_double(h.max) + "\n";
-  }
-  return out;
-}
-
 void write_metrics_json(const std::string& path) {
   Json doc = metrics_to_json(MetricsRegistry::global().snapshot());
   const TraceRecorder& recorder = TraceRecorder::global();
@@ -413,22 +390,12 @@ void write_metrics_json(const std::string& path) {
     span.emplace("depth", Json(static_cast<std::uint64_t>(event.depth)));
     span.emplace("start_ns", Json(event.start_ns));
     span.emplace("duration_ns", Json(event.duration_ns));
-    if (event.alloc_count > 0) span.emplace("alloc_count", Json(event.alloc_count));
-    if (event.alloc_bytes > 0) span.emplace("alloc_bytes", Json(event.alloc_bytes));
-    if (event.rss_peak_bytes > 0) {
-      span.emplace("rss_peak_bytes", Json(event.rss_peak_bytes));
-    }
     spans.emplace_back(std::move(span));
   }
   // The per-thread buffer cap must never be silent: the dropped count rides
   // along as a first-class counter (and the legacy top-level key).
   Json::Object& counters = doc.as_object()["counters"].as_object();
   counters["trace.dropped_events"] = Json(recorder.dropped_events());
-  if (mem_trace_compiled()) {
-    const MemCounters mem = process_mem_counters();
-    counters["mem.alloc_count"] = Json(mem.alloc_count);
-    counters["mem.alloc_bytes"] = Json(mem.alloc_bytes);
-  }
   if (const std::uint64_t peak = peak_rss_bytes(); peak > 0) {
     doc.as_object()["gauges"].as_object()["mem.peak_rss_bytes"] = Json(peak);
   }

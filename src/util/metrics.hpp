@@ -17,7 +17,7 @@
 //
 // Determinism model: metrics are pure observation. Recording is gated by
 // MetricsRegistry::enabled() (the APPSCOPE_METRICS environment variable or
-// StudyOptions::metrics); with the gate off every instrument is an inert
+// set_enabled); with the gate off every instrument is an inert
 // no-op, and with it on no analysis result changes — instrumented and
 // uninstrumented runs stay bitwise identical
 // (tests/core/test_metrics_determinism.cpp asserts this).
@@ -112,7 +112,7 @@ class MetricsRegistry {
 
   /// Master gate. Initialized once from the APPSCOPE_METRICS environment
   /// variable ("0"/"false"/empty mean off); flip it programmatically via
-  /// set_enabled (StudyOptions::metrics does). Instruments check this
+  /// set_enabled. Instruments check this
   /// before touching the registry, so a disabled run pays one relaxed
   /// atomic load per instrument.
   static bool enabled() noexcept;
@@ -168,7 +168,7 @@ class StageTimer {
 };
 
 // ---------------------------------------------------------------------------
-// Export: the machine-readable metrics.json / metrics.csv feed.
+// Export: the machine-readable metrics.json feed.
 
 /// Serializes a snapshot (plus the recorded trace spans, see util/trace.hpp)
 /// into the stable metrics document: {"schema": "appscope.metrics/1",
@@ -178,9 +178,6 @@ Json metrics_to_json(const MetricsSnapshot& snapshot);
 /// Parses a document produced by metrics_to_json back into a snapshot
 /// (ignores the spans section). Throws InputError on schema mismatch.
 MetricsSnapshot metrics_from_json(const Json& doc);
-
-/// One CSV row per metric: kind,name,value,count,sum,min,max.
-std::string metrics_to_csv(const MetricsSnapshot& snapshot);
 
 /// Snapshot the global registry + global trace recorder and write the JSON
 /// document to `path`. Throws InputError if the file cannot be written.

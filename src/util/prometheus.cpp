@@ -57,23 +57,6 @@ std::string prometheus_escape_help(std::string_view text) {
   return out;
 }
 
-std::string prometheus_escape_label(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::string metrics_to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
   for (const auto& [name, value] : snapshot.counters) {

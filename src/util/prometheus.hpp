@@ -34,9 +34,6 @@ std::string prometheus_name(std::string_view name);
 /// exposition format requires escaping there).
 std::string prometheus_escape_help(std::string_view text);
 
-/// Escapes a label value: backslash, double quote and newline.
-std::string prometheus_escape_label(std::string_view text);
-
 /// Renders the whole snapshot as one exposition document (counters, then
 /// gauges, then histograms — each family preceded by # HELP and # TYPE).
 std::string metrics_to_prometheus(const MetricsSnapshot& snapshot);

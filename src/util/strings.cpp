@@ -36,12 +36,6 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 std::string format_double(double value, int digits) {
   std::array<char, 64> buf{};
   const int written =
@@ -75,13 +69,6 @@ std::string format_bytes(double bytes) {
 std::string pad_right(std::string_view text, std::size_t width) {
   std::string out(text);
   if (out.size() < width) out.append(width - out.size(), ' ');
-  return out;
-}
-
-std::string pad_left(std::string_view text, std::size_t width) {
-  std::string out;
-  if (text.size() < width) out.append(width - text.size(), ' ');
-  out.append(text);
   return out;
 }
 

@@ -19,9 +19,6 @@ std::string_view trim(std::string_view text);
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
-/// Lower-cases ASCII letters.
-std::string to_lower(std::string_view text);
-
 /// Formats a double with `digits` significant decimal places ("3.14").
 std::string format_double(double value, int digits = 3);
 
@@ -37,9 +34,8 @@ std::string format_percent(double fraction, int digits = 1);
 /// Human-readable byte volume ("1.5 KB", "23.4 MB", "1.2 GB").
 std::string format_bytes(double bytes);
 
-/// Left/right-pads `text` with spaces to `width` (no-op if already wider).
+/// Right-pads `text` with spaces to `width` (no-op if already wider).
 std::string pad_right(std::string_view text, std::size_t width);
-std::string pad_left(std::string_view text, std::size_t width);
 
 /// Parses a double / integer, throwing InputError on malformed input.
 double parse_double(std::string_view text);

@@ -50,27 +50,6 @@ std::string ascii_bar(double value, double max, std::size_t width) {
   return bar;
 }
 
-std::string sparkline(const std::vector<double>& values) {
-  static constexpr const char* kLevels = " .:-=+*#";
-  if (values.empty()) return {};
-  double lo = values.front();
-  double hi = values.front();
-  for (const double v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  const double range = hi - lo;
-  std::string out;
-  out.reserve(values.size());
-  for (const double v : values) {
-    const double frac = range > 0.0 ? (v - lo) / range : 0.0;
-    const auto level = static_cast<std::size_t>(
-        std::min(7.0, std::floor(frac * 8.0)));
-    out.push_back(kLevels[level]);
-  }
-  return out;
-}
-
 std::string ascii_chart(const std::vector<double>& values, std::size_t height,
                         std::size_t max_width) {
   if (values.empty() || height == 0) return {};

@@ -1,7 +1,7 @@
 // appscope/util/table.hpp
 //
 // Terminal rendering used by the figure-reproduction benches: aligned tables,
-// horizontal bar charts, and sparklines, so each bench prints the same
+// horizontal bar charts, and line charts, so each bench prints the same
 // rows/series the paper's figure reports.
 #pragma once
 
@@ -31,9 +31,6 @@ class TextTable {
 
 /// Renders `value` in [0, max] as a fixed-width ASCII bar ("#####----").
 std::string ascii_bar(double value, double max, std::size_t width = 40);
-
-/// Renders a series as a one-line sparkline using 8 shade levels.
-std::string sparkline(const std::vector<double>& values);
 
 /// Multi-row ASCII line chart (rows = levels, columns = samples).
 /// Used to print weekly time-series "figures" in the benches.

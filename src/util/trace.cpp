@@ -10,7 +10,6 @@
 
 #include "util/error.hpp"
 #include "util/json.hpp"
-#include "util/mem_stats.hpp"
 #include "util/metrics.hpp"
 
 namespace appscope::util {
@@ -155,12 +154,6 @@ ScopedSpan::ScopedSpan(std::string_view name)
   parent_id_ = saved_.span_id;
   depth_ = saved_.depth;
   t_span_ctx = {span_id_, depth_ + 1};
-  mem_ = mem_sampling_enabled();
-  if (mem_) {
-    const MemCounters mem = thread_mem_counters();
-    alloc_count0_ = mem.alloc_count;
-    alloc_bytes0_ = mem.alloc_bytes;
-  }
   start_ns_ = TraceRecorder::global().now_ns();
 }
 
@@ -168,12 +161,6 @@ ScopedSpan::~ScopedSpan() {
   if (!active_) return;
   const std::uint64_t end_ns = TraceRecorder::global().now_ns();
   TraceEvent event;
-  if (mem_) {
-    const MemCounters mem = thread_mem_counters();
-    event.alloc_count = mem.alloc_count - alloc_count0_;
-    event.alloc_bytes = mem.alloc_bytes - alloc_bytes0_;
-    event.rss_peak_bytes = peak_rss_bytes();
-  }
   event.name = std::move(name_);
   event.span_id = span_id_;
   event.parent_id = parent_id_;
@@ -196,11 +183,6 @@ Json trace_to_chrome_json(const std::vector<TraceEvent>& events,
     args.emplace("span_id", Json(event.span_id));
     args.emplace("parent_id", Json(event.parent_id));
     args.emplace("depth", Json(static_cast<std::uint64_t>(event.depth)));
-    if (event.alloc_count > 0) args.emplace("alloc_count", Json(event.alloc_count));
-    if (event.alloc_bytes > 0) args.emplace("alloc_bytes", Json(event.alloc_bytes));
-    if (event.rss_peak_bytes > 0) {
-      args.emplace("rss_peak_bytes", Json(event.rss_peak_bytes));
-    }
     Json::Object entry;
     entry.emplace("name", Json(event.name));
     entry.emplace("cat", Json("appscope"));

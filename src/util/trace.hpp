@@ -47,13 +47,6 @@ struct TraceEvent {
   /// Start offset since the recorder's epoch, and span length.
   std::uint64_t start_ns = 0;
   std::uint64_t duration_ns = 0;
-  /// Memory accounting (zero unless APPSCOPE_MEM_TRACE sampling is on):
-  /// allocations made by this span's thread while the span was open (needs
-  /// the compiled counting-new shim, see util/mem_stats.hpp) and the
-  /// process peak RSS observed when the span closed.
-  std::uint64_t alloc_count = 0;
-  std::uint64_t alloc_bytes = 0;
-  std::uint64_t rss_peak_bytes = 0;
 };
 
 /// The calling thread's position in the span DAG: the innermost open span
@@ -135,14 +128,11 @@ class ScopedSpan {
 
  private:
   bool active_;
-  bool mem_ = false;
   std::string name_;
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_id_ = 0;
   std::uint32_t depth_ = 0;
   std::uint64_t start_ns_ = 0;
-  std::uint64_t alloc_count0_ = 0;
-  std::uint64_t alloc_bytes0_ = 0;
   SpanContext saved_;
 };
 

@@ -103,7 +103,7 @@ TEST(DatasetIo, ExportWritesAllThreeFiles) {
   std::filesystem::remove_all(dir);
 }
 
-// --- load_epoch_snapshot: publisher race regression --------------------------
+// --- find_latest_snapshot ---------------------------------------------------
 
 namespace fs = std::filesystem;
 
@@ -115,66 +115,10 @@ struct EpochDir {
     fs::remove_all(dir);
     fs::create_directories(dir);
   }
-  ~EpochDir() {
-    detail::set_epoch_load_test_hook(nullptr);
-    fs::remove_all(dir);
-  }
+  ~EpochDir() { fs::remove_all(dir); }
 
   std::string latest() const { return (dir / "latest.snapshot").string(); }
 };
-
-TEST(DatasetIo, LoadEpochSnapshotRetriesWhenPublisherSwapsTheFile) {
-  // Simulates the daemon sealing a new epoch between find_latest_snapshot()
-  // and load(): attempt 0 sees a half-replaced (truncated) file; the retry
-  // must land on the restored valid snapshot instead of surfacing an error.
-  EpochDir e("appscope_epoch_race");
-  dataset().save(e.latest());
-  std::vector<char> valid;
-  {
-    std::ifstream in(e.latest(), std::ios::binary);
-    valid.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-
-  std::vector<int> attempts;
-  detail::set_epoch_load_test_hook([&](int attempt) {
-    attempts.push_back(attempt);
-    std::ofstream out(e.latest(), std::ios::binary | std::ios::trunc);
-    if (attempt == 0) {
-      // Half-written replacement: valid prefix, truncated payload.
-      out.write(valid.data(), static_cast<std::streamsize>(valid.size() / 2));
-    } else {
-      out.write(valid.data(), static_cast<std::streamsize>(valid.size()));
-    }
-  });
-
-  const TrafficDataset loaded = load_epoch_snapshot(e.dir.string());
-  EXPECT_EQ((std::vector<int>{0, 1}), attempts);
-  EXPECT_EQ(loaded.service_count(), dataset().service_count());
-  EXPECT_TRUE(std::ranges::equal(
-      loaded.national_series(0, workload::Direction::kDownlink),
-      dataset().national_series(0, workload::Direction::kDownlink)));
-}
-
-TEST(DatasetIo, LoadEpochSnapshotGivesUpAfterBoundedRetries) {
-  // A genuinely corrupt snapshot must still fail: the retry is bounded, not
-  // an infinite loop papering over bad data.
-  EpochDir e("appscope_epoch_corrupt");
-  dataset().save(e.latest());
-  int calls = 0;
-  detail::set_epoch_load_test_hook([&](int) {
-    ++calls;
-    std::ofstream out(e.latest(), std::ios::binary | std::ios::trunc);
-    out << "not a snapshot";
-  });
-  EXPECT_THROW(load_epoch_snapshot(e.dir.string()), util::InputError);
-  EXPECT_EQ(calls, 3);  // one per bounded attempt
-}
-
-TEST(DatasetIo, LoadEpochSnapshotEmptyDirectoryThrows) {
-  EpochDir e("appscope_epoch_empty");
-  EXPECT_THROW(load_epoch_snapshot(e.dir.string()), util::InputError);
-}
 
 TEST(DatasetIo, FindLatestSnapshotPrefersLatestOverEpochs) {
   EpochDir e("appscope_epoch_find");

@@ -15,9 +15,10 @@
 #include "core/study.hpp"
 #include "obs/sampler.hpp"
 #include "geo/territory.hpp"
-#include "la/fft.hpp"
+#include "la/fft_plan.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/correlation.hpp"
+#include "support/metrics_on.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "synth/sinks.hpp"
@@ -119,16 +120,21 @@ TEST(MetricsDeterminism, FftTransformsAreIdentical) {
   // correlations bit for bit with the gate on or off.
   const auto series = fixture_series(2);
   const auto [off, on] = both_ways([&] {
+    const la::RealFftPlan& plan = la::RealFftPlan::plan_for(512);
     std::vector<double> flat;
-    const auto spectrum = la::rfft(series[0], 512);
+    std::vector<std::complex<double>> spectrum(plan.spectrum_size());
+    plan.forward(series[0], spectrum);
     for (const auto& bin : spectrum) {
       flat.push_back(bin.real());
       flat.push_back(bin.imag());
     }
-    const auto back = la::irfft(spectrum, 512);
+    std::vector<double> back(plan.size());
+    plan.inverse(spectrum, back);
     flat.insert(flat.end(), back.begin(), back.end());
-    const auto corr = la::cross_correlation_fft(series[0], series[1]);
-    flat.insert(flat.end(), corr.begin(), corr.end());
+    const ts::SbdResult corr = ts::sbd(series[0], series[1]);
+    flat.push_back(corr.distance);
+    flat.push_back(corr.ncc);
+    flat.push_back(static_cast<double>(corr.shift));
     return flat;
   });
   EXPECT_EQ(off, on);
@@ -139,13 +145,13 @@ TEST(MetricsDeterminism, FftCountersAreRecordedWhenEnabled) {
   util::MetricsRegistry::set_enabled(true);
   util::MetricsRegistry::global().reset();
   const auto series = fixture_series(2);
-  (void)la::cross_correlation_fft(series[0], series[1]);
+  (void)ts::sbd(series[0], series[1]);
   const util::MetricsSnapshot snap = util::MetricsRegistry::global().snapshot();
   util::MetricsRegistry::set_enabled(was);
   util::MetricsRegistry::global().reset();
 
-  // One rfft per input plus the inverse: at least 3 transforms, and every
-  // plan lookup lands as either a hit or a miss.
+  // At m = 168 SBD runs one rfft per input plus the inverse: at least 3
+  // transforms, and its plan lookup lands as either a hit or a miss.
   ASSERT_TRUE(snap.counters.contains("la.fft.transforms"));
   EXPECT_GE(snap.counters.at("la.fft.transforms"), 3u);
   const std::uint64_t hits =
@@ -156,7 +162,7 @@ TEST(MetricsDeterminism, FftCountersAreRecordedWhenEnabled) {
       snap.counters.contains("la.fft.plan_cache_misses")
           ? snap.counters.at("la.fft.plan_cache_misses")
           : 0;
-  EXPECT_GE(hits + misses, 3u);
+  EXPECT_GE(hits + misses, 1u);
 }
 
 TEST(MetricsDeterminism, PeakDetectionIsIdentical) {
@@ -189,17 +195,16 @@ TEST(MetricsDeterminism, StudyReportIsIdenticalWithTraceExportOn) {
   const bool was = util::MetricsRegistry::enabled();
   util::MetricsRegistry::set_enabled(false);
   const std::string plain = render(core::run_study(dataset, quick));
+  util::MetricsRegistry::set_enabled(was);
 
   const std::string trace_path =
       ::testing::TempDir() + "appscope_study_trace.json";
-  util::TraceRecorder::global().reset();
-  core::StudyOptions traced = quick;
-  traced.metrics = true;
-  traced.trace_path = trace_path;
-  const std::string observed = render(core::run_study(dataset, traced));
-  util::MetricsRegistry::set_enabled(was);
-  util::MetricsRegistry::global().reset();
-  util::TraceRecorder::global().reset();
+  std::string observed;
+  {
+    const test_support::MetricsOn traced;
+    observed = render(core::run_study(dataset, quick));
+    util::write_trace_json(trace_path);
+  }
 
   EXPECT_EQ(plain, observed) << "tracing must not perturb the report";
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 
+#include "la/fft_plan.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -20,14 +22,13 @@ TEST(NextPow2, Basics) {
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<std::complex<double>> data(3);
-  EXPECT_THROW(fft(data, false), util::PreconditionError);
+  EXPECT_THROW(FftPlan::plan_for(3), util::PreconditionError);
 }
 
 TEST(Fft, ForwardOfImpulseIsFlat) {
   std::vector<std::complex<double>> data(8, 0.0);
   data[0] = 1.0;
-  fft(data, false);
+  FftPlan::plan_for(data.size()).forward(data.data());
   for (const auto& x : data) {
     EXPECT_NEAR(x.real(), 1.0, 1e-12);
     EXPECT_NEAR(x.imag(), 0.0, 1e-12);
@@ -42,8 +43,9 @@ TEST(Fft, RoundTripRecoversSignal) {
     data[i] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
     original[i] = data[i];
   }
-  fft(data, false);
-  fft(data, true);
+  const FftPlan& plan = FftPlan::plan_for(data.size());
+  plan.forward(data.data());
+  plan.inverse(data.data());
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_NEAR(data[i].real(), original[i].real(), 1e-10);
     EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-10);
@@ -58,7 +60,7 @@ TEST(Fft, ParsevalHolds) {
     x = {rng.uniform(-1, 1), 0.0};
     time_energy += std::norm(x);
   }
-  fft(data, false);
+  FftPlan::plan_for(data.size()).forward(data.data());
   double freq_energy = 0.0;
   for (const auto& x : data) freq_energy += std::norm(x);
   EXPECT_NEAR(freq_energy / 32.0, time_energy, 1e-10);
@@ -69,10 +71,12 @@ TEST(RealFft, RoundTripRecoversSignal) {
   for (std::size_t n = 2; n <= 1024; n *= 2) {
     std::vector<double> x(n);
     for (auto& v : x) v = rng.uniform(-3, 3);
-    const auto spectrum = rfft(x, n);
-    ASSERT_EQ(spectrum.size(), n / 2 + 1) << "n=" << n;
-    const auto back = irfft(spectrum, n);
-    ASSERT_EQ(back.size(), n);
+    const RealFftPlan& plan = RealFftPlan::plan_for(n);
+    ASSERT_EQ(plan.spectrum_size(), n / 2 + 1) << "n=" << n;
+    std::vector<std::complex<double>> spectrum(plan.spectrum_size());
+    plan.forward(x, spectrum);
+    std::vector<double> back(n);
+    plan.inverse(spectrum, back);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(back[i], x[i], 1e-10) << "n=" << n << " i=" << i;
     }
@@ -84,10 +88,11 @@ TEST(RealFft, MatchesComplexFft) {
   for (std::size_t n = 2; n <= 512; n *= 2) {
     std::vector<double> x(n);
     for (auto& v : x) v = rng.uniform(-3, 3);
-    const auto spectrum = rfft(x, n);
+    std::vector<std::complex<double>> spectrum(n / 2 + 1);
+    RealFftPlan::plan_for(n).forward(x, spectrum);
     std::vector<std::complex<double>> full(n);
     for (std::size_t i = 0; i < n; ++i) full[i] = x[i];
-    fft(full, false);
+    FftPlan::plan_for(n).forward(full.data());
     for (std::size_t k = 0; k <= n / 2; ++k) {
       EXPECT_NEAR(spectrum[k].real(), full[k].real(), 1e-10)
           << "n=" << n << " k=" << k;
@@ -99,10 +104,11 @@ TEST(RealFft, MatchesComplexFft) {
 
 TEST(RealFft, ZeroPadsShortInput) {
   const std::vector<double> x{1.0, -2.0, 3.0};
-  const auto spectrum = rfft(x, 8);
+  std::vector<std::complex<double>> spectrum(5);
+  RealFftPlan::plan_for(8).forward(x, spectrum);
   std::vector<std::complex<double>> full(8, 0.0);
   for (std::size_t i = 0; i < x.size(); ++i) full[i] = x[i];
-  fft(full, false);
+  FftPlan::plan_for(8).forward(full.data());
   for (std::size_t k = 0; k <= 4; ++k) {
     EXPECT_NEAR(spectrum[k].real(), full[k].real(), 1e-12);
     EXPECT_NEAR(spectrum[k].imag(), full[k].imag(), 1e-12);
@@ -113,7 +119,8 @@ TEST(RealFft, EdgeBinsAreReal) {
   util::Rng rng(10);
   std::vector<double> x(64);
   for (auto& v : x) v = rng.uniform(-1, 1);
-  const auto spectrum = rfft(x, 64);
+  std::vector<std::complex<double>> spectrum(33);
+  RealFftPlan::plan_for(64).forward(x, spectrum);
   EXPECT_NEAR(spectrum.front().imag(), 0.0, 1e-12);
   EXPECT_NEAR(spectrum.back().imag(), 0.0, 1e-12);
 }
@@ -143,63 +150,19 @@ TEST(CrossCorrelation, DirectMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(r[3], 3.0);  // s=2: a[2]*b[0]
 }
 
-TEST(CrossCorrelation, FftMatchesDirect) {
-  util::Rng rng(7);
-  for (const std::size_t n : {4u, 17u, 100u, 168u}) {
-    std::vector<double> a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.uniform(-2, 2);
-      b[i] = rng.uniform(-2, 2);
-    }
-    const auto direct = cross_correlation_direct(a, b);
-    const auto fast = cross_correlation_fft(a, b);
-    ASSERT_EQ(direct.size(), fast.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_NEAR(direct[i], fast[i], 1e-8) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
 TEST(CrossCorrelation, UnequalLengths) {
-  const auto direct = cross_correlation_direct({1, 2, 3, 4}, {1, 0, 1});
-  const auto fast = cross_correlation_fft({1, 2, 3, 4}, {1, 0, 1});
-  ASSERT_EQ(direct.size(), 6u);
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(direct[i], fast[i], 1e-10);
-  }
-}
-
-TEST(CrossCorrelation, PathsAgreeAtDispatchBoundary) {
-  // The dispatcher picks direct at m <= kCrossCorrelationDirectThreshold and
-  // the spectral path above; both sides of the boundary must agree so the
-  // cutover is purely a performance decision.
-  util::Rng rng(12);
-  constexpr std::size_t kT = kCrossCorrelationDirectThreshold;
-  for (const std::size_t n : {kT - 1, kT, kT + 1, kT + 2}) {
-    std::vector<double> a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.uniform(-2, 2);
-      b[i] = rng.uniform(-2, 2);
-    }
-    const auto direct = cross_correlation_direct(a, b);
-    const auto fast = cross_correlation_fft(a, b);
-    const auto dispatched = cross_correlation(a, b);
-    ASSERT_EQ(direct.size(), fast.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_NEAR(direct[i], fast[i], 1e-12) << "n=" << n << " i=" << i;
-    }
-    // The dispatcher returns one of the two bit-exactly.
-    const auto& expected = n <= kT ? direct : fast;
-    ASSERT_EQ(dispatched.size(), expected.size());
-    for (std::size_t i = 0; i < dispatched.size(); ++i) {
-      EXPECT_EQ(dispatched[i], expected[i]) << "n=" << n << " i=" << i;
-    }
+  // a = [1,2,3,4], b = [1,0,1]: r[k] = sum_j a[j+s] b[j], s = k-2.
+  const auto r = cross_correlation_direct({1, 2, 3, 4}, {1, 0, 1});
+  const std::vector<double> expected{1, 2, 4, 6, 3, 4};
+  ASSERT_EQ(r.size(), 6u);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    EXPECT_NEAR(r[i], expected[i], 1e-10);
   }
 }
 
 TEST(CrossCorrelation, AutoCorrelationPeakAtZeroShift) {
   const std::vector<double> a{1, -2, 3, -1, 0.5};
-  const auto r = cross_correlation(a, a);
+  const auto r = cross_correlation_direct(a, a);
   // Zero shift is at index n-1.
   std::size_t best = 0;
   for (std::size_t i = 1; i < r.size(); ++i) {
@@ -208,18 +171,9 @@ TEST(CrossCorrelation, AutoCorrelationPeakAtZeroShift) {
   EXPECT_EQ(best, a.size() - 1);
 }
 
-TEST(Convolve, MatchesHandComputation) {
-  const auto c = convolve({1, 2}, {3, 4, 5});
-  ASSERT_EQ(c.size(), 4u);
-  EXPECT_NEAR(c[0], 3.0, 1e-10);
-  EXPECT_NEAR(c[1], 10.0, 1e-10);
-  EXPECT_NEAR(c[2], 13.0, 1e-10);
-  EXPECT_NEAR(c[3], 10.0, 1e-10);
-}
-
 TEST(CrossCorrelation, EmptyInputThrows) {
   EXPECT_THROW(cross_correlation_direct({}, {1.0}), util::PreconditionError);
-  EXPECT_THROW(cross_correlation_fft({1.0}, {}), util::PreconditionError);
+  EXPECT_THROW(cross_correlation_direct({1.0}, {}), util::PreconditionError);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 // properties must hold for arbitrary series lengths and random contents.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
 #include "la/fft.hpp"
+#include "la/vector_ops.hpp"
 #include "ts/sbd.hpp"
 #include "ts/znorm.hpp"
 #include "util/rng.hpp"
@@ -69,31 +70,17 @@ TEST_P(SbdProperties, ShiftReducesToNearZeroDistance) {
 }
 
 TEST_P(SbdProperties, NccPeakConsistentWithDistance) {
+  // The reference is the O(m^2) direct correlation normalized by the norms,
+  // so lengths on either side of kSbdSpectralThreshold check the SBD
+  // kernel's direct and spectral paths against the same arithmetic.
   const auto x = random_series(1);
   const auto y = random_series(2);
-  const auto ncc = ncc_c(x, y);
+  const double denom = la::norm2(x) * la::norm2(y);
   double best = -2.0;
-  for (const double v : ncc) best = std::max(best, v);
+  for (const double v : la::cross_correlation_direct(x, y)) {
+    best = std::max(best, v / denom);
+  }
   EXPECT_NEAR(sbd_distance(x, y), 1.0 - best, 1e-10);
-}
-
-TEST_P(SbdProperties, AlignToIsIdempotentOnShift) {
-  const auto x = random_series(1);
-  const auto aligned = align_to(x, x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_DOUBLE_EQ(aligned[i], x[i]);
-  }
-}
-
-TEST_P(SbdProperties, FftAndDirectCrossCorrelationAgree) {
-  const auto x = random_series(1);
-  const auto y = random_series(2);
-  const auto direct = la::cross_correlation_direct(x, y);
-  const auto fft = la::cross_correlation_fft(x, y);
-  ASSERT_EQ(direct.size(), fft.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_NEAR(direct[i], fft[i], 1e-7 * (1.0 + std::abs(direct[i])));
-  }
 }
 
 TEST_P(SbdProperties, ZnormalizationDoesNotChangeSbdMuch) {

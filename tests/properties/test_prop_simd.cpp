@@ -14,7 +14,7 @@
 #include <complex>
 #include <vector>
 
-#include "la/fft.hpp"
+#include "la/fft_plan.hpp"
 #include "la/simd.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
@@ -85,14 +85,17 @@ void expect_identical_across_dispatch_and_threads(Fn&& fn) {
 TEST(ParallelSimdParity, RealFftRoundTrip) {
   const auto series = noisy_weekly_series(4, 101);
   expect_identical_across_dispatch_and_threads([&] {
+    const la::RealFftPlan& plan = la::RealFftPlan::plan_for(512);
     std::vector<double> flat;
     for (const auto& s : series) {
-      const auto spectrum = la::rfft(s, 512);
+      std::vector<std::complex<double>> spectrum(plan.spectrum_size());
+      plan.forward(s, spectrum);
       for (const auto& bin : spectrum) {
         flat.push_back(bin.real());
         flat.push_back(bin.imag());
       }
-      const auto back = la::irfft(spectrum, 512);
+      std::vector<double> back(plan.size());
+      plan.inverse(spectrum, back);
       flat.insert(flat.end(), back.begin(), back.end());
     }
     return flat;
@@ -100,9 +103,14 @@ TEST(ParallelSimdParity, RealFftRoundTrip) {
 }
 
 TEST(ParallelSimdParity, CrossCorrelationFft) {
+  // At m = 168 ts::sbd correlates through the real-FFT plans and the
+  // dispatched conjugate product.
   const auto series = noisy_weekly_series(2, 102);
-  expect_identical_across_dispatch_and_threads(
-      [&] { return la::cross_correlation_fft(series[0], series[1]); });
+  expect_identical_across_dispatch_and_threads([&] {
+    const ts::SbdResult r = ts::sbd(series[0], series[1]);
+    return std::vector<double>{r.distance, r.ncc,
+                               static_cast<double>(r.shift)};
+  });
 }
 
 TEST(ParallelSimdParity, Znormalize) {

@@ -10,12 +10,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/dataset.hpp"
-#include "core/dataset_io.hpp"
 #include "io/snapshot.hpp"
 #include "net/event.hpp"
 #include "serve/aggregates.hpp"
@@ -76,6 +76,15 @@ TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(pushed, 8);
 }
 
+TEST(SpscQueue, RejectsCapacityAboveLargestPowerOfTwo) {
+  // Rounding either up to a power of two would overflow to 0.
+  constexpr std::size_t kLargest =
+      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+  EXPECT_THROW(SpscQueue<int>(std::numeric_limits<std::size_t>::max()),
+               util::PreconditionError);
+  EXPECT_THROW(SpscQueue<int>(kLargest + 1), util::PreconditionError);
+}
+
 // --- OverloadSampler -------------------------------------------------------
 
 TEST(OverloadSampler, KeepsOneInKWithExactScale) {
@@ -112,61 +121,6 @@ TEST(OverloadSampler, InactiveUntilTriggeredAndWindowExpires) {
   EXPECT_FALSE(sampler.sampling_active());
   EXPECT_EQ(sampler.admit(), 1u);
   EXPECT_EQ(sampler.triggers(), 1u);
-}
-
-// --- Event framing ---------------------------------------------------------
-
-std::vector<net::ServiceEvent> sample_events() {
-  std::vector<net::ServiceEvent> events;
-  for (std::uint32_t i = 0; i < 17; ++i) {
-    net::ServiceEvent e;
-    e.timestamp = i * 3601;
-    e.commune = i % 5;
-    e.service = static_cast<std::uint16_t>(i % 3);
-    e.urbanization = static_cast<std::uint8_t>(i % 4);
-    e.downlink_bytes = 1000u * i + 7;
-    e.uplink_bytes = 13u * i;
-    events.push_back(e);
-  }
-  return events;
-}
-
-TEST(EventFrame, RoundTripsExactly) {
-  const auto events = sample_events();
-  const auto bytes = net::encode_event_frame(events);
-  EXPECT_EQ(bytes.size(),
-            net::kEventFrameHeaderBytes + events.size() * net::kEventWireBytes);
-  const auto decoded = net::decode_event_frame(bytes);
-  EXPECT_EQ(decoded, events);
-}
-
-TEST(EventFrame, EmptyFrameRoundTrips) {
-  const auto bytes = net::encode_event_frame({});
-  EXPECT_TRUE(net::decode_event_frame(bytes).empty());
-}
-
-TEST(EventFrame, RejectsCorruption) {
-  const auto events = sample_events();
-  auto bytes = net::encode_event_frame(events);
-
-  auto truncated = bytes;
-  truncated.resize(bytes.size() - 1);
-  EXPECT_THROW(net::decode_event_frame(truncated), util::InputError);
-  truncated.resize(net::kEventFrameHeaderBytes - 4);
-  EXPECT_THROW(net::decode_event_frame(truncated), util::InputError);
-
-  auto trailing = bytes;
-  trailing.push_back(0);
-  EXPECT_THROW(net::decode_event_frame(trailing), util::InputError);
-
-  auto bad_magic = bytes;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_THROW(net::decode_event_frame(bad_magic), util::InputError);
-
-  // Flip one payload byte: the checksum must catch it.
-  auto bad_payload = bytes;
-  bad_payload[net::kEventFrameHeaderBytes + 5] ^= 0x01;
-  EXPECT_THROW(net::decode_event_frame(bad_payload), util::InputError);
 }
 
 // --- EventReplaySource -----------------------------------------------------
@@ -336,7 +290,8 @@ TEST(IngestDaemon, SealedSnapshotLoadsAndMatchesBatchDataset) {
 
   // find_latest_snapshot resolves the directory the daemon sealed into.
   EXPECT_EQ(io::find_latest_snapshot(dir.string()), stats.latest_snapshot);
-  const core::TrafficDataset via_dir = core::load_epoch_snapshot(dir.string());
+  const core::TrafficDataset via_dir =
+      core::TrafficDataset::load(io::find_latest_snapshot(dir.string()));
   EXPECT_EQ(via_dir.direction_total(workload::Direction::kDownlink),
             loaded.direction_total(workload::Direction::kDownlink));
   fs::remove_all(dir);

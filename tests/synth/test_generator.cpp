@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "io/serialize.hpp"
 #include "net/simulator.hpp"
 #include "stats/correlation.hpp"
 #include "synth/scenario.hpp"
@@ -175,6 +176,17 @@ TEST(ScenarioConfig, PresetsScaleAsDocumented) {
   EXPECT_EQ(ScenarioConfig::test_scale().country.commune_count, 400u);
   EXPECT_EQ(ScenarioConfig::example_scale().country.commune_count, 4'000u);
   EXPECT_EQ(ScenarioConfig::paper_scale().country.commune_count, 36'000u);
+}
+
+TEST(ScenarioConfig, ForScaleNamesThePresets) {
+  EXPECT_EQ(io::config_hash(ScenarioConfig::for_scale("test")),
+            io::config_hash(ScenarioConfig::test_scale()));
+  EXPECT_EQ(io::config_hash(ScenarioConfig::for_scale("example")),
+            io::config_hash(ScenarioConfig::example_scale()));
+  EXPECT_EQ(io::config_hash(ScenarioConfig::for_scale("paper")),
+            io::config_hash(ScenarioConfig::paper_scale()));
+  EXPECT_THROW(ScenarioConfig::for_scale("exmaple"), util::InputError);
+  EXPECT_THROW(ScenarioConfig::for_scale(""), util::InputError);
 }
 
 }  // namespace

@@ -98,36 +98,5 @@ TEST(ClassifyTopical, WeekendVsWeekdaySeparation) {
             TopicalTime::kWeekendMidday);
 }
 
-TEST(TopicalIntervalHours, CoversMatchingDaysOnly) {
-  const auto hours = topical_interval_hours(TopicalTime::kMidday, 1);
-  // 5 working days × 3 hours (12, 13, 14).
-  EXPECT_EQ(hours.size(), 15u);
-  for (const std::size_t h : hours) {
-    const WeekHour wh = week_hour(h);
-    EXPECT_FALSE(wh.is_weekend());
-    EXPECT_GE(wh.hour_of_day(), 12u);
-    EXPECT_LE(wh.hour_of_day(), 14u);
-  }
-  const auto weekend = topical_interval_hours(TopicalTime::kWeekendEvening, 1);
-  EXPECT_EQ(weekend.size(), 6u);  // 2 days × 3 hours
-  for (const std::size_t h : weekend) {
-    EXPECT_TRUE(week_hour(h).is_weekend());
-  }
-}
-
-TEST(TopicalIntervalHours, EveryIntervalHourClassifiesBack) {
-  for (const TopicalTime t : all_topical_times()) {
-    for (const std::size_t h : topical_interval_hours(t, 1)) {
-      const auto back = classify_topical(week_hour(h), 1);
-      ASSERT_TRUE(back.has_value()) << topical_time_name(t) << " hour " << h;
-      // May classify to a closer sibling anchor (9am → commute), but the
-      // anchor hour itself always maps back to t.
-      if (week_hour(h).hour_of_day() == topical_anchor_hour(t)) {
-        EXPECT_EQ(*back, t);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace appscope::ts

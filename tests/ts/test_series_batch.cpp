@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "la/fft.hpp"
+#include "la/fft_plan.hpp"
 #include "la/vector_ops.hpp"
 #include "ts/sbd.hpp"
 #include "util/error.hpp"
@@ -53,9 +54,10 @@ TEST(SeriesBatch, ShortSeriesSkipSpectra) {
 TEST(SeriesBatch, CachedSpectrumMatchesFreshRfft) {
   const auto rows = random_series(2, 100, 3);
   const SeriesBatch batch(rows);
-  const std::size_t n = batch.padded_size();
+  const la::RealFftPlan& plan = la::RealFftPlan::plan_for(batch.padded_size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto fresh = la::rfft(rows[i], n);
+    std::vector<std::complex<double>> fresh(plan.spectrum_size());
+    plan.forward(rows[i], fresh);
     const auto cached = batch.spectrum(i);
     ASSERT_EQ(cached.size(), fresh.size());
     for (std::size_t k = 0; k < fresh.size(); ++k) {
@@ -72,7 +74,9 @@ TEST(SeriesBatch, ZeroConstructorThenSetSeries) {
   const auto rows = random_series(1, 168, 4);
   batch.set_series(1, rows[0]);
   EXPECT_EQ(batch.norm(1), la::norm2(rows[0]));
-  const auto fresh = la::rfft(rows[0], batch.padded_size());
+  const la::RealFftPlan& plan = la::RealFftPlan::plan_for(batch.padded_size());
+  std::vector<std::complex<double>> fresh(plan.spectrum_size());
+  plan.forward(rows[0], fresh);
   const auto cached = batch.spectrum(1);
   for (std::size_t k = 0; k < fresh.size(); ++k) {
     EXPECT_EQ(cached[k], fresh[k]);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/error.hpp"
 
 namespace appscope::util {
@@ -36,6 +38,22 @@ TEST(CliArgs, TypedAccessorsWithDefaults) {
   EXPECT_DOUBLE_EQ(args.get_double("ratio", 1.0), 0.5);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 1.0), 1.0);
   EXPECT_EQ(args.get_string("name", "dflt"), "dflt");
+}
+
+TEST(CliArgs, CountAccessorRangeChecksItsTargetType) {
+  const CliArgs args =
+      make_args({"prog", "--n=7", "--zero=0", "--shards=-1", "--port=70000",
+                 "--seconds=4294967296"});
+  EXPECT_EQ(args.get_count<std::size_t>("n", 4), 7u);
+  EXPECT_EQ(args.get_count<std::size_t>("missing", 4), 4u);
+  EXPECT_EQ(args.get_count<std::size_t>("zero", 4), 0u);
+  // A cast would wrap -1 to SIZE_MAX.
+  EXPECT_THROW(args.get_count<std::size_t>("shards", 4), InputError);
+  EXPECT_THROW(args.get_count<std::uint64_t>("shards", 4), InputError);
+  EXPECT_THROW(args.get_count<std::uint16_t>("port", 1), InputError);
+  EXPECT_EQ(args.get_count<std::uint32_t>("port", 1), 70000u);
+  EXPECT_THROW(args.get_count<std::uint32_t>("seconds", 1), InputError);
+  EXPECT_EQ(args.get_count<std::uint64_t>("seconds", 1), 4294967296u);
 }
 
 TEST(CliArgs, MalformedTypedValueThrows) {

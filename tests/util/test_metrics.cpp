@@ -190,25 +190,6 @@ TEST(Metrics, JsonImportRejectsWrongSchema) {
                InputError);
 }
 
-TEST(Metrics, CsvExportListsEveryMetric) {
-  const MetricsOn guard;
-  MetricsRegistry reg;
-  reg.add("c", 3);
-  reg.gauge("g", 1.5);
-  reg.observe("h", 2.0);
-  const std::string csv = metrics_to_csv(reg.snapshot());
-  std::istringstream in(csv);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "kind,name,value,count,sum,min,max");
-  std::vector<std::string> rows;
-  while (std::getline(in, line)) rows.push_back(line);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_NE(rows[0].find("counter,c,3"), std::string::npos);
-  EXPECT_NE(rows[1].find("gauge,g,"), std::string::npos);
-  EXPECT_NE(rows[2].find("histogram,h,"), std::string::npos);
-}
-
 TEST(Metrics, WriteMetricsJsonProducesWellFormedFile) {
   const MetricsOn guard;
   MetricsRegistry::global().add("file.counter", 2);

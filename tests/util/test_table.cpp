@@ -42,20 +42,6 @@ TEST(AsciiBar, ClampsOverflowAndHandlesZeroMax) {
   EXPECT_EQ(ascii_bar(5.0, 0.0, 4), "----");
 }
 
-TEST(Sparkline, UsesFullRange) {
-  const std::string s = sparkline({0.0, 1.0});
-  ASSERT_EQ(s.size(), 2u);
-  EXPECT_EQ(s.front(), ' ');
-  EXPECT_EQ(s.back(), '#');
-}
-
-TEST(Sparkline, ConstantSeriesIsFlat) {
-  const std::string s = sparkline({3.0, 3.0, 3.0});
-  EXPECT_EQ(s, "   ");
-}
-
-TEST(Sparkline, EmptyInput) { EXPECT_TRUE(sparkline({}).empty()); }
-
 TEST(AsciiChart, HasRequestedHeight) {
   const std::string chart = ascii_chart({1, 2, 3, 4, 5}, 4);
   // 4 data rows + 1 axis row.

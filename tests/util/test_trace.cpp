@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,10 +13,6 @@
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
-
-#ifdef APPSCOPE_MEM_TRACE
-#include "util/mem_stats.hpp"
-#endif
 
 namespace appscope::util {
 namespace {
@@ -173,20 +168,11 @@ TEST(Trace, DisabledSpansRecordNothing) {
   const bool was = MetricsRegistry::enabled();
   MetricsRegistry::set_enabled(false);
   const std::size_t before = TraceRecorder::global().snapshot().size();
-#ifdef APPSCOPE_MEM_TRACE
-  const MemCounters mem0 = thread_mem_counters();
-#endif
   {
     const ScopedSpan span("invisible");
     EXPECT_EQ(span.span_id(), 0u);
     EXPECT_EQ(current_span_context().span_id, 0u);
   }
-#ifdef APPSCOPE_MEM_TRACE
-  // The zero-cost contract, checked literally: a disabled span performs no
-  // heap allocation (the counting-new shim sees every allocation).
-  const MemCounters mem1 = thread_mem_counters();
-  EXPECT_EQ(mem1.alloc_count, mem0.alloc_count);
-#endif
   EXPECT_EQ(TraceRecorder::global().snapshot().size(), before);
   MetricsRegistry::set_enabled(was);
 }
@@ -354,26 +340,6 @@ TEST(ParallelTrace, SnapshotRacesPoolRecording) {
   stop.store(true, std::memory_order_relaxed);
   reader.join();
 }
-
-#ifdef APPSCOPE_MEM_TRACE
-TEST(Trace, MemSamplingAttributesAllocationsToSpans) {
-  const TracingOn guard;
-  set_mem_sampling(true);
-  {
-    const ScopedSpan span("alloc.heavy");
-    std::vector<std::unique_ptr<int>> keep;
-    for (int i = 0; i < 64; ++i) keep.push_back(std::make_unique<int>(i));
-  }
-  set_mem_sampling(false);
-  const auto events = TraceRecorder::global().snapshot();
-  ASSERT_FALSE(events.empty());
-  const TraceEvent& e = events.back();
-  EXPECT_EQ(e.name, "alloc.heavy");
-  EXPECT_GE(e.alloc_count, 64u);
-  EXPECT_GT(e.alloc_bytes, 0u);
-  EXPECT_GT(e.rss_peak_bytes, 0u);
-}
-#endif
 
 }  // namespace
 }  // namespace appscope::util

@@ -173,6 +173,31 @@ void BM_ConjMultiply(benchmark::State& state) {
 }
 BENCHMARK(BM_ConjMultiply)->Arg(257)->Arg(260);
 
+// The snapshot checksum (io::crc32) per dispatch: slicing-by-8 for scalar,
+// the PCLMULQDQ fold for avx2. 4 KiB, and 422,944 bytes (one test-scale
+// seal).
+void BM_Crc32(benchmark::State& state, la::simd::Dispatch dispatch) {
+  if (dispatch == la::simd::Dispatch::kAvx2 && !la::simd::avx2_available()) {
+    state.SkipWithError("AVX2/PCLMULQDQ kernels unavailable");
+    return;
+  }
+  const auto crc32 = la::simd::kernels_for(dispatch).crc32;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(14);
+  std::vector<std::byte> bytes(n);
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.next_u64() & 0xFFu);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(bytes.data(), n));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_Crc32, scalar, la::simd::Dispatch::kScalar)
+    ->Arg(4096)
+    ->Arg(422944);
+BENCHMARK_CAPTURE(BM_Crc32, avx2, la::simd::Dispatch::kAvx2)
+    ->Arg(4096)
+    ->Arg(422944);
+
 // False-sharing microbench: every thread hammers its own counter slot. In
 // the packed layout eight slots share a cache line, so the increments
 // ping-pong the line between cores; the padded layout gives each slot a

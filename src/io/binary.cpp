@@ -1,36 +1,15 @@
 #include "io/binary.hpp"
 
-#include <array>
 #include <bit>
 #include <cstring>
 
+#include "la/simd.hpp"
 #include "util/error.hpp"
 
 namespace appscope::io {
 
-namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t n = 0; n < 256; ++n) {
-    std::uint32_t c = n;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[n] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
 std::uint32_t crc32(std::span<const std::byte> bytes) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::byte b : bytes) {
-    crc = table[(crc ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return la::simd::active().crc32(bytes.data(), bytes.size());
 }
 
 std::uint64_t fnv1a64(std::span<const std::byte> bytes) noexcept {
@@ -117,6 +96,16 @@ void ByteReader::raw(void* out, std::size_t size) {
   require(size);
   std::memcpy(out, bytes_.data() + offset_, size);
   offset_ += size;
+}
+
+std::size_t ByteReader::count(std::size_t min_element_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_element_bytes) {
+    throw util::InputError("snapshot: element count " + std::to_string(n) +
+                           " exceeds the " + std::to_string(remaining()) +
+                           " payload bytes left");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace appscope::io

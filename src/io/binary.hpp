@@ -15,7 +15,9 @@
 namespace appscope::io {
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320, init/final
-/// 0xFFFFFFFF — the zlib/PNG variant) over a byte range.
+/// 0xFFFFFFFF — the zlib/PNG variant) over a byte range. Computed by the
+/// active la::simd table's crc32 kernel: PCLMULQDQ folding under the AVX2
+/// dispatch, slicing-by-8 under the scalar one; both return the same value.
 std::uint32_t crc32(std::span<const std::byte> bytes) noexcept;
 
 /// FNV-1a 64-bit hash; fingerprints the serialized ScenarioConfig so a
@@ -56,6 +58,10 @@ class ByteReader {
   double f64();
   std::string str();
   void raw(void* out, std::size_t size);
+  /// A u64 element count, checked against the unread bytes: each element
+  /// encodes to at least `min_element_bytes`, so a corrupted count throws
+  /// InputError instead of sizing an allocation past the payload.
+  std::size_t count(std::size_t min_element_bytes);
 
   std::size_t remaining() const noexcept { return bytes_.size() - offset_; }
   bool exhausted() const noexcept { return offset_ == bytes_.size(); }

@@ -22,6 +22,31 @@ Enum checked_enum(std::uint8_t raw, std::size_t count, const char* what) {
   return static_cast<Enum>(raw);
 }
 
+/// Builds a component from decoded fields. The component constructors
+/// state their invariants as preconditions; bytes from a file can break
+/// them, which is an input error rather than a caller bug.
+template <typename Build>
+auto construct(const char* what, Build&& build) -> decltype(build()) {
+  try {
+    return build();
+  } catch (const util::PreconditionError& e) {
+    throw util::InputError(std::string("snapshot: invalid ") + what + ": " +
+                           e.what());
+  }
+}
+
+// Smallest encoding of one list element (empty strings and lists), the
+// bound ByteReader::count checks each decoded element count against.
+constexpr std::size_t kPointBytes = 2 * sizeof(double);
+constexpr std::size_t kMinCommuneBytes =
+    4 + 4 + kPointBytes + 8 + 4 + 1 + 4 + 1 + 1;
+constexpr std::size_t kMinMetroBytes = 4 + kPointBytes + 4 + 8;
+constexpr std::size_t kMinLineBytes = 8;
+constexpr std::size_t kSubscriberBytes = 4;
+constexpr std::size_t kMinServiceBytes =
+    4 + 1 + 8 * workload::kDirectionCount + 6 * 8 + 8 + 5 * 8 + 1 + 8;
+constexpr std::size_t kBoostBytes = 1 + 8 + 8;
+
 void expect_exhausted(const ByteReader& r, const char* what) {
   if (!r.exhausted()) {
     throw util::InputError(std::string("snapshot: trailing bytes after ") +
@@ -182,10 +207,10 @@ geo::Territory decode_territory(std::span<const std::byte> bytes) {
   ByteReader r(bytes);
   const double side_km = r.f64();
 
-  const std::uint64_t commune_count = r.u64();
+  const std::size_t commune_count = r.count(kMinCommuneBytes);
   std::vector<geo::Commune> communes;
-  communes.reserve(static_cast<std::size_t>(commune_count));
-  for (std::uint64_t i = 0; i < commune_count; ++i) {
+  communes.reserve(commune_count);
+  for (std::size_t i = 0; i < commune_count; ++i) {
     geo::Commune commune;
     commune.id = r.u32();
     commune.name = r.str();
@@ -200,10 +225,10 @@ geo::Territory decode_territory(std::span<const std::byte> bytes) {
     communes.push_back(std::move(commune));
   }
 
-  const std::uint64_t metro_count = r.u64();
+  const std::size_t metro_count = r.count(kMinMetroBytes);
   std::vector<geo::Metro> metros;
-  metros.reserve(static_cast<std::size_t>(metro_count));
-  for (std::uint64_t i = 0; i < metro_count; ++i) {
+  metros.reserve(metro_count);
+  for (std::size_t i = 0; i < metro_count; ++i) {
     geo::Metro metro;
     metro.name = r.str();
     metro.center = decode_point(r);
@@ -212,21 +237,23 @@ geo::Territory decode_territory(std::span<const std::byte> bytes) {
     metros.push_back(std::move(metro));
   }
 
-  const std::uint64_t line_count = r.u64();
+  const std::size_t line_count = r.count(kMinLineBytes);
   std::vector<geo::Polyline> lines;
-  lines.reserve(static_cast<std::size_t>(line_count));
-  for (std::uint64_t i = 0; i < line_count; ++i) {
+  lines.reserve(line_count);
+  for (std::size_t i = 0; i < line_count; ++i) {
     geo::Polyline line;
-    const std::uint64_t point_count = r.u64();
-    line.points.reserve(static_cast<std::size_t>(point_count));
-    for (std::uint64_t j = 0; j < point_count; ++j) {
+    const std::size_t point_count = r.count(kPointBytes);
+    line.points.reserve(point_count);
+    for (std::size_t j = 0; j < point_count; ++j) {
       line.points.push_back(decode_point(r));
     }
     lines.push_back(std::move(line));
   }
   expect_exhausted(r, "territory");
-  return geo::Territory(std::move(communes), std::move(metros),
-                        std::move(lines), side_km);
+  return construct("territory", [&] {
+    return geo::Territory(std::move(communes), std::move(metros),
+                          std::move(lines), side_km);
+  });
 }
 
 // --- SubscriberBase ---------------------------------------------------------
@@ -240,12 +267,13 @@ std::vector<std::byte> encode_subscribers(const workload::SubscriberBase& base) 
 
 workload::SubscriberBase decode_subscribers(std::span<const std::byte> bytes) {
   ByteReader r(bytes);
-  const std::uint64_t count = r.u64();
+  const std::size_t count = r.count(kSubscriberBytes);
   std::vector<std::uint32_t> counts;
-  counts.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) counts.push_back(r.u32());
+  counts.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) counts.push_back(r.u32());
   expect_exhausted(r, "subscribers");
-  return workload::SubscriberBase(std::move(counts));
+  return construct("subscribers",
+                   [&] { return workload::SubscriberBase(std::move(counts)); });
 }
 
 // --- ServiceCatalog ---------------------------------------------------------
@@ -286,10 +314,10 @@ std::vector<std::byte> encode_catalog(const workload::ServiceCatalog& catalog) {
 
 workload::ServiceCatalog decode_catalog(std::span<const std::byte> bytes) {
   ByteReader r(bytes);
-  const std::uint64_t count = r.u64();
+  const std::size_t count = r.count(kMinServiceBytes);
   std::vector<workload::ServiceSpec> specs;
-  specs.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  specs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     workload::ServiceSpec spec;
     spec.name = r.str();
     spec.category = checked_enum<workload::Category>(
@@ -303,9 +331,9 @@ workload::ServiceCatalog decode_catalog(std::span<const std::byte> bytes) {
     t.evening_weight = r.f64();
     t.evening_sigma = r.f64();
     t.weekend_scale = r.f64();
-    const std::uint64_t boost_count = r.u64();
-    t.boosts.reserve(static_cast<std::size_t>(boost_count));
-    for (std::uint64_t b = 0; b < boost_count; ++b) {
+    const std::size_t boost_count = r.count(kBoostBytes);
+    t.boosts.reserve(boost_count);
+    for (std::size_t b = 0; b < boost_count; ++b) {
       workload::PeakBoost boost;
       boost.time = checked_enum<ts::TopicalTime>(r.u8(), ts::kTopicalTimeCount,
                                                  "topical time");
@@ -313,7 +341,9 @@ workload::ServiceCatalog decode_catalog(std::span<const std::byte> bytes) {
       boost.width_hours = r.f64();
       t.boosts.push_back(boost);
     }
-    spec.temporal = workload::TemporalProfile(std::move(t));
+    spec.temporal = construct("temporal profile", [&] {
+      return workload::TemporalProfile(std::move(t));
+    });
 
     workload::SpatialProfile& s = spec.spatial;
     s.semi_urban_ratio = r.f64();
@@ -326,7 +356,8 @@ workload::ServiceCatalog decode_catalog(std::span<const std::byte> bytes) {
     specs.push_back(std::move(spec));
   }
   expect_exhausted(r, "catalog");
-  return workload::ServiceCatalog(std::move(specs));
+  return construct("catalog",
+                   [&] { return workload::ServiceCatalog(std::move(specs)); });
 }
 
 }  // namespace appscope::io

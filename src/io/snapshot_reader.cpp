@@ -258,7 +258,9 @@ std::span<const std::byte> SnapshotReader::lazy_payload(
   if (const std::byte* p = state.payload.load(std::memory_order_acquire)) {
     return {p, static_cast<std::size_t>(e.payload_bytes)};
   }
-  static const std::byte kEmpty{};
+  // Aligned like a mapped payload, so an empty column passes the typed
+  // views' alignment check.
+  alignas(kSectionAlignment) static const std::byte kEmpty{};
   const std::byte* payload_ptr = &kEmpty;
   if (e.payload_bytes > 0) {
     // mmap offsets must be page-aligned; payloads are only

@@ -6,6 +6,7 @@
 // here changes results project-wide.
 #include "la/simd.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -164,12 +165,73 @@ double masked_max(const double* x, const std::uint8_t* mask, std::size_t n) {
   return best;
 }
 
+namespace {
+
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial: table 0 is the
+/// classic bytewise table, and entry b of table k advances entry b of table
+/// k - 1 by one more zero byte, so one step folds eight input bytes with
+/// eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() noexcept {
+  CrcTables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t c = b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][b] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      const std::uint32_t prev = t[k - 1][b];
+      t[k][b] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian 32-bit word from four bytes, independent of host order.
+inline std::uint32_t load_le32(const std::byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+std::uint32_t crc32_update(std::uint32_t state, const std::byte* data,
+                           std::size_t n) noexcept {
+  const CrcTables& t = kCrcTables;
+  for (; n >= 8; n -= 8, data += 8) {
+    const std::uint32_t lo = load_le32(data) ^ state;
+    const std::uint32_t hi = load_le32(data + 4);
+    state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++data) {
+    state = t[0][(state ^ static_cast<std::uint32_t>(*data)) & 0xFFu] ^
+            (state >> 8);
+  }
+  return state;
+}
+
+std::uint32_t crc32(const std::byte* data, std::size_t n) {
+  return crc32_update(0xFFFFFFFFu, data, n) ^ 0xFFFFFFFFu;
+}
+
 const Kernels& table() noexcept {
   static constexpr Kernels kTable = {
       "scalar",      fft_passes, rfft_untangle, rfft_retangle,
       conj_multiply, complex_scale, scale,      axpy,
       accumulate,    znorm_apply, row_scale,    max_value,
       find_first_equal, sum_stripes, masked_sum_stripes, masked_max,
+      crc32,
   };
   return kTable;
 }

@@ -1,12 +1,14 @@
 // appscope/la/simd.hpp
 //
-// Dispatched SIMD kernels for the SBD/FFT/z-norm hot path.
+// Dispatched SIMD kernels for the SBD/FFT/z-norm hot path and the snapshot
+// checksum (io::crc32).
 //
 // Every kernel here exists in (at least) two implementations: a scalar
 // reference and an AVX2 version, selected once per process through a kernel
 // table. The contract that makes this safe project-wide is *bitwise
 // determinism*: for every input, every implementation of a kernel produces
-// exactly the same double bits. That is achievable because the kernels are
+// exactly the same double bits (crc32 is exact integer arithmetic, so its
+// implementations agree trivially). That is achievable because the kernels are
 // restricted to elementwise work — each output element is computed by the
 // same IEEE operation sequence in every implementation, so vector lanes
 // can't reorder anything that affects rounding. Order-sensitive reductions
@@ -17,7 +19,8 @@
 //
 // Dispatch: the active table is chosen on first use from the APPSCOPE_SIMD
 // environment variable ("avx2" or "scalar"); unset picks AVX2 when the
-// build has it compiled in and the CPU reports support, else scalar.
+// build has it compiled in and the CPU reports both AVX2 and PCLMULQDQ
+// (the AVX2 table's crc32 folds with carry-less multiplies), else scalar.
 // Tests flip implementations at runtime with set_dispatch() to prove
 // parity. Kernel pointers live behind one atomic so the choice is safe to
 // read from any thread.
@@ -128,6 +131,15 @@ struct Kernels {
   /// max_value (NaNs never win; -inf when nothing is selected).
   double (*masked_max)(const double* x, const std::uint8_t* mask,
                        std::size_t n);
+
+  // --- Snapshot checksum (io::crc32) -----------------------------------------
+
+  /// Finished CRC-32 of data[0, n): reflected polynomial 0xEDB88320, init and
+  /// final XOR 0xFFFFFFFF (the zlib/PNG variant). Scalar: slicing-by-8
+  /// (Kounavis & Berry, ISCC 2005). AVX2: four-lane PCLMULQDQ folding with
+  /// Barrett reduction (Gopal et al., Intel 2009); inputs under 64 bytes and
+  /// the last n mod 16 bytes go through slicing-by-8.
+  std::uint32_t (*crc32)(const std::byte* data, std::size_t n);
 };
 
 /// The active kernel table (atomic acquire load; first call resolves
@@ -141,7 +153,7 @@ Dispatch active_dispatch() noexcept;
 const char* active_name() noexcept;
 
 /// True when AVX2 kernels are compiled in (APPSCOPE_SIMD build option) and
-/// the CPU reports AVX2.
+/// the CPU reports AVX2 and PCLMULQDQ.
 bool avx2_available() noexcept;
 
 /// Switches the active table at runtime (test hook; also reachable via

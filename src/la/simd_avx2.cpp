@@ -1,8 +1,9 @@
 // AVX2 kernel implementations for la::simd.
 //
-// Compiled with -mavx2 -ffp-contract=off (see src/la/CMakeLists.txt); the
-// rest of the project never needs AVX2 to link this TU because everything is
-// reached through the kernel table.
+// Compiled with -mavx2 -mpclmul -ffp-contract=off (see
+// src/la/CMakeLists.txt); the rest of the project never needs AVX2 or
+// PCLMULQDQ to link this TU because everything is reached through the
+// kernel table, which is only selected when the CPU reports both.
 //
 // Bitwise contract with the scalar kernels: every lane performs the same
 // IEEE operation sequence the scalar loop performs for that element. The
@@ -21,8 +22,8 @@
 //   - complex shuffles only move lanes, never re-round.
 #include "la/simd.hpp"
 
-#if !defined(__AVX2__)
-#error "simd_avx2.cpp must be compiled with -mavx2"
+#if !defined(__AVX2__) || !defined(__PCLMUL__)
+#error "simd_avx2.cpp must be compiled with -mavx2 -mpclmul"
 #endif
 
 #include <immintrin.h>
@@ -30,7 +31,18 @@
 #include <cstring>
 #include <limits>
 
-namespace appscope::la::simd::avx2 {
+namespace appscope::la::simd {
+
+namespace scalar {
+// Slicing-by-8 over a running (pre-inverted) CRC-32 state. Defined in
+// simd.cpp, which is built for the baseline ISA: an inline helper shared by
+// both TUs could be linked in its -mavx2 copy and fault on a CPU without
+// AVX2.
+std::uint32_t crc32_update(std::uint32_t state, const std::byte* data,
+                           std::size_t n) noexcept;
+}  // namespace scalar
+
+namespace avx2 {
 
 namespace {
 
@@ -401,7 +413,87 @@ double masked_max(const double* x, const std::uint8_t* mask, std::size_t n) {
   return best;
 }
 
-bool cpu_supported() noexcept { return __builtin_cpu_supports("avx2"); }
+namespace {
+
+/// PCLMULQDQ folding over data[0, n) for n >= 64 and n % 16 == 0, in the
+/// bit-reflected domain (Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction", Intel 2009). Takes and returns
+/// the running (pre-inverted) CRC-32 state, like scalar::crc32_update.
+std::uint32_t crc32_fold(std::uint32_t state, const std::byte* data,
+                         std::size_t n) noexcept {
+  // Gopal et al.'s constants for the reflected CRC-32 polynomial, all
+  // bit-reflected: k1/k2 fold a 128-bit lane across 512 bits, k3/k4 across
+  // 128 bits, k5 folds 64 bits down to 32, and the last pair is P(x) and the
+  // Barrett constant mu = floor(x^64 / P(x)).
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  // Unaligned loads throughout: the section table starts at file offset 80,
+  // and a span may start anywhere.
+  const auto load = [](const std::byte* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  // One 128-bit fold: x * x^k (low and high halves multiplied by their
+  // constants) plus the next block.
+  const auto fold = [](__m128i x, __m128i k, __m128i next) {
+    const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
+    const __m128i hi = _mm_clmulepi64_si128(x, k, 0x11);
+    return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+  };
+
+  __m128i x0 = _mm_xor_si128(load(data),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x1 = load(data + 16);
+  __m128i x2 = load(data + 32);
+  __m128i x3 = load(data + 48);
+  data += 64;
+  n -= 64;
+
+  // Four independent lanes, 64 bytes per step.
+  for (; n >= 64; n -= 64, data += 64) {
+    x0 = fold(x0, k1k2, load(data));
+    x1 = fold(x1, k1k2, load(data + 16));
+    x2 = fold(x2, k1k2, load(data + 32));
+    x3 = fold(x3, k1k2, load(data + 48));
+  }
+
+  // Four lanes into one, then the remaining 16-byte blocks.
+  x0 = fold(x0, k3k4, x1);
+  x0 = fold(x0, k3k4, x2);
+  x0 = fold(x0, k3k4, x3);
+  for (; n >= 16; n -= 16, data += 16) x0 = fold(x0, k3k4, load(data));
+
+  // 128 -> 64 bits.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+
+  // Barrett reduction 64 -> 32 bits.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
+}  // namespace
+
+std::uint32_t crc32(const std::byte* data, std::size_t n) {
+  std::uint32_t state = 0xFFFFFFFFu;
+  if (n >= 64) {
+    const std::size_t folded = n & ~std::size_t{15};
+    state = crc32_fold(state, data, folded);
+    data += folded;
+    n -= folded;
+  }
+  return scalar::crc32_update(state, data, n) ^ 0xFFFFFFFFu;
+}
+
+bool cpu_supported() noexcept {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul");
+}
 
 const Kernels& table() noexcept {
   static constexpr Kernels kTable = {
@@ -409,8 +501,11 @@ const Kernels& table() noexcept {
       conj_multiply, complex_scale, scale,      axpy,
       accumulate,    znorm_apply, row_scale,    max_value,
       find_first_equal, sum_stripes, masked_sum_stripes, masked_max,
+      crc32,
   };
   return kTable;
 }
 
-}  // namespace appscope::la::simd::avx2
+}  // namespace avx2
+
+}  // namespace appscope::la::simd

@@ -219,14 +219,23 @@ void print_result(std::ostream& out, const query::Slice& slice,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  util::write_metrics_at_exit();
-  // A follow loop is commonly killed with Ctrl-C / SIGTERM mid-poll; the
-  // handler flushes the metrics JSON so the run still leaves one behind.
-  util::install_metrics_signal_flush();
-  util::enable_trace_export(args.get_string("trace", ""));
-
   try {
+    const util::CliArgs args(
+        argc, argv,
+        {"snapshot", "dir", "source", "direction", "hours", "services",
+         "communes", "class", "op", "k", "group-by", "follow", "repeat",
+         "interval-ms", "cache", "slicing", "stats", "check", "trace",
+         "admin-port", "admin-sample-ms"});
+    if (args.has("help")) {
+      std::cout << args.help();
+      return 0;
+    }
+    util::write_metrics_at_exit();
+    // A follow loop is commonly killed with Ctrl-C / SIGTERM mid-poll; the
+    // handler flushes the metrics JSON so the run still leaves one behind.
+    util::install_metrics_signal_flush();
+    util::enable_trace_export(args.get_string("trace", ""));
+
     const std::string snapshot = args.get_string("snapshot", "");
     const std::string dir = args.get_string("dir", "");
     if ((snapshot.empty() && dir.empty()) ||

@@ -140,11 +140,17 @@ int run(const util::CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  util::write_metrics_at_exit();
-  util::enable_trace_export(args.get_string("trace", ""));
-
   try {
+    const util::CliArgs args(
+        argc, argv,
+        {"list", "scale", "regions", "count", "out", "regenerate", "threads",
+         "merge", "direction", "max-rows", "report", "trace"});
+    if (args.has("help")) {
+      std::cout << args.help();
+      return 0;
+    }
+    util::write_metrics_at_exit();
+    util::enable_trace_export(args.get_string("trace", ""));
     return run(args);
   } catch (const util::Error& e) {
     std::cerr << "appscope_region: " << e.what() << "\n";

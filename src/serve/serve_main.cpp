@@ -53,14 +53,23 @@ extern "C" void handle_stop_signal(int sig) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  util::write_metrics_at_exit();
-  util::enable_trace_export(args.get_string("trace", ""));
-
-  std::signal(SIGTERM, handle_stop_signal);
-  std::signal(SIGINT, handle_stop_signal);
-
   try {
+    const util::CliArgs args(
+        argc, argv,
+        {"scale", "shards", "queue-capacity", "epoch-seconds",
+         "events-per-cell", "rate", "duration", "weeks", "sample-period",
+         "force-sampling", "snapshot-dir", "trace", "admin-port", "admin-bind",
+         "admin-sample-ms", "epoch-stall-seconds", "seal-slo"});
+    if (args.has("help")) {
+      std::cout << args.help();
+      return 0;
+    }
+    util::write_metrics_at_exit();
+    util::enable_trace_export(args.get_string("trace", ""));
+
+    std::signal(SIGTERM, handle_stop_signal);
+    std::signal(SIGINT, handle_stop_signal);
+
     serve::ServeConfig config;
     config.scenario =
         synth::ScenarioConfig::for_scale(args.get_string("scale", "test"));

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <new>
 #include <vector>
 
 #include "util/error.hpp"
@@ -26,7 +27,8 @@ class SpscQueue {
  public:
   /// Capacity is rounded up to a power of two (masked indexing); the queue
   /// holds up to `capacity` elements. A capacity above the largest power of
-  /// two has nothing to round up to and throws PreconditionError.
+  /// two has nothing to round up to, and a ring that cannot be allocated
+  /// cannot be built; both throw PreconditionError.
   explicit SpscQueue(std::size_t capacity) {
     APPSCOPE_REQUIRE(capacity > 0, "SpscQueue: capacity must be positive");
     constexpr std::size_t kMaxCapacity =
@@ -35,7 +37,13 @@ class SpscQueue {
                      "SpscQueue: capacity exceeds the largest power of two");
     std::size_t cap = 1;
     while (cap < capacity) cap <<= 1;
-    ring_.resize(cap);
+    APPSCOPE_REQUIRE(cap <= ring_.max_size(),
+                     "SpscQueue: capacity too large to allocate");
+    try {
+      ring_.resize(cap);
+    } catch (const std::bad_alloc&) {
+      throw util::PreconditionError("SpscQueue: cannot allocate the ring");
+    }
     mask_ = cap - 1;
   }
 

@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -23,6 +25,29 @@ CliArgs::CliArgs(int argc, char** argv) {
       positionals_.emplace_back(token);
     }
   }
+}
+
+CliArgs::CliArgs(int argc, char** argv, std::vector<std::string> flags)
+    : CliArgs(argc, argv) {
+  declared_ = std::move(flags);
+  for (const Option& opt : options_) {
+    if (opt.name != "help" &&
+        std::find(declared_.begin(), declared_.end(), opt.name) ==
+            declared_.end()) {
+      throw InputError("unknown flag --" + opt.name + " (see --help)");
+    }
+  }
+  if (!positionals_.empty()) {
+    throw InputError("unexpected argument '" + positionals_.front() +
+                     "' (see --help)");
+  }
+}
+
+std::string CliArgs::help() const {
+  std::string out = "usage: " + program_ + " [--flag[=value] ...]\nflags:\n";
+  for (const std::string& name : declared_) out += "  --" + name + "\n";
+  out += "  --help\n";
+  return out;
 }
 
 bool CliArgs::has(std::string_view name) const noexcept {

@@ -2,7 +2,9 @@
 //
 // Minimal command-line option parser shared by the bench and example
 // binaries: supports "--flag", "--key=value" and positional arguments, with
-// typed accessors and an auto-generated usage string.
+// typed accessors. A binary that declares its flags gets strict parsing
+// (unknown flags are typed errors) and a --help listing generated from the
+// declaration.
 #pragma once
 
 #include <concepts>
@@ -19,6 +21,14 @@ class CliArgs {
  public:
   /// Parses argv; never throws (malformed tokens become positionals).
   CliArgs(int argc, char** argv);
+
+  /// Parses argv against the flags a binary declares: every "--name" must be
+  /// in `flags` or be "--help", and positional arguments are rejected.
+  /// Throws InputError naming the first argument that is neither.
+  CliArgs(int argc, char** argv, std::vector<std::string> flags);
+
+  /// A usage line, then each declared flag on a line of its own.
+  std::string help() const;
 
   const std::string& program() const noexcept { return program_; }
 
@@ -58,6 +68,7 @@ class CliArgs {
   std::string program_;
   std::vector<Option> options_;
   std::vector<std::string> positionals_;
+  std::vector<std::string> declared_;
 };
 
 }  // namespace appscope::util

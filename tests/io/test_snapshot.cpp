@@ -20,6 +20,7 @@
 #include "io/snapshot_writer.hpp"
 #include "io/serialize.hpp"
 #include "core/dataset.hpp"
+#include "la/simd.hpp"
 #include "support/temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -86,6 +87,30 @@ TEST(SnapshotBinary, Crc32MatchesKnownVectors) {
   EXPECT_EQ(crc32(std::as_bytes(std::span(check.data(), check.size()))),
             0xCBF43926u);  // the CRC-32/ISO-HDLC check value
   EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(SnapshotBinary, SealedBytesIdenticalUnderScalarAndAvx2Dispatch) {
+  namespace simd = la::simd;
+  if (!simd::avx2_available()) {
+    GTEST_SKIP() << "AVX2/PCLMULQDQ kernels not compiled in or not supported";
+  }
+  // A save reaches the dispatch only through io::crc32, so the two
+  // files differ exactly when slicing-by-8 and the PCLMULQDQ fold disagree.
+  const core::TrafficDataset dataset =
+      core::TrafficDataset::generate(synth::ScenarioConfig::test_scale());
+  const std::string scalar_path = temp_file("scalar.snapshot").string();
+  const std::string avx2_path = temp_file("avx2.snapshot").string();
+  struct RestoreDispatch {
+    simd::Dispatch original = simd::active_dispatch();
+    ~RestoreDispatch() { simd::set_dispatch(original); }
+  } restore;
+  simd::set_dispatch(simd::Dispatch::kScalar);
+  dataset.save(scalar_path);
+  simd::set_dispatch(simd::Dispatch::kAvx2);
+  dataset.save(avx2_path);
+  const std::vector<char> scalar_bytes = read_file(scalar_path);
+  EXPECT_GT(scalar_bytes.size(), kPayloadStart);
+  EXPECT_TRUE(scalar_bytes == read_file(avx2_path));
 }
 
 TEST(SnapshotBinary, Fnv1a64MatchesKnownVectors) {

@@ -85,6 +85,12 @@ TEST(SpscQueue, RejectsCapacityAboveLargestPowerOfTwo) {
   EXPECT_THROW(SpscQueue<int>(kLargest + 1), util::PreconditionError);
 }
 
+TEST(SpscQueue, RejectsCapacityWhoseRingCannotBeAllocated) {
+  // 2^62 is a power of two, so only the ring allocation can fail: 2^62 ints
+  // exceed the vector's max_size, which resize reports as std::length_error.
+  EXPECT_THROW(SpscQueue<int>(std::size_t{1} << 62), util::PreconditionError);
+}
+
 // --- OverloadSampler -------------------------------------------------------
 
 TEST(OverloadSampler, KeepsOneInKWithExactScale) {

@@ -3,19 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace appscope::util {
 namespace {
 
-CliArgs make_args(std::vector<std::string> tokens) {
+/// CliArgs over `tokens`; strict, against `flags`, when flags are given.
+CliArgs make_args(std::vector<std::string> tokens,
+                  std::optional<std::vector<std::string>> flags = {}) {
   static std::vector<std::string> storage;
   storage = std::move(tokens);
   static std::vector<char*> argv;
   argv.clear();
   for (auto& t : storage) argv.push_back(t.data());
-  return CliArgs(static_cast<int>(argv.size()), argv.data());
+  const int argc = static_cast<int>(argv.size());
+  if (flags) return CliArgs(argc, argv.data(), std::move(*flags));
+  return CliArgs(argc, argv.data());
 }
 
 TEST(CliArgs, ParsesFlagsAndValues) {
@@ -54,6 +61,33 @@ TEST(CliArgs, CountAccessorRangeChecksItsTargetType) {
   EXPECT_EQ(args.get_count<std::uint32_t>("port", 1), 70000u);
   EXPECT_THROW(args.get_count<std::uint32_t>("seconds", 1), InputError);
   EXPECT_EQ(args.get_count<std::uint64_t>("seconds", 1), 4294967296u);
+}
+
+TEST(CliArgs, DeclaredFlagsPassAndUnknownFlagThrows) {
+  const std::vector<std::string> flags = {"snapshot-dir", "weeks"};
+  const CliArgs ok =
+      make_args({"prog", "--snapshot-dir=out", "--weeks=1"}, flags);
+  EXPECT_EQ(ok.value("snapshot-dir"), "out");
+  EXPECT_TRUE(make_args({"prog", "--help"}, flags).has("help"));
+  // The typo that used to turn sealing off without a word.
+  try {
+    make_args({"prog", "--snapshot_dir=out", "--weeks=1"}, flags);
+    FAIL() << "unknown flag accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("--snapshot_dir"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(make_args({"prog", "-weeks=1"}, flags), InputError);
+}
+
+TEST(CliArgs, HelpListsTheDeclaredFlags) {
+  const std::string help =
+      make_args({"prog"}, std::vector<std::string>{"scale", "queue-capacity"})
+          .help();
+  EXPECT_NE(help.find("usage: prog"), std::string::npos) << help;
+  EXPECT_NE(help.find("  --scale\n"), std::string::npos) << help;
+  EXPECT_NE(help.find("  --queue-capacity\n"), std::string::npos) << help;
+  EXPECT_NE(help.find("  --help\n"), std::string::npos) << help;
 }
 
 TEST(CliArgs, MalformedTypedValueThrows) {

@@ -8,6 +8,8 @@
 //       ./paper_report --snapshot=dataset.snap   (load-or-generate cache)
 //       ./paper_report --load=region_out/national.snapshot
 //       ./paper_report --trace=trace.json        (Chrome trace + summary)
+//       ./paper_report --help                    (the flags; any other flag
+//                                                 or argument is an error)
 #include <fstream>
 #include <iostream>
 
@@ -102,8 +104,14 @@ int run(const util::CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
   try {
+    const util::CliArgs args(argc, argv,
+                             {"trace", "scale", "kmax", "snapshot", "load",
+                              "no-maps", "out", "csv-dir"});
+    if (args.has("help")) {
+      std::cout << args.help();
+      return 0;
+    }
     return run(args);
   } catch (const util::Error& e) {
     std::cerr << "paper_report: " << e.what() << "\n";

@@ -25,17 +25,27 @@
 #include "core/temporal_analysis.hpp"
 #include "query/snapshot_view.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace appscope;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  std::string path;
+  try {
+    const util::CliArgs args(argc, argv, {"snapshot"});
+    if (args.has("help")) {
+      std::cout << args.help();
+      return 0;
+    }
+    path = args.get_string("snapshot", "slicing_planner.snapshot");
+  } catch (const util::InputError& e) {
+    std::cerr << "slicing_planner: " << e.what() << "\n";
+    return 1;
+  }
   std::cout << util::rule("appscope example: network slicing planner") << "\n";
 
-  const std::string path =
-      args.get_string("snapshot", "slicing_planner.snapshot");
   const core::TrafficDataset dataset = core::load_or_generate_snapshot(
       synth::ScenarioConfig::test_scale(), path);
 

@@ -21,9 +21,13 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
   synth::ScenarioConfig base;
   try {
+    const util::CliArgs args(argc, argv, {"scale"});
+    if (args.has("help")) {
+      std::cout << args.help();
+      return 0;
+    }
     base = synth::ScenarioConfig::for_scale(args.get_string("scale", "test"));
   } catch (const util::InputError& e) {
     std::cerr << "what_if_4g: " << e.what() << "\n";

@@ -8,7 +8,8 @@
 # end-to-end checks against that build:
 #   --metrics     every bench writes a well-formed metrics document
 #   --trace       a traced test-scale report equals the untraced one, and
-#                 the trace's critical path covers 90% of core.run_study
+#                 so do the reports at APPSCOPE_THREADS=1 and 4; the
+#                 trace's critical path covers 90% of core.run_study
 #   --query       example-scale snapshot save/reload gives the same report;
 #                 appscope_query answers on the lazy path and agrees with
 #                 the eager one (--check)
@@ -117,6 +118,11 @@ if [ "$TRACE" = 1 ]; then
     --out="$OUT/report_traced.md"
   "$REPORT" --scale=test --out="$OUT/report_untraced.md"
   cmp "$OUT/report_traced.md" "$OUT/report_untraced.md"
+  for threads in 1 4; do
+    APPSCOPE_THREADS="$threads" "$REPORT" --scale=test \
+      --out="$OUT/report_threads$threads.md"
+    cmp "$OUT/report_threads$threads.md" "$OUT/report_untraced.md"
+  done
   python3 scripts/trace_summary.py "$ART/paper_report.trace.json" \
     --root core.run_study --min-coverage 0.9
 fi

@@ -51,57 +51,77 @@ std::size_t ClusterSweepReport::best_k_by_silhouette() const {
   return best;
 }
 
-ClusterSweepReport cluster_sweep(const TrafficDataset& dataset,
-                                 workload::Direction d,
-                                 const ClusterSweepOptions& opts) {
+ClusterSweepInputs prepare_cluster_sweep(const TrafficDataset& dataset,
+                                         workload::Direction d,
+                                         const ClusterSweepOptions& opts) {
   APPSCOPE_REQUIRE(opts.k_min >= 2, "cluster_sweep: k_min must be >= 2");
   APPSCOPE_REQUIRE(opts.k_max >= opts.k_min, "cluster_sweep: k_max < k_min");
   APPSCOPE_REQUIRE(opts.k_max < dataset.service_count(),
                    "cluster_sweep: k_max must be below the service count");
 
-  const auto series = znormalized_national_series(dataset, d);
+  std::vector<std::vector<double>> series =
+      znormalized_national_series(dataset, d);
+  // k-Shape z-normalizes its input once more; doing that here, once, hands
+  // every k the same member rows a per-k kshape(series) call would build.
+  std::vector<std::vector<double>> members;
+  members.reserve(series.size());
+  for (const auto& s : series) {
+    members.push_back(ts::znormalize(std::span<const double>(s)));
+  }
+  // Dunn/silhouette read point pairs from the SBD matrix; DB/DB* reuse the
+  // cached point spectra.
+  ts::SeriesBatch batch(series);
+  ts::DistanceMatrix sbd_pairwise = ts::sbd_distance_matrix(batch);
+  return {.series = std::move(series),
+          .batch = std::move(batch),
+          .sbd_pairwise = std::move(sbd_pairwise),
+          .members = ts::SeriesBatch(members)};
+}
 
-  // Spectrum cache + pairwise SBD matrix built once per direction and
-  // reused across every k in the sweep (Dunn/silhouette read point pairs
-  // from the matrix; DB/DB* reuse the cached point spectra).
-  const ts::SeriesBatch batch(series);
-  const ts::DistanceMatrix sbd_pairwise = ts::sbd_distance_matrix(batch);
+ClusterQualityRow cluster_sweep_row(const ClusterSweepInputs& inputs,
+                                    std::size_t k,
+                                    const ClusterSweepOptions& opts) {
+  ClusterQualityRow row;
+  row.k = k;
 
-  const ts::DistanceFn euclidean = [](std::span<const double> a,
-                                      std::span<const double> b) {
-    return la::distance(a, b);
-  };
+  ts::KShapeOptions kopts;
+  kopts.k = k;
+  kopts.seed = opts.seed;
+  const ts::KShapeResult kshape = ts::kshape(inputs.members, kopts);
+  row.kshape = ts::evaluate_quality(
+      inputs.batch, ts::ClusteringView{kshape.assignments, kshape.centroids},
+      inputs.sbd_pairwise);
 
-  // One pool task per k; the pool calls inside kshape and SeriesBatch then
-  // run inline on that task's thread. Each row depends only on k, so the
-  // report is the same at any thread count.
+  if (opts.include_kmeans_baseline) {
+    ts::KMeansOptions mopts;
+    mopts.k = k;
+    mopts.seed = opts.seed;
+    const ts::KMeansResult kmeans = ts::kmeans(inputs.series, mopts);
+    row.kmeans = ts::evaluate_quality(
+        inputs.series, ts::ClusteringView{kmeans.assignments, kmeans.centroids},
+        [](std::span<const double> a, std::span<const double> b) {
+          return la::distance(a, b);
+        });
+  }
+  return row;
+}
+
+ClusterSweepReport cluster_sweep(const TrafficDataset& dataset,
+                                 workload::Direction d,
+                                 const ClusterSweepOptions& opts) {
+  const ClusterSweepInputs inputs = prepare_cluster_sweep(dataset, d, opts);
   ClusterSweepReport report;
   report.direction = d;
   report.rows.resize(opts.k_max - opts.k_min + 1);
+  // One pool task per k, largest k first: the quality step is O(k²), so
+  // the longest rows start first. The pool calls inside k-Shape run inline
+  // on the task's thread, and each row depends only on k, so the report is
+  // the same at any thread count.
   util::parallel_for(
-      opts.k_min, opts.k_max + 1, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          ClusterQualityRow& row = report.rows[k - opts.k_min];
-          row.k = k;
-
-          ts::KShapeOptions kopts;
-          kopts.k = k;
-          kopts.seed = opts.seed;
-          const ts::KShapeResult kshape = ts::kshape(series, kopts);
-          row.kshape = ts::evaluate_quality(
-              batch, ts::ClusteringView{kshape.assignments, kshape.centroids},
-              sbd_pairwise);
-
-          if (opts.include_kmeans_baseline) {
-            ts::KMeansOptions mopts;
-            mopts.k = k;
-            mopts.seed = opts.seed;
-            const ts::KMeansResult kmeans = ts::kmeans(series, mopts);
-            row.kmeans = ts::evaluate_quality(
-                series,
-                ts::ClusteringView{kmeans.assignments, kmeans.centroids},
-                euclidean);
-          }
+      0, report.rows.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t k = opts.k_max - i;
+          report.rows[k - opts.k_min] = cluster_sweep_row(inputs, k, opts);
         }
       });
   return report;

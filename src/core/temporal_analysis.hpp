@@ -17,6 +17,7 @@
 #include "ts/cluster_quality.hpp"
 #include "ts/kshape.hpp"
 #include "ts/peaks.hpp"
+#include "ts/series_batch.hpp"
 
 namespace appscope::core {
 
@@ -48,10 +49,33 @@ struct ClusterSweepOptions {
 /// Runs k-Shape (and optionally k-means) over the z-normalized national
 /// series of all services for every k in [k_min, k_max], scoring each
 /// clustering with the four indices (SBD geometry for k-Shape, Euclidean
-/// for k-means).
+/// for k-means). It is prepare_cluster_sweep plus one cluster_sweep_row
+/// per k on the pool, largest k first.
 ClusterSweepReport cluster_sweep(const TrafficDataset& dataset,
                                  workload::Direction d,
                                  const ClusterSweepOptions& opts = {});
+
+/// One direction's sweep inputs, built once and read by every k: the
+/// z-normalized national series, their cached spectra and pairwise SBD
+/// matrix (the quality indices' geometry), and k-Shape's member batch.
+struct ClusterSweepInputs {
+  std::vector<std::vector<double>> series;
+  ts::SeriesBatch batch;
+  ts::DistanceMatrix sbd_pairwise;
+  ts::SeriesBatch members;
+};
+
+/// Checks the k range of `opts` against the dataset (PreconditionError)
+/// and builds the inputs of direction `d`'s sweep.
+ClusterSweepInputs prepare_cluster_sweep(const TrafficDataset& dataset,
+                                         workload::Direction d,
+                                         const ClusterSweepOptions& opts);
+
+/// The sweep's row for one k. It only reads `inputs`, so rows of any k
+/// and direction may run concurrently, and a row depends only on its k.
+ClusterQualityRow cluster_sweep_row(const ClusterSweepInputs& inputs,
+                                    std::size_t k,
+                                    const ClusterSweepOptions& opts);
 
 /// Per-service peak analysis (Figs. 4, 6, 7).
 struct ServicePeaks {

@@ -14,6 +14,8 @@ namespace appscope::geo {
 
 class GridMap {
  public:
+  /// An empty raster with no cells, e.g. a report field not yet filled.
+  GridMap() = default;
   /// cols × rows raster covering [0, side_km]².
   GridMap(std::size_t cols, std::size_t rows, double side_km);
 
@@ -43,9 +45,9 @@ class GridMap {
   std::size_t index(std::size_t col, std::size_t row) const;
   std::vector<double> normalized_levels(bool log_scale) const;
 
-  std::size_t cols_;
-  std::size_t rows_;
-  double side_km_;
+  std::size_t cols_ = 0;
+  std::size_t rows_ = 0;
+  double side_km_ = 0.0;
   std::vector<double> sums_;
   std::vector<std::uint32_t> counts_;
 };

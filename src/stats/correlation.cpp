@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "la/vector_ops.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -80,19 +81,46 @@ la::Matrix pairwise_r2(const std::vector<std::vector<double>>& vectors) {
   for (const auto& v : vectors) {
     APPSCOPE_REQUIRE(v.size() == len, "pairwise_r2: ragged vectors");
   }
+  APPSCOPE_REQUIRE(len >= 2, "pairwise_r2: needs >= 2 samples");
   const std::size_t n = vectors.size();
   util::StageTimer timer("stats.pairwise_r2");
   timer.add_items(n * n);  // matrix entries filled (mirrored pairs included)
-  // Row-sharded fill over the global pool: every (i, j) entry is an
-  // independent pearson_r2, so the matrix is bitwise identical at any
-  // thread count. Shards own disjoint upper-triangle rows (and the
-  // mirrored cells below the diagonal), so writes never overlap.
-  la::Matrix m(n, n);
+  // Each vector is centred once, as pearson centres it per call: the same
+  // mean, the same deviations d = v - mean and the same in-order sum of
+  // d². A pair then costs one in-order dot product, which adds exactly
+  // pearson's sxy terms, so every entry keeps pearson_r2's bits.
+  la::Matrix centred(n, len);
+  std::vector<double> sum_sq(n);
   constexpr std::size_t kRowsPerShard = 2;
   util::parallel_for(0, n, kRowsPerShard, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
+      const double mu = mean(vectors[i]);
+      const std::span<double> d = centred.row(i);
+      double ss = 0.0;
+      for (std::size_t t = 0; t < len; ++t) {
+        d[t] = vectors[i][t] - mu;
+        ss += d[t] * d[t];
+      }
+      sum_sq[i] = ss;
+    }
+  });
+  // Row-sharded fill over the global pool: every (i, j) entry is
+  // independent, so the matrix is bitwise identical at any thread count.
+  // Shards own disjoint upper-triangle rows (and the mirrored cells below
+  // the diagonal), so writes never overlap.
+  const auto r2_of = [&](std::size_t i, std::size_t j) {
+    // pearson's guard: a constant vector gives 0, a NaN one passes to NaN.
+    if (sum_sq[i] <= 0.0 || sum_sq[j] <= 0.0) return 0.0;
+    const double sxy = la::dot(centred.row(i), centred.row(j));
+    const double r =
+        std::clamp(sxy / std::sqrt(sum_sq[i] * sum_sq[j]), -1.0, 1.0);
+    return r * r;
+  };
+  la::Matrix m(n, n);
+  util::parallel_for(0, n, kRowsPerShard, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
       for (std::size_t j = i; j < n; ++j) {
-        const double r2 = pearson_r2(vectors[i], vectors[j]);
+        const double r2 = r2_of(i, j);
         m(i, j) = r2;
         m(j, i) = r2;
       }

@@ -26,9 +26,10 @@ double pearson_r2(std::span<const double> x, std::span<const double> y);
 /// Spearman's rank correlation (Pearson on average ranks, ties averaged).
 double spearman(std::span<const double> x, std::span<const double> y);
 
-/// Pairwise r² matrix: entry (i, j) = pearson_r2(vectors[i], vectors[j]).
-/// All vectors must have equal length. The diagonal is 1 unless a vector is
-/// constant, in which case its whole row/column is 0.
+/// Pairwise r² matrix: entry (i, j) = pearson_r2(vectors[i], vectors[j]),
+/// bit for bit. All vectors must have equal length >= 2. The diagonal is 1
+/// unless a vector is constant, in which case its whole row/column is 0.
+/// Each vector is centred once, so a pair costs one dot product.
 la::Matrix pairwise_r2(const std::vector<std::vector<double>>& vectors);
 
 /// Off-diagonal entries of a symmetric matrix flattened to a vector

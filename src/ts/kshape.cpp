@@ -122,8 +122,6 @@ std::vector<double> shape_extract(const std::vector<std::vector<double>>& member
 
 KShapeResult kshape(const std::vector<std::vector<double>>& series,
                     const KShapeOptions& opts) {
-  util::StageTimer timer("ts.kshape");
-  timer.add_items(series.size());
   APPSCOPE_REQUIRE(!series.empty(), "kshape: no series");
   APPSCOPE_REQUIRE(opts.k >= 1 && opts.k <= series.size(),
                    "kshape: k must be in [1, #series]");
@@ -132,20 +130,26 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
   for (const auto& s : series) {
     APPSCOPE_REQUIRE(s.size() == n, "kshape: all series must have equal length");
   }
-
-  // Working copies, optionally z-normalized.
+  if (!opts.z_normalize_input) return kshape(SeriesBatch(series), opts);
   std::vector<std::vector<double>> data;
   data.reserve(series.size());
   for (const auto& s : series) {
-    data.push_back(opts.z_normalize_input
-                       ? znormalize(std::span<const double>(s))
-                       : s);
+    data.push_back(znormalize(std::span<const double>(s)));
   }
+  return kshape(SeriesBatch(data), opts);
+}
 
-  // Member spectra are computed once here and reused by every assignment
-  // and refinement across all iterations; centroid rows refresh via
-  // set_series as centroids change.
-  const SeriesBatch data_batch(data);
+KShapeResult kshape(const SeriesBatch& data, const KShapeOptions& opts) {
+  util::StageTimer timer("ts.kshape");
+  timer.add_items(data.size());
+  APPSCOPE_REQUIRE(opts.k >= 1 && opts.k <= data.size(),
+                   "kshape: k must be in [1, #series]");
+  const std::size_t n = data.length();
+  APPSCOPE_REQUIRE(n >= 2, "kshape: series must have >= 2 samples");
+
+  // Member spectra come cached in `data` and are reused by every
+  // assignment and refinement across all iterations; centroid rows refresh
+  // via set_series as centroids change.
   SeriesBatch centroid_batch(opts.k, n);
 
   util::Rng rng(opts.seed);
@@ -180,7 +184,7 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
         for (std::size_t c = lo; c < hi; ++c) {
           if (member_idx[c].empty()) continue;  // re-seeded after assignment
           result.centroids[c] = shape_extract_batch(
-              data_batch, member_idx[c], centroid_batch, c, sbd_scratch());
+              data, member_idx[c], centroid_batch, c, sbd_scratch());
           centroid_batch.set_series(c, result.centroids[c]);
         }
       });
@@ -201,7 +205,7 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
             for (std::size_t c = 0; c < opts.k; ++c) {
               if (centroid_batch.norm(c) == 0.0) continue;
               const double d =
-                  sbd_pair_distance(centroid_batch, c, data_batch, i, scratch);
+                  sbd_pair_distance(centroid_batch, c, data, i, scratch);
               if (d < best) {
                 best = d;
                 best_c = c;
@@ -210,8 +214,8 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
             if (best == std::numeric_limits<double>::infinity()) {
               // Every centroid is all zero (all members constant): the
               // series stays put, at the kernel's SBD 1 from a zero shape.
-              best = sbd_pair_distance(centroid_batch, best_c, data_batch, i,
-                                       scratch);
+              best =
+                  sbd_pair_distance(centroid_batch, best_c, data, i, scratch);
             }
             result.assignments[i] = best_c;
             best_dist[i] = best;
@@ -237,17 +241,18 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
         const auto owner = result.assignments[i];
         if (centroid_batch.norm(owner) == 0.0) continue;
         const double d =
-            sbd_pair_distance(centroid_batch, owner, data_batch, i, scratch);
+            sbd_pair_distance(centroid_batch, owner, data, i, scratch);
         if (d > worst) {
           worst = d;
           worst_i = i;
         }
       }
       result.assignments[worst_i] = c;
-      result.centroids[c] = data[worst_i];
+      const std::span<const double> seed = data.series(worst_i);
+      result.centroids[c].assign(seed.begin(), seed.end());
       // Keep the centroid batch in sync immediately: a later empty cluster
       // in this same loop may measure distances against cluster c.
-      centroid_batch.set_series(c, data[worst_i]);
+      centroid_batch.set_series(c, seed);
     }
 
     if (result.assignments == prev_assignments) {

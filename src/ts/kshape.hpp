@@ -15,12 +15,15 @@
 //                 eigenvector of the m×m Gram matrix B Bᵀ (m = cluster size),
 //                 solved exactly by la::jacobi_eigen.
 //
-// Series spectra are cached in ts::SeriesBatch: member spectra once per run,
-// centroid spectra once per refinement.
+// Series spectra are cached in ts::SeriesBatch: member spectra once per
+// batch (one run, or a whole k sweep through the batch overload), centroid
+// spectra once per refinement.
 #pragma once
 
 #include <cstdint>
 #include <vector>
+
+#include "ts/series_batch.hpp"
 
 namespace appscope::ts {
 
@@ -49,9 +52,15 @@ struct KShapeResult {
 };
 
 /// Clusters `series` (all equal length >= 2) into opts.k groups.
-/// Requires 1 <= k <= series.size().
+/// Requires 1 <= k <= series.size(). Z-normalizes the series when
+/// opts.z_normalize_input, then runs the SeriesBatch overload on them.
 KShapeResult kshape(const std::vector<std::vector<double>>& series,
                     const KShapeOptions& opts);
+
+/// Clusters the rows of `data` as given (opts.z_normalize_input is not
+/// read), so a caller clustering the same series for many k builds their
+/// batch once. Requires 1 <= k <= data.size() and data.length() >= 2.
+KShapeResult kshape(const SeriesBatch& data, const KShapeOptions& opts);
 
 /// Shape extraction for a single cluster: returns the z-normalized dominant
 /// eigenvector of QSQ built from `members` aligned to `reference`, computed

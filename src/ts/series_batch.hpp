@@ -49,7 +49,6 @@ bool sbd_uses_spectral(std::size_t length) noexcept;
 /// distinct threads concurrently (disjoint storage).
 class SeriesBatch {
  public:
-  SeriesBatch() = default;
   /// Flattens `series` (all equal length >= 1) and precomputes norms and
   /// spectra; rows are processed in parallel on the global pool.
   explicit SeriesBatch(const std::vector<std::vector<double>>& series);

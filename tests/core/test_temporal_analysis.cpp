@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <utility>
 
+#include "ts/znorm.hpp"
 #include "util/error.hpp"
 
 namespace appscope::core {
@@ -78,6 +82,39 @@ TEST(ClusterSweep, BestKHelpers) {
   EXPECT_LE(by_sil, 5u);
 }
 
+TEST(ClusterSweep, RowsMatchKShapeOnTheZNormalizedSeries) {
+  // The sweep hands every k one prepared member batch; each row must still
+  // be what kshape(series) and the quality indices give for that k alone.
+  ClusterSweepOptions opts;
+  opts.k_min = 2;
+  opts.k_max = 7;
+  const auto d = workload::Direction::kUplink;
+  const ClusterSweepReport report = cluster_sweep(dataset(), d, opts);
+  std::vector<std::vector<double>> series;
+  for (std::size_t s = 0; s < dataset().service_count(); ++s) {
+    series.push_back(ts::znormalize(dataset().national_series(s, d)));
+  }
+  const ts::SeriesBatch batch(series);
+  const ts::DistanceMatrix sbd = ts::sbd_distance_matrix(batch);
+  for (const ClusterQualityRow& row : report.rows) {
+    ts::KShapeOptions kopts;
+    kopts.k = row.k;
+    kopts.seed = opts.seed;
+    const ts::KShapeResult kshape = ts::kshape(series, kopts);
+    const ts::QualityIndices want = ts::evaluate_quality(
+        batch, ts::ClusteringView{kshape.assignments, kshape.centroids}, sbd);
+    for (const auto& [got_v, want_v] :
+         {std::pair{row.kshape.davies_bouldin, want.davies_bouldin},
+          std::pair{row.kshape.davies_bouldin_star, want.davies_bouldin_star},
+          std::pair{row.kshape.dunn, want.dunn},
+          std::pair{row.kshape.silhouette, want.silhouette}}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got_v),
+                std::bit_cast<std::uint64_t>(want_v))
+          << "k=" << row.k;
+    }
+  }
+}
+
 TEST(ClusterSweep, Validation) {
   ClusterSweepOptions opts;
   opts.k_min = 1;
@@ -91,6 +128,60 @@ TEST(ClusterSweep, Validation) {
   opts.k_max = 20;  // k_max >= service count
   EXPECT_THROW(cluster_sweep(dataset(), workload::Direction::kDownlink, opts),
                util::PreconditionError);
+}
+
+/// The bit patterns of a result's doubles, so equality is bitwise.
+std::vector<std::uint64_t> bit_patterns(const ts::KShapeResult& r) {
+  std::vector<std::uint64_t> out{std::bit_cast<std::uint64_t>(r.inertia)};
+  for (const auto& centroid : r.centroids) {
+    for (const double v : centroid) out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+/// kshape on a batch of the z-normalized series, the rows the sweep hands
+/// it, must give kshape(series)'s result bit for bit at every k.
+void expect_batch_overload_matches(
+    const std::vector<std::vector<double>>& series) {
+  std::vector<std::vector<double>> rows;
+  for (const auto& s : series) {
+    rows.push_back(ts::znormalize(std::span<const double>(s)));
+  }
+  const ts::SeriesBatch members(rows);
+  for (std::size_t k = 1; k <= series.size(); ++k) {
+    ts::KShapeOptions opts;
+    opts.k = k;
+    const ts::KShapeResult want = ts::kshape(series, opts);
+    const ts::KShapeResult got = ts::kshape(members, opts);
+    EXPECT_EQ(got.assignments, want.assignments) << "k=" << k;
+    EXPECT_EQ(got.iterations, want.iterations) << "k=" << k;
+    EXPECT_EQ(got.converged, want.converged) << "k=" << k;
+    EXPECT_EQ(bit_patterns(got), bit_patterns(want)) << "k=" << k;
+  }
+}
+
+TEST(KShape, BatchOverloadMatchesVectorOverload) {
+  std::vector<std::vector<double>> national;
+  for (std::size_t s = 0; s < dataset().service_count(); ++s) {
+    const auto row =
+        dataset().national_series(s, workload::Direction::kDownlink);
+    national.emplace_back(row.begin(), row.end());
+  }
+  expect_batch_overload_matches(national);
+
+  // A duplicated series re-seeds an empty cluster at k = n: each series
+  // starts in a cluster of its own, the two copies' centroids are equal,
+  // so both join the lower-indexed one and the other cluster empties.
+  std::vector<std::vector<double>> with_copy = national;
+  with_copy.push_back(national.front());
+  expect_batch_overload_matches(with_copy);
+
+  // All constant: every member row and every centroid is all zero.
+  std::vector<std::vector<double>> constant;
+  for (const double level : {3.0, -1.0, 0.0, 7.5, 3.0}) {
+    constant.emplace_back(ts::kHoursPerWeek, level);
+  }
+  expect_batch_overload_matches(constant);
 }
 
 TEST(AnalyzePeaks, EveryServiceHasPeaks) {

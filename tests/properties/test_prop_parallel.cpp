@@ -5,10 +5,16 @@
 // decomposition + ordered merges; see util/parallel.hpp).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.hpp"
+#include "core/report.hpp"
+#include "core/study.hpp"
 #include "core/temporal_analysis.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/correlation.hpp"
@@ -150,6 +156,48 @@ TEST(ParallelDeterminism, ClusterSweepIsBitwiseIdentical) {
       }
     }
     return flat;
+  });
+}
+
+TEST(ParallelDeterminism, StudyIsBitwiseIdentical) {
+  // run_study is one pool batch of concurrent analyses, each writing its
+  // own report field. Full-precision fields are compared as bit patterns,
+  // not only the rounded Markdown.
+  const core::TrafficDataset dataset =
+      core::TrafficDataset::generate(synth::ScenarioConfig::test_scale());
+  expect_identical_across_thread_counts([&] {
+    const core::StudyReport report = core::run_study(dataset);
+    std::vector<std::uint64_t> bits;
+    const auto append = [&bits](double v) {
+      bits.push_back(std::bit_cast<std::uint64_t>(v));
+    };
+    for (const auto& corr : report.correlation) {
+      for (const double v : corr.r2.data()) append(v);
+      for (const double v : corr.service_mean_r2) append(v);
+    }
+    for (const auto& sweep : report.clustering) {
+      EXPECT_EQ(sweep.rows.size(), 18u);
+      for (const core::ClusterQualityRow& row : sweep.rows) {
+        bits.push_back(row.k);
+        for (const double v :
+             {row.kshape.davies_bouldin, row.kshape.davies_bouldin_star,
+              row.kshape.dunn, row.kshape.silhouette}) {
+          append(v);
+        }
+      }
+    }
+    for (const auto& service : report.peaks.services) {
+      for (const ts::PeakInterval& interval : service.detection.intervals) {
+        bits.insert(bits.end(), {interval.begin, interval.end});
+      }
+    }
+    for (const double v : report.concentration.per_user_quantiles) append(v);
+    for (const auto& service : report.urbanization.services) {
+      for (const double v : service.volume_ratio) append(v);
+    }
+    std::ostringstream markdown;
+    core::write_markdown_report(report, dataset, markdown);
+    return std::make_pair(bits, markdown.str());
   });
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -86,6 +91,67 @@ TEST(PairwiseR2, StructureAndSymmetry) {
   EXPECT_NEAR(m(0, 2), 1.0, 1e-12);  // anti-colinear, r² still 1
   EXPECT_DOUBLE_EQ(m(1, 2), m(2, 1));
   EXPECT_TRUE(m.is_symmetric());
+}
+
+/// A double's bit pattern, so NaN entries compare too.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every entry of pairwise_r2 against pearson_r2 on the same two vectors.
+void expect_matches_pearson_bitwise(
+    const std::vector<std::vector<double>>& vectors) {
+  const la::Matrix m = pairwise_r2(vectors);
+  for (std::size_t i = 0; i < vectors.size(); ++i) {
+    for (std::size_t j = 0; j < vectors.size(); ++j) {
+      EXPECT_EQ(bits(m(i, j)), bits(pearson_r2(vectors[i], vectors[j])))
+          << i << "," << j << ": " << m(i, j);
+    }
+  }
+}
+
+TEST(PairwiseR2, MatchesPearsonBitwise) {
+  // pairwise_r2 centres each vector once and takes one dot product per
+  // pair; every entry must still carry pearson_r2's bits.
+  util::Rng rng(17);
+  std::vector<std::vector<double>> vectors;
+  for (int v = 0; v < 12; ++v) {
+    const double scale = rng.lognormal(0.0, 2.0);
+    const double offset = rng.uniform(-1e3, 1e3);
+    std::vector<double> x(301);
+    for (double& e : x) e = offset + scale * rng.normal();
+    vectors.push_back(std::move(x));
+  }
+  const std::size_t constant = vectors.size();
+  vectors.emplace_back(301, 4.25);
+  const std::size_t with_nan = vectors.size();
+  vectors.push_back(vectors[0]);
+  vectors.back()[100] = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t negated = vectors.size();
+  vectors.push_back(vectors[1]);
+  for (double& e : vectors.back()) e = -e;
+  expect_matches_pearson_bitwise(vectors);
+
+  const la::Matrix m = pairwise_r2(vectors);
+  for (std::size_t j = 0; j < vectors.size(); ++j) {
+    EXPECT_EQ(m(constant, j), 0.0) << j;  // pearson's constant guard
+    if (j != constant) EXPECT_TRUE(std::isnan(m(with_nan, j))) << j;
+  }
+  EXPECT_EQ(m(1, negated), 1.0);  // r = -1 exactly
+
+  // Length-2 vectors, the shortest pearson accepts.
+  expect_matches_pearson_bitwise({{1.0, 2.0}, {3.0, -1.0}, {5.0, 5.0}});
+
+  // Magnitudes near 1e150: each Σd² is finite but their product overflows,
+  // so every entry, the diagonal included, is dot / inf = 0, as pearson's.
+  std::vector<std::vector<double>> huge;
+  for (int v = 0; v < 4; ++v) {
+    std::vector<double> x(8);
+    for (double& e : x) e = 1e150 * rng.normal();
+    huge.push_back(std::move(x));
+  }
+  expect_matches_pearson_bitwise(huge);
+  EXPECT_EQ(pairwise_r2(huge)(0, 0), 0.0);
+
+  EXPECT_THROW(pairwise_r2({{1.0}, {2.0}}), util::PreconditionError);
 }
 
 TEST(PairwiseR2, RejectsRaggedInput) {

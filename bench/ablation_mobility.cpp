@@ -58,8 +58,8 @@ void summarize(const Variant& v, util::TextTable& table) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  synth::ScenarioConfig config = bench::parse_args(argc, argv).config;
   std::cout << util::rule("bench ablation_mobility") << "\n";
-  synth::ScenarioConfig config = bench::select_scenario(argc, argv);
 
   std::cout << "generating both variants...\n\n";
   config.enable_mobility = false;

@@ -48,8 +48,8 @@ double mean_r2_for(const geo::Territory& territory,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const synth::ScenarioConfig config = bench::parse_args(argc, argv).config;
   std::cout << util::rule("bench ablation_spatial_model") << "\n";
-  const synth::ScenarioConfig config = bench::select_scenario(argc, argv);
   const geo::Territory territory = geo::build_synthetic_country(config.country);
   const workload::SubscriberBase subscribers(territory, config.population);
   std::cout << "territory: " << territory.size() << " communes\n\n";

@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "core/dataset_io.hpp"
 #include "util/error.hpp"
@@ -13,63 +15,40 @@
 
 namespace appscope::bench {
 
-namespace {
-std::string scale_name(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (util::starts_with(arg, "--scale=")) return arg.substr(8);
-  }
-  if (const char* env = std::getenv("APPSCOPE_SCALE")) return env;
-  return "example";
-}
-
-std::string trace_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (util::starts_with(arg, "--trace=")) return arg.substr(8);
-  }
-  return "";
-}
-}  // namespace
-
-synth::ScenarioConfig select_scenario(int argc, char** argv) {
-  // Every bench binary passes through here first, so this is where the
-  // APPSCOPE_METRICS=1 contract is anchored: metrics.json is written at
-  // process exit when metrics are enabled. Likewise --trace=PATH (or
-  // APPSCOPE_TRACE=PATH) leaves a Chrome trace-event document behind.
-  util::write_metrics_at_exit();
-  util::enable_trace_export(trace_flag(argc, argv));
+BenchArgs parse_args(int argc, char** argv, std::vector<std::string> flags) {
+  const std::string program =
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "bench";
+  flags.insert(flags.begin(), {"scale", "trace"});
   try {
-    return synth::ScenarioConfig::for_scale(scale_name(argc, argv));
+    util::CliArgs args(argc, argv, std::move(flags));
+    if (args.has("help")) {
+      std::cout << args.help();
+      std::exit(0);
+    }
+    const char* env = std::getenv("APPSCOPE_SCALE");
+    synth::ScenarioConfig config = synth::ScenarioConfig::for_scale(
+        args.get_string("scale", env != nullptr ? env : "example"));
+    // Every bench binary passes through here first, so this is where the
+    // APPSCOPE_METRICS=1 contract is anchored: metrics.json is written at
+    // process exit when metrics are enabled. Likewise --trace=PATH (or
+    // APPSCOPE_TRACE=PATH) leaves a Chrome trace-event document behind.
+    util::write_metrics_at_exit();
+    util::enable_trace_export(args.get_string("trace", ""));
+    return {std::move(args), std::move(config)};
   } catch (const util::InputError& e) {
-    std::cerr << e.what() << "\n";
-    std::exit(2);
+    std::cerr << program << ": " << e.what() << "\n";
+    std::exit(1);
   }
 }
 
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
-
-namespace {
-std::string snapshot_path(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (util::starts_with(arg, "--snapshot=")) return arg.substr(11);
-  }
-  if (const char* env = std::getenv("APPSCOPE_SNAPSHOT")) return env;
-  return "";
-}
-
-core::TrafficDataset build_dataset_impl(const synth::ScenarioConfig& config,
-                                        const std::string& snapshot) {
+core::TrafficDataset build_dataset(const BenchArgs& args) {
+  const char* env = std::getenv("APPSCOPE_SNAPSHOT");
+  const std::string snapshot =
+      args.flags.get_string("snapshot", env != nullptr ? env : "");
   const auto start = std::chrono::steady_clock::now();
   core::TrafficDataset dataset =
-      snapshot.empty() ? core::TrafficDataset::generate(config)
-                       : core::load_or_generate_snapshot(config, snapshot);
+      snapshot.empty() ? core::TrafficDataset::generate(args.config)
+                       : core::load_or_generate_snapshot(args.config, snapshot);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -79,16 +58,6 @@ core::TrafficDataset build_dataset_impl(const synth::ScenarioConfig& config,
             << (snapshot.empty() ? "generated" : "ready") << " in "
             << util::format_double(elapsed, 2) << " s\n\n";
   return dataset;
-}
-}  // namespace
-
-core::TrafficDataset build_dataset(const synth::ScenarioConfig& config) {
-  return build_dataset_impl(config, "");
-}
-
-core::TrafficDataset build_dataset(const synth::ScenarioConfig& config,
-                                   int argc, char** argv) {
-  return build_dataset_impl(config, snapshot_path(argc, argv));
 }
 
 void print_expectation(const std::string& label, const std::string& paper,

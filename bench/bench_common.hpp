@@ -1,38 +1,47 @@
 // bench_common.hpp
 //
-// Shared plumbing for the figure-reproduction benches: scenario selection
-// (test / example / paper scale via argv or APPSCOPE_SCALE), dataset
-// construction, and output helpers. Each bench binary regenerates one figure
-// of the paper and prints the same rows/series the figure reports, plus a
-// "paper vs measured" summary.
+// Shared plumbing for the figure-reproduction benches: a strict command
+// line, scenario selection (test / example / paper scale via --scale or
+// APPSCOPE_SCALE), dataset construction, and output helpers. Each bench
+// binary regenerates one figure of the paper and prints the same
+// rows/series the figure reports, plus a "paper vs measured" summary.
 #pragma once
 
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/dataset.hpp"
 #include "synth/scenario.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace appscope::bench {
 
-/// Parses the scale from argv ("--scale=test|example|paper") or the
-/// APPSCOPE_SCALE environment variable; defaults to example scale
-/// (4,000 communes — nationwide shape at workstation cost).
-synth::ScenarioConfig select_scenario(int argc, char** argv);
+/// A bench's parsed command line and the scenario it selects.
+struct BenchArgs {
+  util::CliArgs flags;
+  /// --scale=test|example|paper, else APPSCOPE_SCALE, else example scale
+  /// (4,000 communes — nationwide shape at workstation cost).
+  synth::ScenarioConfig config;
+};
 
-/// True if the flag (e.g. "--sweep") appears in argv.
-bool has_flag(int argc, char** argv, const std::string& flag);
+/// Parses argv strictly. Every bench accepts --scale and --trace=PATH;
+/// `flags` names the rest it reads: its own switches, and "snapshot" when
+/// it builds its dataset through build_dataset. --help prints the accepted
+/// flags and exits 0 before any work. An undeclared flag, a stray argument
+/// or an unknown scale exits 1 with the util::InputError that names it.
+/// Otherwise arms the exports: metrics.json at exit when APPSCOPE_METRICS
+/// is set, and a Chrome trace for --trace=PATH (or APPSCOPE_TRACE).
+BenchArgs parse_args(int argc, char** argv,
+                     std::vector<std::string> flags = {});
 
-/// Builds the dataset and prints a one-paragraph scenario summary.
-core::TrafficDataset build_dataset(const synth::ScenarioConfig& config);
-
-/// Same, honoring "--snapshot=<path>" (or APPSCOPE_SNAPSHOT): load the
+/// Builds the dataset of args.config and prints a one-paragraph scenario
+/// summary. Honors "--snapshot=<path>" (or APPSCOPE_SNAPSHOT): load the
 /// binary snapshot at <path> if it exists, otherwise generate and save it
 /// there, so repeated bench runs skip dataset generation entirely.
-core::TrafficDataset build_dataset(const synth::ScenarioConfig& config,
-                                   int argc, char** argv);
+core::TrafficDataset build_dataset(const BenchArgs& args);
 
 /// Prints "<label>: paper=<paper> measured=<measured>".
 void print_expectation(const std::string& label, const std::string& paper,

@@ -93,13 +93,14 @@ void measured_tail(const synth::ScenarioConfig& config) {
 }
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"snapshot", "measured-tail"});
   std::cout << util::rule("bench fig02_service_ranking") << "\n";
-  const synth::ScenarioConfig config = bench::select_scenario(argc, argv);
-  const core::TrafficDataset dataset = bench::build_dataset(config, argc, argv);
+  const core::TrafficDataset dataset = bench::build_dataset(args);
   run_direction(dataset, workload::Direction::kDownlink);
   run_direction(dataset, workload::Direction::kUplink);
-  if (bench::has_flag(argc, argv, "--measured-tail")) {
-    synth::ScenarioConfig tail_config = config;
+  if (args.flags.has("measured-tail")) {
+    synth::ScenarioConfig tail_config = args.config;
     // 500 services x communes x 168 h: cap the geography so the sweep stays
     // interactive.
     tail_config.country.commune_count =

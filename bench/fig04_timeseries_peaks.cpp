@@ -44,9 +44,9 @@ void show_service(const core::TrafficDataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"snapshot"});
   std::cout << util::rule("bench fig04_timeseries_peaks") << "\n";
-  const core::TrafficDataset dataset =
-      bench::build_dataset(bench::select_scenario(argc, argv), argc, argv);
+  const core::TrafficDataset dataset = bench::build_dataset(args);
   const core::PeakReport report =
       core::analyze_peaks(dataset, workload::Direction::kDownlink);
 

@@ -106,13 +106,14 @@ void run_direction(const core::TrafficDataset& dataset, workload::Direction d,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"snapshot", "baseline", "dendrogram"});
   std::cout << util::rule("bench fig05_clustering_quality") << "\n";
-  const bool baseline = bench::has_flag(argc, argv, "--baseline");
-  const core::TrafficDataset dataset =
-      bench::build_dataset(bench::select_scenario(argc, argv), argc, argv);
+  const bool baseline = args.flags.has("baseline");
+  const core::TrafficDataset dataset = bench::build_dataset(args);
   run_direction(dataset, workload::Direction::kDownlink, baseline);
   run_direction(dataset, workload::Direction::kUplink, baseline);
-  if (bench::has_flag(argc, argv, "--dendrogram")) {
+  if (args.flags.has("dendrogram")) {
     dendrogram_ablation(dataset, workload::Direction::kDownlink);
   }
   return 0;

@@ -89,9 +89,9 @@ void parameter_sweep(const core::TrafficDataset& dataset) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"snapshot", "sweep"});
   std::cout << util::rule("bench fig06_peak_times") << "\n";
-  const core::TrafficDataset dataset =
-      bench::build_dataset(bench::select_scenario(argc, argv), argc, argv);
+  const core::TrafficDataset dataset = bench::build_dataset(args);
   const core::PeakReport report =
       core::analyze_peaks(dataset, workload::Direction::kDownlink);
   print_wheel(dataset, report);
@@ -116,6 +116,6 @@ int main(int argc, char** argv) {
       "mean within-category SBD " +
           util::format_double(categories.overall_mean_sbd(), 3));
 
-  if (bench::has_flag(argc, argv, "--sweep")) parameter_sweep(dataset);
+  if (args.flags.has("sweep")) parameter_sweep(dataset);
   return 0;
 }

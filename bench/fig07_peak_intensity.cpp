@@ -14,9 +14,9 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"snapshot"});
   std::cout << util::rule("bench fig07_peak_intensity") << "\n";
-  const core::TrafficDataset dataset =
-      bench::build_dataset(bench::select_scenario(argc, argv), argc, argv);
+  const core::TrafficDataset dataset = bench::build_dataset(args);
   const core::PeakReport report =
       core::analyze_peaks(dataset, workload::Direction::kDownlink);
 

@@ -13,9 +13,9 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"snapshot"});
   std::cout << util::rule("bench fig08_spatial_concentration") << "\n";
-  const core::TrafficDataset dataset =
-      bench::build_dataset(bench::select_scenario(argc, argv), argc, argv);
+  const core::TrafficDataset dataset = bench::build_dataset(args);
   const auto twitter = dataset.catalog().find("Twitter");
   if (!twitter) return 1;
 

@@ -14,9 +14,9 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"snapshot"});
   std::cout << util::rule("bench fig09_usage_maps") << "\n";
-  const core::TrafficDataset dataset =
-      bench::build_dataset(bench::select_scenario(argc, argv), argc, argv);
+  const core::TrafficDataset dataset = bench::build_dataset(args);
 
   for (const char* name : {"Twitter", "Netflix"}) {
     const auto idx = dataset.catalog().find(name);

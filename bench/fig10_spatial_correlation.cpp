@@ -54,9 +54,9 @@ void run_direction(const core::TrafficDataset& dataset, workload::Direction d) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"snapshot"});
   std::cout << util::rule("bench fig10_spatial_correlation") << "\n";
-  const core::TrafficDataset dataset =
-      bench::build_dataset(bench::select_scenario(argc, argv), argc, argv);
+  const core::TrafficDataset dataset = bench::build_dataset(args);
   run_direction(dataset, workload::Direction::kDownlink);
   run_direction(dataset, workload::Direction::kUplink);
 

@@ -259,9 +259,9 @@ void BM_MaterializedTensorAggregation(benchmark::State& state) {
    public:
     TensorSink(std::size_t services, std::size_t communes)
         : communes_(communes), data_(services * communes * 168, 0.0) {}
-    void consume(const synth::TrafficCell& cell) override {
-      data_[(cell.service * communes_ + cell.commune) * 168 + cell.week_hour] +=
-          cell.downlink_bytes;
+    void consume_row(const synth::TrafficRow& row) override {
+      double* week = &data_[(row.service * communes_ + row.commune) * 168];
+      for (std::size_t h = 0; h < 168; ++h) week[h] += row.downlink_bytes[h];
     }
     double aggregate_total() const {
       double total = 0.0;
@@ -348,7 +348,8 @@ void BM_SbdDistanceMatrixThreads(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)));
   const auto series = service_like_series(200);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ts::sbd_distance_matrix(series));
+    const ts::SeriesBatch batch(series);
+    benchmark::DoNotOptimize(ts::sbd_distance_matrix(batch));
   }
   state.SetItemsProcessed(state.iterations() * 200 * 199 / 2);
   util::ThreadPool::set_global_threads(0);
@@ -461,7 +462,7 @@ void BM_QueryHourSlice(benchmark::State& state) {
   query::Slice slice;  // evening busy window x all services, downlink
   slice.hour_begin = 18;
   slice.hour_end = 22;
-  // Warm: map + CRC the national section once, outside the timer.
+  // Warm: CRC the national section once, outside the timer.
   benchmark::DoNotOptimize(engine.run(view, slice).value);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(view, slice).value);
@@ -495,9 +496,9 @@ BENCHMARK(BM_QueryCommuneFingerprint)
     ->UseRealTime();
 
 void BM_SnapshotLazyLoad(benchmark::State& state) {
-  // Open lazily and answer one hour-slice: only the header window plus the
-  // national section are mapped and CRC-checked — strictly fewer bytes than
-  // the full load above. The mapped/file byte counts are exported as
+  // Open and answer one hour-slice: only the header window plus the
+  // national section are read and CRC-checked — strictly fewer bytes than
+  // the full load above. The read/file byte counts are exported as
   // counters (and io.snapshot.mapped_bytes in the metrics artifact).
   util::ThreadPool::set_global_threads(1);
   const std::string path = query_bench_snapshot();
@@ -514,7 +515,7 @@ void BM_SnapshotLazyLoad(benchmark::State& state) {
     file_bytes = view.file_bytes();
   }
   if (mapped >= file_bytes) {
-    state.SkipWithError("lazy load mapped the whole file");
+    state.SkipWithError("a one-slice query read the whole file");
   }
   state.counters["mapped_bytes"] =
       benchmark::Counter(static_cast<double>(mapped));

@@ -13,13 +13,13 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"full"});
   std::cout << util::rule("bench pipeline_dpi") << "\n";
   // Event-level simulation is the expensive path: use test-scale geography
   // unless the caller insists.
-  synth::ScenarioConfig config = bench::select_scenario(argc, argv);
-  if (!bench::has_flag(argc, argv, "--full")) {
-    config = synth::ScenarioConfig::test_scale();
-  }
+  const synth::ScenarioConfig config = args.flags.has("full")
+                                           ? args.config
+                                           : synth::ScenarioConfig::test_scale();
 
   const geo::Territory territory = geo::build_synthetic_country(config.country);
   const workload::SubscriberBase subscribers(territory, config.population);

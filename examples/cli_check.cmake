@@ -1,5 +1,5 @@
-# Runs one example binary and checks how it ends. Used by the CLI tests in
-# examples/CMakeLists.txt:
+# Runs one example or bench binary and checks how it ends. Used by the CLI
+# tests (appscope_cli_test in the top-level CMakeLists.txt):
 #
 #   cmake -DPROGRAM=<binary> -DARGS=<a|b|...> -DEXIT=<code>
 #         [-DMATCH=<regex>] [-DNO_MATCH=<regex>] -P cli_check.cmake

@@ -30,9 +30,10 @@ class CommuneSeriesSink final : public synth::TrafficSink {
   explicit CommuneSeriesSink(geo::CommuneId commune)
       : commune_(commune), series_(ts::kHoursPerWeek, 0.0) {}
 
-  void consume(const synth::TrafficCell& cell) override {
-    if (cell.commune == commune_) {
-      series_[cell.week_hour] += cell.downlink_bytes;
+  void consume_row(const synth::TrafficRow& row) override {
+    if (row.commune != commune_) return;
+    for (std::size_t h = 0; h < series_.size(); ++h) {
+      series_[h] += row.downlink_bytes[h];
     }
   }
 

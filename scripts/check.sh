@@ -11,8 +11,8 @@
 #                 so do the reports at APPSCOPE_THREADS=1 and 4; the
 #                 trace's critical path covers 90% of core.run_study
 #   --query       example-scale snapshot save/reload gives the same report;
-#                 appscope_query answers on the lazy path and agrees with
-#                 the eager one (--check)
+#                 appscope_query answers from the sections it reads and
+#                 agrees with a full load (--check)
 #   --region      a 4-region campaign, its warm rerun (every region reused,
 #                 same report) and the merged snapshot through paper_report
 #   --serve       a ~30 s throttled appscope_serve run scraped live, drained
@@ -137,8 +137,8 @@ if [ "$QUERY" = 1 ]; then
     contract "snapshot_$run" "$ART/snapshot_$run.metrics.json"
   done
   cmp "$OUT/report_save.md" "$OUT/report_load.md"
-  # The metered run stays on the lazy path: --check adds an eager full-file
-  # load to io.snapshot.mapped_bytes.
+  # The metered run reads only the sections its query touches: --check adds
+  # a full load, which reads every section, to io.snapshot.mapped_bytes.
   APPSCOPE_METRICS=1 APPSCOPE_METRICS_PATH="$ART/appscope_query.metrics.json" \
     "$QUERY_CLI" --snapshot="$SNAP" --hours=18:22 --op=sum --repeat=3 \
     --stats --slicing > /dev/null

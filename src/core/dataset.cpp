@@ -17,13 +17,6 @@ TrafficDataset::TrafficDataset(
       catalog_(std::move(catalog)),
       class_subscribers_(subscribers_->class_totals(*territory_)) {}
 
-void TrafficDataset::consume_stream(
-    const std::function<void(synth::TrafficSink&)>& producer) {
-  synth::AggregateSink sink(catalog_->size(), territory_->size());
-  producer(sink);
-  tables_ = std::move(sink).take();
-}
-
 TrafficDataset TrafficDataset::generate(const synth::ScenarioConfig& config) {
   auto territory = std::make_shared<const geo::Territory>(
       geo::build_synthetic_country(config.country));
@@ -45,8 +38,9 @@ TrafficDataset TrafficDataset::generate(const synth::ScenarioConfig& config) {
                                            config.traffic_seed,
                                            config.temporal_noise_sigma,
                                            presence.get());
-  dataset.consume_stream(
-      [&generator](synth::TrafficSink& sink) { generator.generate(sink); });
+  synth::AggregateSink sink(catalog->size(), territory->size());
+  generator.generate(sink);
+  dataset.tables_ = std::move(sink).take();
   return dataset;
 }
 
@@ -63,19 +57,32 @@ TrafficDataset TrafficDataset::from_usage_records(
   auto catalog_copy = std::make_shared<const workload::ServiceCatalog>(catalog);
 
   TrafficDataset dataset(config, territory_copy, subscribers_copy, catalog_copy);
-  dataset.consume_stream([&](synth::TrafficSink& sink) {
-    for (const auto& r : records) {
-      if (!r.service) continue;  // unclassified traffic: not per-service data
-      synth::TrafficCell cell;
-      cell.service = *r.service;
-      cell.commune = r.commune;
-      cell.week_hour = r.week_hour;
-      cell.urbanization = territory.commune(r.commune).urbanization;
-      cell.downlink_bytes = static_cast<double>(r.downlink_bytes);
-      cell.uplink_bytes = static_cast<double>(r.uplink_bytes);
-      sink.consume(cell);
-    }
-  });
+  // Each record is one hour of one service in one commune: it adds into one
+  // hour of its national and class series, its commune total and the grand
+  // totals, in record order.
+  constexpr workload::Direction kDown = workload::Direction::kDownlink;
+  constexpr workload::Direction kUp = workload::Direction::kUplink;
+  synth::AggregateTables<double>& t = dataset.tables_;
+  t = synth::AggregateTables<double>(catalog.size(), territory.size());
+  for (const net::UsageRecord& r : records) {
+    if (!r.service) continue;  // unclassified traffic: not per-service data
+    APPSCOPE_REQUIRE(r.week_hour < ts::kHoursPerWeek,
+                     "from_usage_records: week hour past the end of the week");
+    const workload::ServiceIndex s = *r.service;
+    const geo::Urbanization u = territory.commune(r.commune).urbanization;
+    const std::size_t h = r.week_hour;
+    const auto down = static_cast<double>(r.downlink_bytes);
+    const auto up = static_cast<double>(r.uplink_bytes);
+    t.national_row(s, kDown)[h] += down;
+    t.national_row(s, kUp)[h] += up;
+    t.commune_row(s, kDown)[r.commune] += down;
+    t.commune_row(s, kUp)[r.commune] += up;
+    t.urbanization_row(s, u, kDown)[h] += down;
+    t.urbanization_row(s, u, kUp)[h] += up;
+    t.downlink_total += down;
+    t.uplink_total += up;
+    ++t.cells;
+  }
   return dataset;
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -35,7 +34,8 @@ class TrafficDataset {
 
   /// Builds the aggregates from event-level probe output instead of the
   /// analytic generator (records with unclassified service are dropped, as
-  /// in the paper's per-service analyses).
+  /// in the paper's per-service analyses). Throws util::PreconditionError
+  /// for a record whose service, commune or week hour is out of range.
   static TrafficDataset from_usage_records(
       const synth::ScenarioConfig& config, const geo::Territory& territory,
       const workload::SubscriberBase& subscribers,
@@ -119,8 +119,6 @@ class TrafficDataset {
                  std::shared_ptr<const geo::Territory> territory,
                  std::shared_ptr<const workload::SubscriberBase> subscribers,
                  std::shared_ptr<const workload::ServiceCatalog> catalog);
-
-  void consume_stream(const std::function<void(synth::TrafficSink&)>& producer);
 
   synth::ScenarioConfig config_;
   std::shared_ptr<const geo::Territory> territory_;

@@ -16,7 +16,7 @@ constexpr std::size_t kServiceChunk = 4;
 
 /// The shared row analysis both the dataset path and the query path run.
 /// `row(s)` returns the 168-hour national series of service s; rows may be
-/// fetched concurrently from pool threads (the lazy snapshot reader and the
+/// fetched concurrently from pool threads (the snapshot reader and the
 /// in-memory dataset both allow that).
 template <typename RowFn, typename NameFn>
 SlicingReport analyze_rows(std::size_t service_count, const RowFn& row,

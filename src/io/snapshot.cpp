@@ -13,6 +13,7 @@
 #include "io/snapshot_reader.hpp"
 #include "io/snapshot_writer.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace appscope::io {
@@ -78,6 +79,13 @@ SnapshotStats write_snapshot(const std::string& path,
 LoadedSnapshot read_snapshot(const std::string& path) {
   util::ScopedSpan span("snapshot.load");
   const SnapshotReader reader(path);
+  // Check every section's CRC before decoding anything, sections this build
+  // does not decode included: a full load accepts only an intact file.
+  for (const SectionEntry& e : reader.sections()) (void)reader.section(e.id);
+  if (util::MetricsRegistry::enabled()) {
+    util::MetricsRegistry::global().add("io.snapshot.bytes_read",
+                                        reader.file_bytes());
+  }
   const SnapshotHeader& header = reader.header();
 
   // The header's dimension block is the contract every section is checked

@@ -52,8 +52,10 @@ struct LoadedSnapshot {
 };
 
 /// Reads and validates a snapshot written by write_snapshot. On top of the
-/// structural checks in SnapshotReader (magic, version, truncation, CRCs),
-/// this cross-checks every dimension: header vs embedded config vs decoded
+/// structural checks in SnapshotReader (magic, version, truncation, table
+/// CRC), it checks every section's CRC — sections this build does not
+/// decode included — before it decodes anything. Then it cross-checks
+/// every dimension: header vs embedded config vs decoded
 /// territory/subscribers/catalog vs aggregate section element counts, and
 /// the stored per-class subscriber counts against the decoded components.
 /// Any mismatch throws util::InputError.

@@ -5,8 +5,8 @@
 // urbanization class, direction) becomes row element-offsets, a contiguous
 // within-row window and an optional selection mask before any payload byte
 // is touched. The executor then scans exactly plan.bytes_touched bytes of
-// the one section the plan names; with a lazy reader nothing else is even
-// mapped.
+// the one section the plan names; no other section is read or
+// CRC-checked.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // appscope_query — interactive slice/aggregate queries over sealed
-// "appscope.snapshot/1" files, on the lazy-mapping read path: only the
-// header plus the sections a query touches are mapped and CRC-validated.
+// "appscope.snapshot/1" files: only the header plus the sections a query
+// touches are read and CRC-validated.
 //
 // Run:  ./appscope_query --snapshot=out/latest.snapshot --op=sum
 //       ./appscope_query --dir=serve_out --source=national
@@ -12,7 +12,8 @@
 //
 // --slicing prints the same network-slicing economics lines paper_report
 // emits (the CI soak job cross-checks them textually); --check recomputes
-// the answer on the eager full-load path and fails loudly on divergence.
+// the answer on a full load (io::read_snapshot, every section checked) and
+// fails loudly on divergence.
 // Under --follow, --admin-port=N (or APPSCOPE_ADMIN_PORT) attaches the
 // same live telemetry plane as appscope_serve, so a long poll loop is
 // scrapeable too.
@@ -134,7 +135,7 @@ void print_slicing(std::ostream& out, const core::SlicingReport& slices) {
 }
 
 /// Naive full-load recomputation of the slice aggregate, for --check. Runs
-/// plain sequential loops over the eagerly loaded dataset, so agreement is
+/// plain sequential loops over the fully loaded dataset, so agreement is
 /// up to summation-order rounding (checked at 1e-9 relative).
 double naive_value(const core::TrafficDataset& dataset,
                    const query::Slice& slice, const query::QueryPlan& plan) {

@@ -5,8 +5,7 @@
 
 namespace appscope::query {
 
-SnapshotView::SnapshotView(const std::string& path)
-    : reader_(path, io::ValidationMode::kLazy) {}
+SnapshotView::SnapshotView(const std::string& path) : reader_(path) {}
 
 std::uint64_t SnapshotView::fingerprint() const noexcept {
   // FNV-1a over the identity fields; any republished snapshot with

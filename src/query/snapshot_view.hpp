@@ -1,12 +1,12 @@
 // appscope/query/snapshot_view.hpp
 //
 // Read-side handle on one "appscope.snapshot/1" file for the query engine:
-// a lazily-mapping io::SnapshotReader plus typed row accessors over the
-// three aggregate cubes. Opening a view maps and validates only the header
-// and section table; the first query that touches a cube maps and
-// CRC-checks just that section (see snapshot_reader.hpp). Row accessors are
-// zero-copy spans into the mapping and are safe to call from any number of
-// reader threads concurrently.
+// an io::SnapshotReader plus typed row accessors over the three aggregate
+// cubes. Opening a view validates only the header and section table; the
+// first query that touches a cube reads and CRC-checks just that section
+// (see snapshot_reader.hpp). Row accessors are zero-copy spans into the
+// mapping and are safe to call from any number of reader threads
+// concurrently.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +25,9 @@ namespace appscope::query {
 
 class SnapshotView {
  public:
-  /// Opens `path` in lazy validation mode. Throws util::InputError on a
-  /// structurally invalid file (header/table problems); per-section
-  /// corruption surfaces on first touch of that section.
+  /// Opens `path`. Throws util::InputError on a structurally invalid file
+  /// (header/table problems); per-section corruption surfaces on first
+  /// touch of that section.
   explicit SnapshotView(const std::string& path);
 
   const io::SnapshotHeader& header() const noexcept { return reader_.header(); }
@@ -60,7 +60,7 @@ class SnapshotView {
                                            workload::Direction d) const;
 
   /// Whole f64 column of one aggregate cube section, validated against the
-  /// header dimensions (maps + CRC-checks the section on first touch).
+  /// header dimensions (CRC-checks the section on first touch).
   /// Precondition: `id` names one of the three cube sections.
   std::span<const double> column(io::SectionId id) const;
 

@@ -50,9 +50,9 @@ RegionRun run_shard(const RegionSpec& spec, const OrchestratorOptions& options) 
     const std::string existing =
         io::find_latest_snapshot(options.root, spec.id);
     if (!existing.empty()) {
-      // Lazy open: only the header window is mapped and checked — the reuse
-      // decision never pays for decoding or CRC-ing the payload sections.
-      const io::SnapshotReader reader(existing, io::ValidationMode::kLazy);
+      // Only the header and section table are checked — the reuse decision
+      // never pays for decoding or CRC-ing the payload sections.
+      const io::SnapshotReader reader(existing);
       if (reader.header().config_hash != run.config_hash) {
         throw util::InputError(
             "orchestrate: " + existing +

@@ -38,9 +38,8 @@ class AnalyticGenerator {
   /// as the serial path always has) and stages its (service, commune) rows
   /// in a RowBufferSink; shards are replayed into `sink` in commune order
   /// via consume_row. The sink therefore sees the identical row sequence at
-  /// any thread count — and, through the default consume_row expansion, the
-  /// identical cell sequence — so outputs are bitwise equal to a
-  /// single-threaded run.
+  /// any thread count, so outputs are bitwise equal to a single-threaded
+  /// run.
   void generate(TrafficSink& sink) const;
 
   /// Expected (noise-free) weekly per-user volume of a service in a commune.

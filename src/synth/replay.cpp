@@ -19,11 +19,6 @@ class EventStagingSink final : public TrafficSink {
                    std::vector<std::vector<net::ServiceEvent>>& hours)
       : events_per_cell_(events_per_cell), hours_(hours) {}
 
-  void consume(const TrafficCell& cell) override {
-    throw util::PreconditionError(
-        "EventStagingSink: the analytic generator emits rows, not cells");
-  }
-
   void consume_row(const TrafficRow& row) override {
     net::ServiceEvent proto;
     proto.commune = row.commune;

@@ -10,8 +10,8 @@ namespace {
 constexpr workload::Direction kDown = workload::Direction::kDownlink;
 constexpr workload::Direction kUp = workload::Direction::kUplink;
 
-/// Scalar hour-ascending adds of a row into one accumulator: exactly the
-/// adds the cell path performs.
+/// Scalar hour-ascending adds of a row into one accumulator: the adds of
+/// folding the row one hour at a time.
 void add_in_hour_order(double& total, std::span<const double> hours) {
   double acc = total;
   for (const double v : hours) acc += v;
@@ -20,46 +20,11 @@ void add_in_hour_order(double& total, std::span<const double> hours) {
 
 }  // namespace
 
-// --- TrafficSink ----------------------------------------------------------------
-
-void TrafficSink::consume_row(const TrafficRow& row) {
-  APPSCOPE_DCHECK(row.downlink_bytes.size() == row.uplink_bytes.size(),
-                  "TrafficSink: ragged row");
-  TrafficCell cell;
-  cell.service = row.service;
-  cell.commune = row.commune;
-  cell.urbanization = row.urbanization;
-  for (std::size_t h = 0; h < row.downlink_bytes.size(); ++h) {
-    cell.week_hour = h;
-    cell.downlink_bytes = row.downlink_bytes[h];
-    cell.uplink_bytes = row.uplink_bytes[h];
-    consume(cell);
-  }
-}
-
 // --- AggregateSink --------------------------------------------------------------
 
 AggregateSink::AggregateSink(std::size_t service_count,
                              std::size_t commune_count)
     : tables_(service_count, commune_count) {}
-
-void AggregateSink::consume(const TrafficCell& cell) {
-  APPSCOPE_DCHECK(cell.commune < tables_.communes() &&
-                      cell.week_hour < ts::kHoursPerWeek,
-                  "AggregateSink: cell out of range");
-  const std::size_t h = cell.week_hour;
-  tables_.national_row(cell.service, kDown)[h] += cell.downlink_bytes;
-  tables_.national_row(cell.service, kUp)[h] += cell.uplink_bytes;
-  tables_.commune_row(cell.service, kDown)[cell.commune] += cell.downlink_bytes;
-  tables_.commune_row(cell.service, kUp)[cell.commune] += cell.uplink_bytes;
-  tables_.urbanization_row(cell.service, cell.urbanization, kDown)[h] +=
-      cell.downlink_bytes;
-  tables_.urbanization_row(cell.service, cell.urbanization, kUp)[h] +=
-      cell.uplink_bytes;
-  tables_.downlink_total += cell.downlink_bytes;
-  tables_.uplink_total += cell.uplink_bytes;
-  ++tables_.cells;
-}
 
 void AggregateSink::consume_row(const TrafficRow& row) {
   APPSCOPE_DCHECK(row.commune < tables_.communes() &&
@@ -86,17 +51,7 @@ void AggregateSink::consume_row(const TrafficRow& row) {
   tables_.cells += row.downlink_bytes.size();
 }
 
-// --- BufferSink ------------------------------------------------------------------
-
-void BufferSink::replay_into(TrafficSink& sink) const {
-  for (const TrafficCell& cell : cells_) sink.consume(cell);
-}
-
 // --- RowBufferSink ---------------------------------------------------------------
-
-void RowBufferSink::consume(const TrafficCell&) {
-  APPSCOPE_REQUIRE(false, "RowBufferSink: buffers rows, not cells");
-}
 
 void RowBufferSink::consume_row(const TrafficRow& row) {
   APPSCOPE_DCHECK(row.downlink_bytes.size() == ts::kHoursPerWeek &&

@@ -1,6 +1,5 @@
 #include "ts/sbd.hpp"
 
-
 #include "la/vector_ops.hpp"
 #include "ts/series_batch.hpp"
 #include "util/error.hpp"
@@ -34,22 +33,6 @@ void shift_series_into(std::span<const double> y, std::ptrdiff_t shift,
 std::vector<double> shift_series(std::span<const double> y, std::ptrdiff_t shift) {
   std::vector<double> out;
   shift_series_into(y, shift, out);
-  return out;
-}
-
-std::vector<std::vector<double>> sbd_distance_matrix(
-    const std::vector<std::vector<double>>& series) {
-  // Compatibility shim over the SeriesBatch overload (ts/series_batch.hpp):
-  // builds the spectrum cache once, computes the flat matrix, and unpacks
-  // into the legacy nested layout.
-  const SeriesBatch batch(series);
-  const DistanceMatrix d = sbd_distance_matrix(batch);
-  const std::size_t n = d.size();
-  std::vector<std::vector<double>> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const double> row = d.row(i);
-    out[i].assign(row.begin(), row.end());
-  }
   return out;
 }
 

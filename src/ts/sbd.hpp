@@ -42,13 +42,4 @@ std::vector<double> shift_series(std::span<const double> y, std::ptrdiff_t shift
 void shift_series_into(std::span<const double> y, std::ptrdiff_t shift,
                        std::vector<double>& out);
 
-/// Symmetric pairwise SBD matrix over `series` (all equal length >= 2),
-/// zero diagonal, in the legacy nested layout. Compatibility shim over the
-/// SeriesBatch overload (ts/series_batch.hpp), which precomputes each
-/// series' spectrum once instead of per pair — prefer it (and the flat
-/// DistanceMatrix it returns) in new code. Row-sharded across the global
-/// util::ThreadPool; bitwise identical at any thread count.
-std::vector<std::vector<double>> sbd_distance_matrix(
-    const std::vector<std::vector<double>>& series);
-
 }  // namespace appscope::ts

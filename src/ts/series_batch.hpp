@@ -138,8 +138,8 @@ double sbd_pair_distance(const SeriesBatch& x, std::size_t i,
                          SbdScratch& scratch);
 
 /// Symmetric pairwise SBD matrix over the batch (zero diagonal), row-sharded
-/// across the global pool with per-worker scratch; bitwise identical to the
-/// per-pair ts::sbd_distance_matrix at any thread count.
+/// across the global pool with per-worker scratch; each cell is bitwise
+/// ts::sbd_distance of its pair, at any thread count.
 DistanceMatrix sbd_distance_matrix(const SeriesBatch& batch);
 
 }  // namespace appscope::ts

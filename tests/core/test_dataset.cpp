@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "io/snapshot.hpp"
 #include "net/simulator.hpp"
+#include "support/cell_fold.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace appscope::core {
@@ -98,29 +104,46 @@ TEST(TrafficDataset, PerUserUrbanizationSeriesScales) {
   }
 }
 
-TEST(TrafficDataset, FromUsageRecordsBuildsCoherentDataset) {
-  const synth::ScenarioConfig config = [] {
+/// An 80-commune scenario and one simulated week of its probe records.
+struct SimulatedWeek {
+  synth::ScenarioConfig config = [] {
     auto cfg = synth::ScenarioConfig::test_scale();
     cfg.country.commune_count = 80;
     cfg.country.metro_count = 2;
     return cfg;
   }();
-  const geo::Territory territory = geo::build_synthetic_country(config.country);
-  const workload::SubscriberBase subscribers(territory, config.population);
-  const workload::ServiceCatalog catalog =
-      workload::ServiceCatalog::paper_services();
-  net::BaseStationRegistry cells(territory, {});
-  net::DpiEngine dpi(catalog);
-  net::SessionSimConfig sim_cfg;
-  sim_cfg.session_thinning = 0.01;
-  net::SessionSimulator sim(territory, subscribers, catalog, cells, dpi, sim_cfg);
-
+  geo::Territory territory = geo::build_synthetic_country(config.country);
+  workload::SubscriberBase subscribers{territory, config.population};
+  workload::ServiceCatalog catalog = workload::ServiceCatalog::paper_services();
   std::vector<net::UsageRecord> records;
-  sim.run([&records](const net::UsageRecord& r) { records.push_back(r); });
+
+  SimulatedWeek() {
+    net::BaseStationRegistry cells(territory, {});
+    net::DpiEngine dpi(catalog);
+    net::SessionSimConfig sim_cfg;
+    sim_cfg.session_thinning = 0.01;
+    net::SessionSimulator sim(territory, subscribers, catalog, cells, dpi,
+                              sim_cfg);
+    sim.run([this](const net::UsageRecord& r) { records.push_back(r); });
+  }
+
+  TrafficDataset dataset(const std::vector<net::UsageRecord>& rs) const {
+    return TrafficDataset::from_usage_records(config, territory, subscribers,
+                                              catalog, rs);
+  }
+};
+
+const SimulatedWeek& simulated_week() {
+  static const SimulatedWeek week;
+  return week;
+}
+
+TEST(TrafficDataset, FromUsageRecordsBuildsCoherentDataset) {
+  const SimulatedWeek& week = simulated_week();
+  const std::vector<net::UsageRecord>& records = week.records;
   ASSERT_FALSE(records.empty());
 
-  const TrafficDataset d = TrafficDataset::from_usage_records(
-      config, territory, subscribers, catalog, records);
+  const TrafficDataset d = week.dataset(records);
   EXPECT_NO_THROW(d.validate());
   EXPECT_GT(d.direction_total(workload::Direction::kDownlink), 0.0);
   // Unclassified records were dropped: dataset volume < probe volume.
@@ -132,6 +155,44 @@ TEST(TrafficDataset, FromUsageRecordsBuildsCoherentDataset) {
   EXPECT_LT(d.direction_total(workload::Direction::kDownlink) +
                 d.direction_total(workload::Direction::kUplink),
             total_records);
+}
+
+TEST(TrafficDataset, FromUsageRecordsMatchesTheCellFold) {
+  // Every classified record is one cell of the reference fold; the tables
+  // must hold its bits exactly. A snapshot round trip (bitwise) exposes
+  // the tables, cell count included.
+  const SimulatedWeek& week = simulated_week();
+  synth::AggregateTables<double> expected(week.catalog.size(),
+                                          week.territory.size());
+  for (const net::UsageRecord& r : week.records) {
+    if (!r.service) continue;
+    test_support::add_cell(expected, *r.service, r.commune,
+                           week.territory.commune(r.commune).urbanization,
+                           r.week_hour, static_cast<double>(r.downlink_bytes),
+                           static_cast<double>(r.uplink_bytes));
+  }
+  ASSERT_GT(expected.cells, 0u);
+
+  const std::string path =
+      test_support::temp_path("usage_records.snapshot").string();
+  week.dataset(week.records).save(path);
+  test_support::expect_bitwise_equal(io::read_snapshot(path).aggregates,
+                                     expected);
+}
+
+TEST(TrafficDataset, FromUsageRecordsRejectsHourPastTheWeek) {
+  // week_hour indexes the hourly tables; one past the week must not land
+  // in a neighbouring row.
+  const SimulatedWeek& week = simulated_week();
+  net::UsageRecord r;
+  r.service = 0;
+  r.commune = 3;
+  r.week_hour = ts::kHoursPerWeek;
+  r.downlink_bytes = 1000;
+  r.uplink_bytes = 10;
+  EXPECT_THROW(week.dataset({r}), util::PreconditionError);
+  r.week_hour = ts::kHoursPerWeek - 1;
+  EXPECT_NO_THROW(week.dataset({r}));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "la/fft_plan.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/correlation.hpp"
+#include "support/cell_fold.hpp"
 #include "support/metrics_on.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
@@ -25,6 +26,7 @@
 #include "ts/kshape.hpp"
 #include "ts/peaks.hpp"
 #include "ts/sbd.hpp"
+#include "ts/series_batch.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -65,7 +67,7 @@ std::vector<std::vector<double>> fixture_series(std::size_t count) {
   return series;
 }
 
-TEST(MetricsDeterminism, GeneratorCellStreamIsIdentical) {
+TEST(MetricsDeterminism, GeneratorRowStreamIsIdentical) {
   auto config = synth::ScenarioConfig::test_scale();
   config.country.commune_count = 200;
   const geo::Territory territory = geo::build_synthetic_country(config.country);
@@ -76,22 +78,14 @@ TEST(MetricsDeterminism, GeneratorCellStreamIsIdentical) {
                                      config.traffic_seed,
                                      config.temporal_noise_sigma);
   const auto [off, on] = both_ways([&gen] {
-    synth::BufferSink buffer;
-    gen.generate(buffer);
-    return buffer;
+    test_support::RowRecorder recorder;
+    gen.generate(recorder);
+    return recorder.rows();
   });
   ASSERT_EQ(off.size(), on.size());
-  // Bitwise equality of the whole cell stream, including the doubles
-  // (field-wise, so struct padding never enters the comparison).
+  // Equality of the whole row stream: headers and every hour's doubles.
   for (std::size_t i = 0; i < off.size(); ++i) {
-    const synth::TrafficCell& a = off.cells()[i];
-    const synth::TrafficCell& b = on.cells()[i];
-    ASSERT_EQ(a.service, b.service) << i;
-    ASSERT_EQ(a.commune, b.commune) << i;
-    ASSERT_EQ(a.week_hour, b.week_hour) << i;
-    ASSERT_EQ(a.urbanization, b.urbanization) << i;
-    ASSERT_EQ(a.downlink_bytes, b.downlink_bytes) << i;
-    ASSERT_EQ(a.uplink_bytes, b.uplink_bytes) << i;
+    ASSERT_TRUE(off[i] == on[i]) << "row " << i;
   }
 }
 
@@ -109,8 +103,10 @@ TEST(MetricsDeterminism, ClusteringIsIdentical) {
 
 TEST(MetricsDeterminism, SbdMatrixIsIdentical) {
   const auto series = fixture_series(16);
-  const auto [off, on] =
-      both_ways([&] { return ts::sbd_distance_matrix(series); });
+  const auto [off, on] = both_ways([&] {
+    const ts::SeriesBatch batch(series);
+    return ts::sbd_distance_matrix(batch).cells();
+  });
   EXPECT_EQ(off, on);
 }
 

@@ -21,6 +21,7 @@
 #include "io/serialize.hpp"
 #include "core/dataset.hpp"
 #include "la/simd.hpp"
+#include "support/metrics_on.hpp"
 #include "support/temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -320,8 +321,66 @@ TEST(SnapshotCorruption, FlippedPayloadByteRejected) {
   const auto path = corrupted("payload.snapshot", [](std::vector<char>& b) {
     b[kPayloadStart] = static_cast<char>(b[kPayloadStart] ^ 0x01);
   });
-  expect_input_error([&] { SnapshotReader reader(path); },
+  expect_input_error([&] { read_snapshot(path); },
                      "checksum mismatch (corrupted)");
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotCorruption, FullLoadChecksEverySection) {
+  // A full load checks every section's CRC before it decodes: a flipped
+  // payload byte anywhere is rejected, named after its section, and counted.
+  std::vector<SectionEntry> entries;
+  {
+    const SnapshotReader reader(base_snapshot());
+    entries = reader.sections();
+  }
+  ASSERT_EQ(entries.size(), 9u);
+  for (const SectionEntry& e : entries) {
+    ASSERT_GT(e.payload_bytes, 0u) << section_name(e.id);
+    const auto path = corrupted("section.snapshot", [&](std::vector<char>& b) {
+      b[e.offset] = static_cast<char>(b[e.offset] ^ 0x01);
+    });
+    const test_support::MetricsOn metrics;
+    expect_input_error([&] { read_snapshot(path); },
+                       "section '" + std::string(section_name(e.id)) +
+                           "' checksum mismatch");
+    EXPECT_EQ(util::MetricsRegistry::global().snapshot().counters.at(
+                  "io.snapshot.checksum_failures"),
+              1u)
+        << section_name(e.id);
+    std::filesystem::remove(path);
+  }
+
+  // The same holds for a section this build does not decode.
+  constexpr auto kForeign = static_cast<SectionId>(42);
+  const std::string path = temp_file("foreign_section.snapshot").string();
+  {
+    const SnapshotReader base(base_snapshot());
+    const SnapshotHeader& h = base.header();
+    SnapshotWriter writer(path,
+                          {h.services, h.communes, h.hours, h.directions,
+                           h.urbanization_classes},
+                          h.config_hash, h.traffic_seed);
+    for (const SectionEntry& e : base.sections()) {
+      writer.add_section(e.id, base.section(e.id), e.kind);
+    }
+    const std::vector<std::byte> payload(100, std::byte{0x5a});
+    writer.add_section(kForeign, payload);
+    writer.finish();
+  }
+  std::uint64_t foreign_offset = 0;
+  {
+    const SnapshotReader reader(path);
+    ASSERT_EQ(reader.sections().size(), 10u);
+    ASSERT_TRUE(reader.has_section(kForeign));
+    foreign_offset = reader.sections().back().offset;
+  }
+  EXPECT_NO_THROW(read_snapshot(path));
+
+  std::vector<char> bytes = read_file(path);
+  bytes[foreign_offset] = static_cast<char>(bytes[foreign_offset] ^ 0x01);
+  write_file(path, bytes);
+  expect_input_error([&] { read_snapshot(path); }, "checksum mismatch");
   std::filesystem::remove(path);
 }
 
@@ -426,7 +485,7 @@ TEST(SnapshotCorruption, ChecksumFailureIncrementsMetric) {
   });
   util::MetricsRegistry::set_enabled(true);
   util::MetricsRegistry::global().reset();
-  EXPECT_THROW(SnapshotReader reader(path), util::InputError);
+  EXPECT_THROW(read_snapshot(path), util::InputError);
   const auto snap = util::MetricsRegistry::global().snapshot();
   util::MetricsRegistry::set_enabled(false);
   const auto it = snap.counters.find("io.snapshot.checksum_failures");

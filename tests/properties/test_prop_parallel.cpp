@@ -18,12 +18,14 @@
 #include "core/temporal_analysis.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/correlation.hpp"
+#include "support/cell_fold.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "synth/sinks.hpp"
 #include "ts/hierarchical.hpp"
 #include "ts/kshape.hpp"
 #include "ts/sbd.hpp"
+#include "ts/series_batch.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -81,10 +83,10 @@ TEST(ParallelDeterminism, AnalyticGeneratorIsBitwiseIdentical) {
   expect_identical_across_thread_counts([&] {
     synth::AggregateSink sink(catalog.size(), territory.size());
     gen.generate(sink);
-    synth::BufferSink cells;
-    gen.generate(cells);
+    test_support::RowRecorder rows;
+    gen.generate(rows);
 
-    // Flatten everything the sinks observed, including the raw cell
+    // Flatten everything the sinks observed, including the raw row
     // stream order.
     std::vector<double> flat;
     for (std::size_t s = 0; s < catalog.size(); ++s) {
@@ -96,12 +98,13 @@ TEST(ParallelDeterminism, AnalyticGeneratorIsBitwiseIdentical) {
         flat.insert(flat.end(), totals.begin(), totals.end());
       }
     }
-    for (const auto& cell : cells.cells()) {
-      flat.push_back(static_cast<double>(cell.service));
-      flat.push_back(static_cast<double>(cell.commune));
-      flat.push_back(static_cast<double>(cell.week_hour));
-      flat.push_back(cell.downlink_bytes);
-      flat.push_back(cell.uplink_bytes);
+    for (const test_support::RecordedRow& row : rows.rows()) {
+      flat.push_back(static_cast<double>(row.service));
+      flat.push_back(static_cast<double>(row.commune));
+      flat.push_back(static_cast<double>(row.urbanization));
+      flat.insert(flat.end(), row.downlink_bytes.begin(),
+                  row.downlink_bytes.end());
+      flat.insert(flat.end(), row.uplink_bytes.begin(), row.uplink_bytes.end());
     }
     return flat;
   });
@@ -211,8 +214,10 @@ TEST(ParallelDeterminism, PairwiseR2IsBitwiseIdentical) {
 
 TEST(ParallelDeterminism, SbdDistanceMatrixIsBitwiseIdentical) {
   const auto series = noisy_weekly_series(25, 37);
-  expect_identical_across_thread_counts(
-      [&] { return ts::sbd_distance_matrix(series); });
+  expect_identical_across_thread_counts([&] {
+    const ts::SeriesBatch batch(series);
+    return ts::sbd_distance_matrix(batch).cells();
+  });
 }
 
 TEST(ParallelDeterminism, HierarchicalClusteringIsBitwiseIdentical) {

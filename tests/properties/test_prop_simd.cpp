@@ -16,6 +16,7 @@
 
 #include "la/fft_plan.hpp"
 #include "la/simd.hpp"
+#include "support/cell_fold.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "ts/kshape.hpp"
@@ -124,8 +125,10 @@ TEST(ParallelSimdParity, Znormalize) {
 
 TEST(ParallelSimdParity, SbdDistanceMatrix) {
   const auto series = noisy_weekly_series(24, 104);
-  expect_identical_across_dispatch_and_threads(
-      [&] { return ts::sbd_distance_matrix(series); });
+  expect_identical_across_dispatch_and_threads([&] {
+    const ts::SeriesBatch batch(series);
+    return ts::sbd_distance_matrix(batch).cells();
+  });
 }
 
 TEST(ParallelSimdParity, SbdPairsIncludingZeroNormAndTies) {
@@ -190,9 +193,9 @@ TEST(ParallelSimdParity, AnalyticGeneratorAggregates) {
 }
 
 TEST(ParallelSimdParity, RowPathMatchesCellPath) {
-  // The row-based generator fold must equal a cell-at-a-time replay of the
-  // very same stream: expand every row through the default consume_row into
-  // cell-level sinks and compare all aggregates bitwise.
+  // The row-based generator fold must equal an hour-at-a-time fold of the
+  // very same stream (tests/support/cell_fold.hpp), bitwise, in every
+  // table.
   auto config = synth::ScenarioConfig::test_scale();
   config.country.commune_count = 80;
   const geo::Territory territory = geo::build_synthetic_country(config.country);
@@ -203,21 +206,8 @@ TEST(ParallelSimdParity, RowPathMatchesCellPath) {
                                      config.traffic_seed,
                                      config.temporal_noise_sigma);
 
-  // Adapter that strips the row overrides: forwards rows through the base
-  // expansion so the wrapped sinks only ever see cells.
-  class CellOnly final : public synth::TrafficSink {
-   public:
-    explicit CellOnly(synth::TrafficSink& inner) : inner_(inner) {}
-    void consume(const synth::TrafficCell& cell) override {
-      inner_.consume(cell);
-    }
-
-   private:
-    synth::TrafficSink& inner_;
-  };
-
   // Under every available dispatch: the accumulate kernel must add the same
-  // bits per hour as the scalar cell path.
+  // bits per hour as the scalar reference.
   std::vector<la::simd::Dispatch> dispatches = {la::simd::Dispatch::kScalar};
   if (la::simd::avx2_available()) dispatches.push_back(la::simd::Dispatch::kAvx2);
   const la::simd::Dispatch before = la::simd::active_dispatch();
@@ -225,18 +215,9 @@ TEST(ParallelSimdParity, RowPathMatchesCellPath) {
     la::simd::set_dispatch(dispatch);
     synth::AggregateSink rows(catalog.size(), territory.size());
     gen.generate(rows);
-    synth::AggregateSink cell_sink(catalog.size(), territory.size());
-    CellOnly cells(cell_sink);
+    test_support::CellFoldSink cells(catalog.size(), territory.size());
     gen.generate(cells);
-
-    const synth::AggregateTables<double>& a = rows.tables();
-    const synth::AggregateTables<double>& b = cell_sink.tables();
-    EXPECT_TRUE(std::ranges::equal(a.national(), b.national()));
-    EXPECT_TRUE(std::ranges::equal(a.commune_totals(), b.commune_totals()));
-    EXPECT_TRUE(std::ranges::equal(a.urbanization(), b.urbanization()));
-    EXPECT_EQ(a.downlink_total, b.downlink_total);
-    EXPECT_EQ(a.uplink_total, b.uplink_total);
-    EXPECT_EQ(a.cells, b.cells);
+    test_support::expect_bitwise_equal(rows.tables(), cells.tables());
   }
   la::simd::set_dispatch(before);
 }

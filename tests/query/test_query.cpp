@@ -1,8 +1,8 @@
-// Tests of the query engine: the lazily-mapping SnapshotView, predicate
-// pushdown (plan_slice resolves every predicate against the header before a
-// payload byte is touched), scan correctness against the eagerly loaded
-// dataset, the bounded result cache, per-section corruption isolation, and
-// the refresh-on-publish Follower.
+// Tests of the query engine: the SnapshotView, which reads only the
+// sections it touches, predicate pushdown (plan_slice resolves every
+// predicate against the header before a payload byte is touched), scan
+// correctness against the fully loaded dataset, the bounded result cache,
+// per-section corruption isolation, and the refresh-on-publish Follower.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +13,7 @@
 
 #include "core/dataset.hpp"
 #include "io/format.hpp"
+#include "io/snapshot.hpp"
 #include "io/snapshot_reader.hpp"
 #include "query/engine.hpp"
 #include "query/follower.hpp"
@@ -66,14 +67,13 @@ void expect_close(double expected, double actual) {
 
 TEST(SnapshotView, LazyOpenMapsHeaderOnly) {
   const SnapshotView view(base_snapshot());
-  EXPECT_EQ(view.reader().mode(), io::ValidationMode::kLazy);
-  // Before any row access only the header+table window is mapped.
+  // Before any row access only the header+table window has been read.
   EXPECT_LE(view.mapped_bytes(), io::kPayloadStart);
   EXPECT_LT(view.mapped_bytes(), view.file_bytes());
 
   const auto row = view.national_row(0, workload::Direction::kDownlink);
   EXPECT_EQ(row.size(), view.hours());
-  // Touching one cube maps that section (plus page rounding), not the file.
+  // Touching one cube reads that section, not the file.
   EXPECT_GT(view.mapped_bytes(), io::kPayloadStart);
   EXPECT_LT(view.mapped_bytes(), view.file_bytes());
 }
@@ -497,10 +497,10 @@ TEST(QueryCorruption, CorruptSectionOnlyFailsQueriesTouchingIt) {
     f.write(&byte, 1);
   }
 
-  // Eager validation refuses the whole file...
-  EXPECT_THROW(io::SnapshotReader eager(path), util::InputError);
+  // A full load refuses the whole file...
+  EXPECT_THROW(io::read_snapshot(path), util::InputError);
 
-  // ...while the lazy view opens fine and isolates the damage: national
+  // ...while the view opens fine and isolates the damage: national
   // queries succeed, commune queries throw a typed InputError on first
   // touch, and national queries still succeed afterwards.
   const SnapshotView view(path);

@@ -5,6 +5,7 @@
 #include "io/serialize.hpp"
 #include "net/simulator.hpp"
 #include "stats/correlation.hpp"
+#include "support/cell_fold.hpp"
 #include "synth/scenario.hpp"
 #include "util/error.hpp"
 
@@ -134,24 +135,20 @@ TEST_F(GeneratorTest, AgreesWithEventLevelSimulatorOnNationalShape) {
   sim_cfg.seed = config_.traffic_seed;
   net::SessionSimulator sim(territory_, subscribers_, catalog_, cells, dpi,
                             sim_cfg);
-  AggregateSink event = make_sink();
+  AggregateTables<double> event(catalog_.size(), territory_.size());
   sim.run([&event, this](const net::UsageRecord& r) {
     if (!r.service) return;
-    TrafficCell cell;
-    cell.service = *r.service;
-    cell.commune = r.commune;
-    cell.week_hour = r.week_hour;
-    cell.urbanization = territory_.commune(r.commune).urbanization;
-    cell.downlink_bytes = static_cast<double>(r.downlink_bytes);
-    cell.uplink_bytes = static_cast<double>(r.uplink_bytes);
-    event.consume(cell);
+    test_support::add_cell(event, *r.service, r.commune,
+                           territory_.commune(r.commune).urbanization,
+                           r.week_hour, static_cast<double>(r.downlink_bytes),
+                           static_cast<double>(r.uplink_bytes));
   });
 
   const auto yt = *catalog_.find("YouTube");
   const auto analytic_series =
       analytic.tables().national_row(yt, workload::Direction::kDownlink);
   const auto event_series =
-      event.tables().national_row(yt, workload::Direction::kDownlink);
+      event.national_row(yt, workload::Direction::kDownlink);
   const double r2 = stats::pearson_r2(analytic_series, event_series);
   EXPECT_GT(r2, 0.8);
 

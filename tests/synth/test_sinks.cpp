@@ -15,23 +15,22 @@ namespace {
 constexpr workload::Direction kDown = workload::Direction::kDownlink;
 constexpr workload::Direction kUp = workload::Direction::kUplink;
 
-TrafficCell make_cell(workload::ServiceIndex s, geo::CommuneId c, std::size_t h,
-                      geo::Urbanization u, double dl, double ul) {
-  TrafficCell cell;
-  cell.service = s;
-  cell.commune = c;
-  cell.week_hour = h;
-  cell.urbanization = u;
-  cell.downlink_bytes = dl;
-  cell.uplink_bytes = ul;
-  return cell;
+/// Feeds `sink` one week of service `s` in commune `c` that is zero in every
+/// hour but `h`.
+void feed_hour(AggregateSink& sink, workload::ServiceIndex s, geo::CommuneId c,
+               std::size_t h, geo::Urbanization u, double dl, double ul) {
+  std::vector<double> down(ts::kHoursPerWeek, 0.0);
+  std::vector<double> up(ts::kHoursPerWeek, 0.0);
+  down[h] = dl;
+  up[h] = ul;
+  sink.consume_row({s, c, u, down, up});
 }
 
 TEST(NationalSeriesSink, AccumulatesPerHour) {
   AggregateSink sink(2, 3);
-  sink.consume(make_cell(0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0));
-  sink.consume(make_cell(0, 2, 10, geo::Urbanization::kRural, 3.0, 0.5));
-  sink.consume(make_cell(1, 1, 20, geo::Urbanization::kUrban, 7.0, 2.0));
+  feed_hour(sink, 0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0);
+  feed_hour(sink, 0, 2, 10, geo::Urbanization::kRural, 3.0, 0.5);
+  feed_hour(sink, 1, 1, 20, geo::Urbanization::kUrban, 7.0, 2.0);
 
   const AggregateTables<double>& t = sink.tables();
   EXPECT_DOUBLE_EQ(t.national_row(0, kDown)[10], 8.0);
@@ -43,7 +42,7 @@ TEST(NationalSeriesSink, AccumulatesPerHour) {
 
 TEST(NationalSeriesSink, TimeSeriesConversion) {
   AggregateSink sink(1, 1);
-  sink.consume(make_cell(0, 0, 5, geo::Urbanization::kUrban, 2.0, 0.0));
+  feed_hour(sink, 0, 0, 5, geo::Urbanization::kUrban, 2.0, 0.0);
   const auto row = sink.tables().national_row(0, kDown);
   const ts::TimeSeries series(std::vector<double>(row.begin(), row.end()),
                               "svc");
@@ -54,8 +53,8 @@ TEST(NationalSeriesSink, TimeSeriesConversion) {
 
 TEST(CommuneTotalsSink, AccumulatesWeeklyTotals) {
   AggregateSink sink(2, 3);
-  sink.consume(make_cell(0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0));
-  sink.consume(make_cell(0, 1, 99, geo::Urbanization::kUrban, 2.0, 0.5));
+  feed_hour(sink, 0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0);
+  feed_hour(sink, 0, 1, 99, geo::Urbanization::kUrban, 2.0, 0.5);
   const AggregateTables<double>& t = sink.tables();
   EXPECT_DOUBLE_EQ(t.commune_row(0, kDown)[1], 7.0);
   EXPECT_DOUBLE_EQ(t.commune_row(0, kUp)[1], 1.5);
@@ -69,8 +68,8 @@ TEST(CommuneTotalsSink, AccumulatesWeeklyTotals) {
 
 TEST(UrbanizationSeriesSink, SplitsByClass) {
   AggregateSink sink(1, 2);
-  sink.consume(make_cell(0, 0, 7, geo::Urbanization::kUrban, 4.0, 0.4));
-  sink.consume(make_cell(0, 1, 7, geo::Urbanization::kTgv, 6.0, 0.6));
+  feed_hour(sink, 0, 0, 7, geo::Urbanization::kUrban, 4.0, 0.4);
+  feed_hour(sink, 0, 1, 7, geo::Urbanization::kTgv, 6.0, 0.6);
   const AggregateTables<double>& t = sink.tables();
   EXPECT_DOUBLE_EQ(t.urbanization_row(0, geo::Urbanization::kUrban, kDown)[7],
                    4.0);
@@ -82,12 +81,12 @@ TEST(UrbanizationSeriesSink, SplitsByClass) {
 
 TEST(TotalsSink, GrandTotals) {
   AggregateSink sink(2, 6);
-  sink.consume(make_cell(0, 0, 0, geo::Urbanization::kUrban, 10.0, 1.0));
-  sink.consume(make_cell(1, 5, 100, geo::Urbanization::kRural, 20.0, 2.0));
+  feed_hour(sink, 0, 0, 0, geo::Urbanization::kUrban, 10.0, 1.0);
+  feed_hour(sink, 1, 5, 100, geo::Urbanization::kRural, 20.0, 2.0);
   const AggregateTables<double>& t = sink.tables();
   EXPECT_DOUBLE_EQ(t.downlink_total, 30.0);
   EXPECT_DOUBLE_EQ(t.uplink_total, 3.0);
-  EXPECT_EQ(t.cells, 2u);
+  EXPECT_EQ(t.cells, 2u * ts::kHoursPerWeek);
 }
 
 TEST(Sinks, ConstructorsValidate) {

@@ -144,19 +144,6 @@ TEST(DistanceMatrixType, IndexingAndEquality) {
   EXPECT_FALSE(m == same);
 }
 
-TEST(SbdDistanceMatrix, FlatMatchesNestedShim) {
-  const auto rows = random_series(8, 168, 7);
-  const SeriesBatch batch(rows);
-  const DistanceMatrix flat = sbd_distance_matrix(batch);
-  const std::vector<std::vector<double>> nested = sbd_distance_matrix(rows);
-  ASSERT_EQ(flat.size(), nested.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    for (std::size_t j = 0; j < flat.size(); ++j) {
-      EXPECT_EQ(flat(i, j), nested[i][j]) << "i=" << i << " j=" << j;
-    }
-  }
-}
-
 TEST(SbdDistanceMatrix, MatchesPairwiseSbdAndIsSymmetric) {
   const auto rows = random_series(7, 96, 8);
   const SeriesBatch batch(rows);

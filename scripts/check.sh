@@ -17,7 +17,9 @@
 #                 same report) and the merged snapshot through paper_report
 #   --serve       a ~30 s throttled appscope_serve run scraped live, drained
 #                 by SIGTERM; its sealed snapshot feeds paper_report and
-#                 appscope_query
+#                 appscope_query. Then an unthrottled run is SIGKILLed
+#                 mid-seal: what it published must load, and a daemon
+#                 restarted on its directory must succeed
 #   --bench-gate  perf_core against BENCH_core.json, measured right after
 #                 ctest and judged at the end (bench_regression.py;
 #                 APPSCOPE_BENCH_REGRESSION_SKIP=1 skips the comparison)
@@ -223,6 +225,23 @@ if [ "$SERVE" = 1 ]; then
   cmp "$OUT/soak_report.md.slicing" "$OUT/soak_query.txt.slicing"
   epochs=("$SNAPS"/epoch_*.snapshot)
   cp "$SNAPS/latest.snapshot" "${epochs[0]}" "${epochs[-1]}" "$S/snapshots/"
+
+  echo "==== serve SIGKILL"
+  KILLED="$OUT/serve-killed"
+  "$BUILD"/src/serve/appscope_serve --scale=test --weeks=100 \
+    --snapshot-dir="$KILLED" 2> "$OUT/serve_killed.log" &
+  KILL_PID=$!
+  trap 'kill -KILL "$KILL_PID" 2> /dev/null || true' EXIT
+  sleep 1
+  kill -KILL "$KILL_PID"
+  status=0
+  wait "$KILL_PID" || status=$?
+  trap - EXIT
+  test "$status" = 137  # killed mid-run, not finished or failed
+  "$QUERY_CLI" --snapshot="$KILLED/latest.snapshot" --check > /dev/null
+  "$BUILD"/src/serve/appscope_serve --scale=test --weeks=1 \
+    --snapshot-dir="$KILLED" 2> "$OUT/serve_restart.log"
+  "$QUERY_CLI" --snapshot="$KILLED/latest.snapshot" --check > /dev/null
 fi
 
 if [ "$METRICS" = 1 ]; then

@@ -131,7 +131,7 @@ def region(path):
 
 def serve(path):
     """Ingest, sampling, queue depth, enqueue-to-seal latency, and one
-    seal-wall observation per sealed epoch."""
+    seal-wall and one seal-wait observation per sealed epoch."""
     doc = load(path)
     counters, histograms = doc["counters"], doc["histograms"]
     require(counters.get("net.ingested", 0) > 0, "net.ingested is not > 0",
@@ -150,6 +150,10 @@ def serve(path):
     require(seal.get("count", 0) == sealed,
             "serve.epoch.seal_wall_seconds count != serve.epochs.sealed",
             (seal.get("count"), sealed))
+    wait = histograms.get("serve.epoch.seal_wait_seconds", {})
+    require(wait.get("count", 0) == sealed,
+            "serve.epoch.seal_wait_seconds count != serve.epochs.sealed",
+            (wait.get("count"), sealed))
     print("serve: ingested %d, sampled %d, %d epochs"
           % (counters["net.ingested"], counters["net.sampled"], sealed))
 
@@ -174,6 +178,7 @@ def exposition(path):
         text = handle.read()
     for pattern in (r"^serve_ingest_enqueue_to_seal_bucket",
                     r"^serve_epoch_seal_wall_seconds_bucket",
+                    r"^serve_epoch_seal_wait_seconds_bucket",
                     r"^net_ingested ", r"^obs_health_healthy 1"):
         require(re.search(pattern, text, re.MULTILINE),
                 "no line matches %s" % pattern)

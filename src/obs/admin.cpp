@@ -141,6 +141,7 @@ void AdminServer::serve_connection(int fd) {
   }
 
   HttpResponse response;
+  bool head_method = false;  // a HEAD request is answered without a body
   const std::size_t line_end = request.find("\r\n");
   const std::size_t sp1 = request.find(' ');
   const std::size_t sp2 =
@@ -152,6 +153,7 @@ void AdminServer::serve_connection(int fd) {
              request.compare(0, sp1, "HEAD") != 0) {
     response = {405, "text/plain; charset=utf-8", "method not allowed\n"};
   } else {
+    head_method = request.compare(0, sp1, "HEAD") == 0;
     std::string path = request.substr(sp1 + 1, sp2 - sp1 - 1);
     const std::size_t query = path.find('?');
     if (query != std::string::npos) path.resize(query);
@@ -176,8 +178,7 @@ void AdminServer::serve_connection(int fd) {
                      "\r\nContent-Length: " +
                      std::to_string(response.body.size()) +
                      "\r\nConnection: close\r\n\r\n";
-  if (send_all(fd, head.data(), head.size()) &&
-      request.compare(0, 4, "HEAD") != 0) {
+  if (send_all(fd, head.data(), head.size()) && !head_method) {
     send_all(fd, response.body.data(), response.body.size());
   }
 }

@@ -24,6 +24,7 @@
 
 #include "core/dataset.hpp"
 #include "core/slicing.hpp"
+#include "geo/commune.hpp"
 #include "io/snapshot.hpp"
 #include "obs/telemetry.hpp"
 #include "query/engine.hpp"
@@ -84,14 +85,23 @@ query::Slice slice_from_args(const util::CliArgs& args) {
     if (colon == std::string::npos) {
       throw util::InputError("--hours expects begin:end (e.g. 19:20)");
     }
-    slice.hour_begin =
-        static_cast<std::uint32_t>(util::parse_int(hours.substr(0, colon)));
-    slice.hour_end =
-        static_cast<std::uint32_t>(util::parse_int(hours.substr(colon + 1)));
+    // Each end is a week hour, checked before the narrowing cast.
+    const auto week_hour = [&](const std::string& text) {
+      const std::int64_t hour = util::parse_int(text);
+      if (hour < 0 || hour > 168) {
+        throw util::InputError("--hours=" + hours +
+                               ": each end must be in [0, 168]");
+      }
+      return static_cast<std::uint32_t>(hour);
+    };
+    slice.hour_begin = week_hour(hours.substr(0, colon));
+    slice.hour_end = week_hour(hours.substr(colon + 1));
   }
   slice.services = parse_id_list(args.get_string("services", ""), "services");
   slice.communes = parse_id_list(args.get_string("communes", ""), "communes");
-  slice.urbanization = static_cast<int>(args.get_int("class", -1));
+  slice.urbanization = static_cast<int>(
+      args.get_int("class", -1, 0,
+                   static_cast<std::int64_t>(geo::kUrbanizationCount) - 1));
 
   const std::string op = args.get_string("op", "sum");
   if (op == "sum") {
@@ -256,21 +266,21 @@ int main(int argc, char** argv) {
     const auto interval = std::chrono::milliseconds(
         args.get_count<std::uint32_t>("interval-ms", 200));
 
+    // The admin flags are checked whether or not --follow starts the plane.
+    const int admin_port = obs::resolve_admin_port(
+        static_cast<int>(args.get_int("admin-port", -1, 0, 65535)));
+    const auto admin_sample = std::chrono::milliseconds(
+        args.get_count<std::uint32_t>("admin-sample-ms", 1000));
     std::unique_ptr<obs::TelemetryPlane> telemetry;
-    if (follow) {
-      const int admin_port = obs::resolve_admin_port(
-          static_cast<int>(args.get_int("admin-port", -1)));
-      if (admin_port >= 0) {
-        obs::TelemetryOptions topts;
-        topts.admin.port = static_cast<std::uint16_t>(admin_port);
-        topts.sampler.interval = std::chrono::milliseconds(
-            args.get_count<std::uint32_t>("admin-sample-ms", 1000));
-        telemetry = std::make_unique<obs::TelemetryPlane>(topts);
-        telemetry->start();
-        std::cerr << "appscope_query: admin endpoint on http://127.0.0.1:"
-                  << telemetry->port()
-                  << " (/metrics /healthz /statusz /tracez)\n";
-      }
+    if (follow && admin_port >= 0) {
+      obs::TelemetryOptions topts;
+      topts.admin.port = static_cast<std::uint16_t>(admin_port);
+      topts.sampler.interval = admin_sample;
+      telemetry = std::make_unique<obs::TelemetryPlane>(topts);
+      telemetry->start();
+      std::cerr << "appscope_query: admin endpoint on http://127.0.0.1:"
+                << telemetry->port()
+                << " (/metrics /healthz /statusz /tracez)\n";
     }
 
     query::Engine engine(

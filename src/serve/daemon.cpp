@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -25,25 +26,37 @@ namespace appscope::serve {
 namespace {
 /// Router batch: events routed between pacing / metrics / stop-flag checks.
 constexpr std::size_t kBatchEvents = 4096;
+
+/// `config`, checked before any of the world is built or staged.
+ServeConfig checked(ServeConfig config) {
+  APPSCOPE_REQUIRE(config.shard_count >= 1,
+                   "IngestDaemon: shard_count must be >= 1");
+  APPSCOPE_REQUIRE(
+      config.epoch_seconds > 0 &&
+          config.epoch_seconds % net::kSecondsPerHour == 0,
+      "IngestDaemon: epoch_seconds must be a positive whole number of hours");
+  APPSCOPE_REQUIRE(std::isfinite(config.target_events_per_second) &&
+                       config.target_events_per_second >= 0.0,
+                   "IngestDaemon: target_events_per_second must be finite "
+                   "and >= 0");
+  APPSCOPE_REQUIRE(std::isfinite(config.duration_seconds) &&
+                       config.duration_seconds >= 0.0,
+                   "IngestDaemon: duration_seconds must be finite and >= 0");
+  APPSCOPE_REQUIRE(config.weeks >= 1 || config.duration_seconds > 0.0,
+                   "IngestDaemon: nothing to replay");
+  return config;
+}
+
 }  // namespace
 
 struct IngestDaemon::Impl {
   explicit Impl(ServeConfig cfg)
-      : config(std::move(cfg)),
+      : config(checked(std::move(cfg))),
         territory(geo::build_synthetic_country(config.scenario.country)),
         subscribers(territory, config.scenario.population),
         catalog(workload::ServiceCatalog::paper_services()),
         replay(territory, subscribers, catalog, config.scenario,
-               config.events_per_cell) {
-    APPSCOPE_REQUIRE(config.shard_count >= 1,
-                     "IngestDaemon: shard_count must be >= 1");
-    APPSCOPE_REQUIRE(
-        config.epoch_seconds > 0 &&
-            config.epoch_seconds % net::kSecondsPerHour == 0,
-        "IngestDaemon: epoch_seconds must be a positive whole number of hours");
-    APPSCOPE_REQUIRE(config.weeks >= 1 || config.duration_seconds > 0.0,
-                     "IngestDaemon: nothing to replay");
-  }
+               config.events_per_cell) {}
 
   ServeConfig config;
   geo::Territory territory;
@@ -87,10 +100,12 @@ ServeStats IngestDaemon::run() {
   if (config.force_sampling) sampler.force_sampling();
   synth::RatePacer pacer(config.target_events_per_second);
 
-  std::optional<EpochSealer> sealer;
+  std::optional<BackgroundSealer> sealer;
   if (!config.snapshot_dir.empty()) {
-    sealer.emplace(config.snapshot_dir, config.scenario, impl_->territory,
-                   impl_->subscribers, impl_->catalog);
+    sealer.emplace(EpochSealer(config.snapshot_dir, config.scenario,
+                               impl_->territory, impl_->subscribers,
+                               impl_->catalog),
+                   services, communes);
   }
   OnlinePeakTracker peaks(services);
   ZipfRankTracker zipf(services);
@@ -124,10 +139,12 @@ ServeStats IngestDaemon::run() {
 
   // Enqueue-to-seal latency: one steady-clock mark per routed batch (a
   // per-event stamp would dominate the hot path), observed when the epoch
-  // that drained those events seals. Bounded: marks beyond the cap are
-  // dropped, which under-samples long epochs but never grows.
+  // that drained those events is published. The marks travel with the seal
+  // job; submit() hands back the sealer's drained vector, so the two
+  // vectors trade places and keep their capacity. Bounded: marks beyond the
+  // cap are dropped, which under-samples long epochs but never grows.
   constexpr std::size_t kMaxEnqueueMarks = 4096;
-  std::vector<std::chrono::steady_clock::time_point> enqueue_marks;
+  std::vector<SteadyTime> enqueue_marks;
   if (metrics_on) enqueue_marks.reserve(kMaxEnqueueMarks);
 
   const auto should_stop = [&]() {
@@ -159,10 +176,13 @@ ServeStats IngestDaemon::run() {
     }
   };
 
-  // Trackers re-read the whole rolling state each epoch; until a full week
-  // has been replayed only a prefix of each weekly series has data.
+  // At a boundary the router merges the shard deltas, runs the trackers
+  // and hands the rolling state to the sealer thread; it waits only while
+  // the previous seal is still in flight. Trackers re-read the whole
+  // rolling state each epoch; until a full week has been replayed only a
+  // prefix of each weekly series has data.
   const auto seal_epoch = [&](std::uint64_t index) {
-    const auto seal_start = std::chrono::steady_clock::now();
+    const SteadyTime barrier = std::chrono::steady_clock::now();
     ingest.collect_epoch(rolling);
     const std::size_t covered_hours = static_cast<std::size_t>(
         std::min<std::uint64_t>(hours_replayed, ts::kHoursPerWeek));
@@ -171,26 +191,17 @@ ServeStats IngestDaemon::run() {
     stats.rising_fronts = peaks.rising_fronts();
     stats.zipf_rank_changes = zipf.total_rank_changes();
     stats.zipf_exponent = zupdate.fit.exponent;
+    double waited = 0.0;
     if (sealer) {
-      const SealedEpoch sealed = sealer->seal(index, rolling);
-      stats.latest_snapshot = sealer->latest_path();
-      (void)sealed;
+      waited = sealer->submit(index, rolling, barrier, enqueue_marks);
+    } else {
+      record_publication(index, barrier, enqueue_marks);
+      enqueue_marks.clear();
     }
     ++stats.epochs_sealed;
     events_since_seal = 0;
     if (metrics_on) {
-      const auto seal_end = std::chrono::steady_clock::now();
-      registry.observe(
-          "serve.epoch.seal_wall_seconds",
-          std::chrono::duration<double>(seal_end - seal_start).count());
-      // Every routed batch of this epoch has now been merged and sealed:
-      // its enqueue mark resolves to one enqueue-to-seal latency sample.
-      for (const auto& mark : enqueue_marks) {
-        registry.observe("serve.ingest.enqueue_to_seal",
-                         std::chrono::duration<double>(seal_end - mark).count());
-      }
-      enqueue_marks.clear();
-      registry.gauge("serve.epoch.last_index", static_cast<double>(index));
+      registry.observe("serve.epoch.seal_wait_seconds", waited);
       registry.gauge("serve.zipf.exponent", stats.zipf_exponent);
       registry.gauge("serve.peaks.rising_fronts",
                      static_cast<double>(stats.rising_fronts));
@@ -247,11 +258,16 @@ ServeStats IngestDaemon::run() {
   }
 
   // Drain: merge whatever the shards still hold and seal the partial epoch,
-  // so a SIGTERM'd daemon leaves a consistent latest.snapshot behind.
+  // then wait for the last seal, so a SIGTERM'd daemon leaves a consistent
+  // latest.snapshot behind.
   if (events_since_seal > 0) {
     const std::uint64_t covered_seconds =
         hours_replayed * net::kSecondsPerHour;
     seal_epoch(covered_seconds / epoch_seconds);
+  }
+  if (sealer) {
+    sealer->finish();
+    if (stats.epochs_sealed > 0) stats.latest_snapshot = sealer->latest_path();
   }
   ingest.stop();
 

@@ -2,10 +2,12 @@
 //
 // IngestDaemon: the appscope_serve main loop. Owns the whole pipeline —
 // scenario → EventReplaySource → router (sampling + backpressure) →
-// ShardedIngest → rolling EventAggregates → EpochSealer + online trackers —
-// and runs it until the replay finishes, the wall-clock budget expires, or
-// the stop flag (SIGTERM) is raised. See DESIGN.md §4h for the
-// architecture and the determinism contract.
+// ShardedIngest → rolling EventAggregates → online trackers →
+// BackgroundSealer — and runs it until the replay finishes, the wall-clock
+// budget expires, or the stop flag (SIGTERM) is raised. Its threads are the
+// router (the caller of run()), one worker per shard and, when sealing, one
+// sealer. See DESIGN.md §4h for the architecture and the determinism
+// contract.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +42,21 @@ struct ServeStats {
 
 class IngestDaemon {
  public:
-  /// Builds the scenario world (territory, subscribers, catalog) and stages
-  /// the replay week. Throws util::InputError on invalid configuration
-  /// (epoch_seconds not a whole number of hours, zero shards, ...).
+  /// Checks the configuration, then builds the scenario world (territory,
+  /// subscribers, catalog) and stages the replay week. Throws
+  /// util::PreconditionError on invalid configuration (epoch_seconds not a
+  /// whole number of hours, zero shards, a negative or non-finite rate or
+  /// duration, ...).
   explicit IngestDaemon(ServeConfig config);
   ~IngestDaemon();
   IngestDaemon(const IngestDaemon&) = delete;
   IngestDaemon& operator=(const IngestDaemon&) = delete;
 
   /// Runs the ingest loop to completion (or stop signal), seals the final
-  /// partial epoch, and returns the run summary. Call at most once.
+  /// partial epoch, waits for its seal, and returns the run summary. A
+  /// failed seal (util::InputError) is rethrown here, at the next epoch
+  /// boundary or at the drain, and no later epoch is sealed. Call at most
+  /// once.
   ServeStats run();
 
   /// Staged events per replayed week (diagnostics / test sizing).

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
         args.get_count<std::size_t>("queue-capacity", 1 << 16);
     config.epoch_seconds = args.get_count<std::uint32_t>("epoch-seconds", 3600);
     config.events_per_cell = args.get_count<std::size_t>("events-per-cell", 1);
-    config.target_events_per_second = args.get_double("rate", 0.0);
-    config.duration_seconds = args.get_double("duration", 0.0);
+    config.target_events_per_second = args.get_nonnegative("rate", 0.0);
+    config.duration_seconds = args.get_nonnegative("duration", 0.0);
     config.weeks = args.get_count<std::size_t>("weeks", 1);
     config.sample_period = args.get_count<std::uint64_t>("sample-period", 8);
     config.force_sampling = args.has("force-sampling");
@@ -87,18 +87,19 @@ int main(int argc, char** argv) {
     config.stop_flag = &g_stop;
 
     // Live telemetry plane: only when asked for via flag or environment.
+    // Its flags are checked whether or not it starts.
+    obs::TelemetryOptions topts;
+    topts.admin.bind_address = args.get_string("admin-bind", "127.0.0.1");
+    topts.sampler.interval = std::chrono::milliseconds(
+        args.get_count<std::uint32_t>("admin-sample-ms", 1000));
+    topts.watchdog.expected_epoch_seconds =
+        args.get_nonnegative("epoch-stall-seconds", 0.0);
+    topts.watchdog.seal_p99_slo_seconds = args.get_nonnegative("seal-slo", 0.0);
+    const int admin_port = obs::resolve_admin_port(
+        static_cast<int>(args.get_int("admin-port", -1, 0, 65535)));
     std::unique_ptr<obs::TelemetryPlane> telemetry;
-    const int admin_port =
-        obs::resolve_admin_port(static_cast<int>(args.get_int("admin-port", -1)));
     if (admin_port >= 0) {
-      obs::TelemetryOptions topts;
       topts.admin.port = static_cast<std::uint16_t>(admin_port);
-      topts.admin.bind_address = args.get_string("admin-bind", "127.0.0.1");
-      topts.sampler.interval = std::chrono::milliseconds(
-          args.get_count<std::uint32_t>("admin-sample-ms", 1000));
-      topts.watchdog.expected_epoch_seconds =
-          args.get_double("epoch-stall-seconds", 0.0);
-      topts.watchdog.seal_p99_slo_seconds = args.get_double("seal-slo", 0.0);
       telemetry = std::make_unique<obs::TelemetryPlane>(topts);
       telemetry->start();
       std::cerr << "appscope_serve: admin endpoint on http://"

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -71,29 +72,29 @@ std::string CliArgs::get_string(std::string_view name,
 }
 
 std::int64_t CliArgs::get_int(std::string_view name,
-                              std::int64_t default_value) const {
-  const auto v = value(name);
-  if (!v) return default_value;
-  return parse_int(*v);
-}
-
-std::uint64_t CliArgs::checked_count(std::string_view name,
-                                    std::uint64_t default_value,
-                                    std::uint64_t max) const {
+                              std::int64_t default_value, std::int64_t min,
+                              std::int64_t max) const {
   const auto v = value(name);
   if (!v) return default_value;
   const std::int64_t n = parse_int(*v);
-  if (n < 0 || static_cast<std::uint64_t>(n) > max) {
+  if (n < min || n > max) {
     throw InputError("--" + std::string(name) + "=" + *v +
-                     ": expected a count in [0, " + std::to_string(max) + "]");
+                     ": expected an integer in [" + std::to_string(min) +
+                     ", " + std::to_string(max) + "]");
   }
-  return static_cast<std::uint64_t>(n);
+  return n;
 }
 
-double CliArgs::get_double(std::string_view name, double default_value) const {
+double CliArgs::get_nonnegative(std::string_view name,
+                                double default_value) const {
   const auto v = value(name);
   if (!v) return default_value;
-  return parse_double(*v);
+  const double x = parse_double(*v);
+  if (!std::isfinite(x) || x < 0.0) {
+    throw InputError("--" + std::string(name) + "=" + *v +
+                     ": expected a finite number >= 0");
+  }
+  return x;
 }
 
 }  // namespace appscope::util

@@ -7,6 +7,7 @@
 // declaration.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -38,18 +39,33 @@ class CliArgs {
   /// Value of "--name=value", if present.
   std::optional<std::string> value(std::string_view name) const noexcept;
 
-  /// Typed accessors with defaults; throw InputError on malformed values.
+  /// Accessors with defaults: the value of "--name=..." when given, else
+  /// `default_value`. The typed ones below throw InputError on a malformed
+  /// value or one outside their range.
   std::string get_string(std::string_view name, std::string default_value) const;
-  std::int64_t get_int(std::string_view name, std::int64_t default_value) const;
-  double get_double(std::string_view name, double default_value) const;
+
+  /// "--name=N" as an integer in [min, max]; the default is returned as
+  /// given when the flag is absent (it may be a sentinel outside the range).
+  /// Throws InputError naming the flag when N is outside the range, which a
+  /// narrowing cast would wrap.
+  std::int64_t get_int(std::string_view name, std::int64_t default_value,
+                       std::int64_t min, std::int64_t max) const;
 
   /// "--name=N" as a count of unsigned type T. Throws InputError when N is
   /// negative or exceeds T's range, which a cast would silently wrap.
   template <std::unsigned_integral T>
   T get_count(std::string_view name, T default_value) const {
+    constexpr auto max = static_cast<std::int64_t>(std::min<std::uint64_t>(
+        std::numeric_limits<T>::max(),
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())));
     return static_cast<T>(
-        checked_count(name, default_value, std::numeric_limits<T>::max()));
+        get_int(name, static_cast<std::int64_t>(default_value), 0, max));
   }
+
+  /// "--name=X" as a finite number >= 0 (a rate, a duration, a threshold
+  /// where 0 means off). Throws InputError naming the flag when X is
+  /// negative, NaN or infinite.
+  double get_nonnegative(std::string_view name, double default_value) const;
 
   const std::vector<std::string>& positionals() const noexcept {
     return positionals_;
@@ -60,10 +76,6 @@ class CliArgs {
     std::string name;
     std::optional<std::string> value;
   };
-
-  std::uint64_t checked_count(std::string_view name,
-                              std::uint64_t default_value,
-                              std::uint64_t max) const;
 
   std::string program_;
   std::vector<Option> options_;

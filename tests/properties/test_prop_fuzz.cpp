@@ -1,6 +1,10 @@
 // Fuzz-style robustness sweeps: random inputs must never crash, corrupt
 // state, or silently accept malformed data.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -18,6 +22,7 @@
 #include "io/serialize.hpp"
 #include "io/snapshot.hpp"
 #include "net/dpi.hpp"
+#include "obs/admin.hpp"
 #include "query/snapshot_view.hpp"
 #include "support/temp_dir.hpp"
 #include "util/csv.hpp"
@@ -353,6 +358,152 @@ TEST_P(FuzzSeed, SnapshotMutantsOpenOrThrowInputError) {
     }
     expect_opens_or_input_error(path, what.str());
   }
+}
+
+// --- Admin request-head sweep -----------------------------------------------
+//
+// Each trial mutates a clean "GET /healthz" head: truncations, byte flips,
+// NULs, bare LFs, missing spaces, heads past the read cap, unknown methods,
+// long paths with a query string, and two pipelined requests. The server
+// must answer each with one well-formed response (or nothing) and keep
+// serving.
+
+constexpr const char* kCleanHead = "GET /healthz HTTP/1.1\r\n\r\n";
+
+std::string mutate_head(util::Rng& rng) {
+  std::string head = kCleanHead;
+  const auto at = [&](const std::string& s) {
+    return static_cast<std::size_t>(rng.uniform_index(s.size()));
+  };
+  switch (rng.uniform_index(9)) {
+    case 0:
+      head.resize(at(head));
+      break;
+    case 1:
+      for (std::size_t n = 1 + rng.uniform_index(3); n > 0; --n) {
+        head[at(head)] ^= static_cast<char>(1u << rng.uniform_index(8));
+      }
+      break;
+    case 2:
+      for (std::size_t n = 1 + rng.uniform_index(3); n > 0; --n) {
+        head.insert(at(head), 1, '\0');
+      }
+      break;
+    case 3:
+      for (std::size_t cr; (cr = head.find('\r')) != std::string::npos;) {
+        head.erase(cr, 1);
+      }
+      break;
+    case 4:
+      head.erase(head.find(' ', rng.uniform_index(2) == 0 ? 0 : 4), 1);
+      break;
+    case 5:
+      head = "GET /" +
+             std::string(obs::AdminServer::kMaxRequestBytes +
+                             rng.uniform_index(4096),
+                         'a') +
+             " HTTP/1.1\r\n\r\n";
+      break;
+    case 6: {
+      static constexpr const char* kMethods[] = {
+          "POST", "PUT", "DELETE", "get", "HEADER", "GETX", "", "\x01GET"};
+      head.replace(0, 3, kMethods[rng.uniform_index(std::size(kMethods))]);
+      break;
+    }
+    case 7:
+      head = "GET /healthz?" +
+             std::string(rng.uniform_index(
+                             2 * obs::AdminServer::kMaxRequestBytes),
+                         'q') +
+             " HTTP/1.1\r\n\r\n";
+      break;
+    default:
+      head += rng.uniform_index(2) == 0 ? kCleanHead
+                                        : "GET /nope HTTP/1.1\r\n\r\n";
+  }
+  return head;
+}
+
+/// Sends `request`, half-closes so an unterminated head ends at once, and
+/// reads the reply to EOF. The server may reset a connection whose request
+/// it did not read to the end; whatever arrived is the reply.
+std::string exchange(std::uint16_t port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  for (std::size_t sent = 0; sent < request.size();) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return reply;
+}
+
+/// Empty, or one HTTP/1.1 response with an expected status whose
+/// Content-Length is its body's length. Returns what is wrong, or "".
+std::string check_reply(const std::string& reply) {
+  if (reply.empty()) return "";
+  const std::size_t head_end = reply.find("\r\n\r\n");
+  if (head_end == std::string::npos) return "no end of head";
+  const std::string head = reply.substr(0, head_end);
+  const std::string status = head.substr(0, head.find("\r\n"));
+  if (status != "HTTP/1.1 200 OK" && status != "HTTP/1.1 400 Bad Request" &&
+      status != "HTTP/1.1 404 Not Found" &&
+      status != "HTTP/1.1 405 Method Not Allowed") {
+    return "status line '" + status + "'";
+  }
+  const std::string key = "\r\nContent-Length: ";
+  const std::size_t length_at = head.find(key);
+  if (length_at == std::string::npos) return "no Content-Length";
+  const std::size_t body = reply.size() - head_end - 4;
+  const std::string length =
+      head.substr(length_at + key.size(),
+                  head.find("\r\n", length_at + key.size()) -
+                      (length_at + key.size()));
+  if (length != std::to_string(body)) {
+    return "Content-Length " + length + " for a body of " +
+           std::to_string(body) + " bytes";
+  }
+  if (reply.find("HTTP/1.1", 1) != std::string::npos) return "two responses";
+  return "";
+}
+
+TEST_P(FuzzSeed, AdminRequestHeadsAnswerOrClose) {
+  obs::AdminServer server;
+  server.handle("/healthz", [](const std::string&) {
+    return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
+  });
+  server.start();
+  util::Rng rng(GetParam() ^ 0xAD31u);
+  constexpr int kTrials = 64;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::string head = mutate_head(rng);
+    const std::string reply = exchange(server.port(), head);
+    const std::string wrong = check_reply(reply);
+    EXPECT_TRUE(wrong.empty())
+        << "trial " << trial << ": " << wrong << "\nrequest ("
+        << head.size() << " bytes): "
+        << testing::PrintToString(head.substr(0, 64)) << "\nreply: "
+        << testing::PrintToString(reply.substr(0, 200));
+  }
+  const std::string clean = exchange(server.port(), kCleanHead);
+  EXPECT_EQ(clean.substr(0, clean.find("\r\n")), "HTTP/1.1 200 OK");
+  EXPECT_TRUE(clean.ends_with("\r\n\r\nok\n")) << clean;
+  EXPECT_EQ(server.requests(), kTrials + 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed,

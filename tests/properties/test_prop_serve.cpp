@@ -9,7 +9,8 @@
 // the covered week.
 //
 // The suites are named ParallelIngest* so the TSan CI preset (which runs
-// ^Parallel) races the real shard workers under the sanitizer.
+// ^Parallel) races the real shard workers and the sealer thread under the
+// sanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "serve/ingest.hpp"
 #include "support/temp_dir.hpp"
 #include "synth/replay.hpp"
+#include "util/error.hpp"
 #include "workload/catalog.hpp"
 #include "workload/population.hpp"
 
@@ -58,14 +60,21 @@ std::string file_bytes(const fs::path& path) {
   return buf.str();
 }
 
-ServeStats run_daemon(const fs::path& dir, std::size_t shards,
-                      bool force_sampling = false,
-                      std::uint64_t sample_period = 8) {
+constexpr std::uint32_t kEpochSeconds = 56 * net::kSecondsPerHour;  // 3/week
+
+ServeConfig daemon_config(const fs::path& dir, std::size_t shards) {
   ServeConfig config;
   config.scenario = tiny_config();
   config.shard_count = shards;
-  config.epoch_seconds = 56 * net::kSecondsPerHour;  // 3 epochs per week
+  config.epoch_seconds = kEpochSeconds;
   config.snapshot_dir = dir.string();
+  return config;
+}
+
+ServeStats run_daemon(const fs::path& dir, std::size_t shards,
+                      bool force_sampling = false,
+                      std::uint64_t sample_period = 8) {
+  ServeConfig config = daemon_config(dir, shards);
   config.force_sampling = force_sampling;
   config.sample_period = sample_period;
   IngestDaemon daemon(config);
@@ -208,6 +217,81 @@ TEST(ParallelIngestBarrier, MidStreamEpochsPartitionTheWeek) {
       EXPECT_EQ(rolling.national_total(s), serial.national_total(s));
     }
   }
+}
+
+// --- The sealer thread -------------------------------------------------------
+
+TEST(ParallelIngestSealer, DaemonSealsTheBytesOfInlineSealing) {
+  constexpr std::size_t kWeeks = 2;
+  const fs::path daemon_dir = temp_dir("daemon");
+  ServeConfig config = daemon_config(daemon_dir, 3);
+  config.weeks = kWeeks;
+  ServeStats stats;
+  {
+    IngestDaemon daemon(config);
+    stats = daemon.run();
+  }
+  ASSERT_EQ(stats.sampled, 0u);
+  ASSERT_EQ(stats.epochs_sealed, kWeeks * 3);
+
+  // The reference seals inline on this thread, in the daemon's order:
+  // route each hour, and at every boundary collect, then seal.
+  const fs::path inline_dir = temp_dir("inline");
+  const auto scenario = tiny_config();
+  const geo::Territory territory =
+      geo::build_synthetic_country(scenario.country);
+  const workload::SubscriberBase subscribers(territory, scenario.population);
+  const auto catalog = workload::ServiceCatalog::paper_services();
+  const synth::EventReplaySource replay(territory, subscribers, catalog,
+                                        scenario);
+  EventAggregates rolling(catalog.size(), territory.size());
+  ShardedIngest ingest(catalog.size(), territory.size(), {2, 1 << 12});
+  EpochSealer sealer(inline_dir.string(), scenario, territory, subscribers,
+                     catalog);
+  for (std::size_t week = 0; week < kWeeks; ++week) {
+    const std::uint64_t week_offset = week * net::kSecondsPerWeek;
+    for (std::size_t hour = 0; hour < 168; ++hour) {
+      for (net::ServiceEvent event : replay.hour_events(hour)) {
+        event.timestamp =
+            static_cast<net::Timestamp>(event.timestamp + week_offset);
+        ingest.route(event, 1);
+      }
+      const std::uint64_t end_second =
+          week_offset + (hour + 1) * net::kSecondsPerHour;
+      if (end_second % kEpochSeconds == 0) {
+        ingest.collect_epoch(rolling);
+        sealer.seal(end_second / kEpochSeconds - 1, rolling);
+      }
+    }
+  }
+  ingest.stop();
+
+  for (std::uint64_t epoch = 0; epoch < stats.epochs_sealed; ++epoch) {
+    const std::string name = io::epoch_filename(epoch);
+    EXPECT_EQ(file_bytes(daemon_dir / name), file_bytes(inline_dir / name))
+        << name;
+  }
+  EXPECT_EQ(file_bytes(daemon_dir / "latest.snapshot"),
+            file_bytes(inline_dir / "latest.snapshot"));
+  EXPECT_FALSE(fs::exists(daemon_dir / io::epoch_filename(stats.epochs_sealed)));
+  fs::remove_all(daemon_dir);
+  fs::remove_all(inline_dir);
+}
+
+TEST(ParallelIngestSealer, SealFailureSurfacesFromRun) {
+  // A directory squatting on epoch 1's name makes that seal's rename fail
+  // on the sealer thread; run() must rethrow it and seal nothing later.
+  const fs::path dir = temp_dir("squatted");
+  fs::create_directories(dir / io::epoch_filename(1));
+  IngestDaemon daemon(daemon_config(dir, 2));
+  EXPECT_THROW(daemon.run(), util::InputError);
+
+  EXPECT_EQ(file_bytes(dir / "latest.snapshot"),
+            file_bytes(dir / io::epoch_filename(0)));
+  EXPECT_TRUE(fs::is_directory(dir / io::epoch_filename(1)));
+  EXPECT_FALSE(fs::exists(dir / (io::epoch_filename(1) + ".tmp")));
+  EXPECT_FALSE(fs::exists(dir / io::epoch_filename(2)));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -24,9 +24,11 @@
 #include "serve/online.hpp"
 #include "serve/sampler.hpp"
 #include "serve/spsc_queue.hpp"
+#include "support/metrics_on.hpp"
 #include "support/temp_dir.hpp"
 #include "synth/replay.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "workload/catalog.hpp"
 #include "workload/population.hpp"
 
@@ -322,6 +324,31 @@ TEST(IngestDaemon, StopFlagDrainsAndSealsPartialEpoch) {
         core::TrafficDataset::load(stats.latest_snapshot);
     loaded.validate();
   }
+  fs::remove_all(dir);
+}
+
+TEST(IngestDaemon, SealMetricsOnePerEpoch) {
+  const test_support::MetricsOn metrics;
+  const fs::path dir = temp_dir("daemon_metrics");
+  ServeConfig config;
+  config.scenario = small_config();
+  config.shard_count = 2;
+  config.epoch_seconds = 24 * net::kSecondsPerHour;
+  config.snapshot_dir = dir.string();
+  IngestDaemon daemon(config);
+  const ServeStats stats = daemon.run();
+  ASSERT_EQ(stats.epochs_sealed, 7u);
+
+  // run() returns after the last publication, so every epoch's sealer-side
+  // observations are in.
+  const util::MetricsSnapshot snap = util::MetricsRegistry::global().snapshot();
+  EXPECT_EQ(snap.counters.at("serve.epochs.sealed"), stats.epochs_sealed);
+  EXPECT_EQ(snap.histograms.at("serve.epoch.seal_wall_seconds").count,
+            stats.epochs_sealed);
+  EXPECT_EQ(snap.histograms.at("serve.epoch.seal_wait_seconds").count,
+            stats.epochs_sealed);
+  EXPECT_GT(snap.histograms.at("serve.ingest.enqueue_to_seal").count, 0u);
+  EXPECT_EQ(snap.gauges.at("serve.epoch.last_index"), 6.0);
   fs::remove_all(dir);
 }
 

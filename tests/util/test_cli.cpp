@@ -40,10 +40,10 @@ TEST(CliArgs, ParsesFlagsAndValues) {
 
 TEST(CliArgs, TypedAccessorsWithDefaults) {
   const CliArgs args = make_args({"prog", "--k=7", "--ratio=0.5"});
-  EXPECT_EQ(args.get_int("k", 2), 7);
-  EXPECT_EQ(args.get_int("missing", 2), 2);
-  EXPECT_DOUBLE_EQ(args.get_double("ratio", 1.0), 0.5);
-  EXPECT_DOUBLE_EQ(args.get_double("missing", 1.0), 1.0);
+  EXPECT_EQ(args.get_int("k", 2, 0, 10), 7);
+  EXPECT_EQ(args.get_int("missing", 2, 0, 10), 2);
+  EXPECT_DOUBLE_EQ(args.get_nonnegative("ratio", 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(args.get_nonnegative("missing", 1.0), 1.0);
   EXPECT_EQ(args.get_string("name", "dflt"), "dflt");
 }
 
@@ -61,6 +61,40 @@ TEST(CliArgs, CountAccessorRangeChecksItsTargetType) {
   EXPECT_EQ(args.get_count<std::uint32_t>("port", 1), 70000u);
   EXPECT_THROW(args.get_count<std::uint32_t>("seconds", 1), InputError);
   EXPECT_EQ(args.get_count<std::uint64_t>("seconds", 1), 4294967296u);
+}
+
+TEST(CliArgs, BoundedAccessorsRejectValuesOutsideTheirRange) {
+  const CliArgs args = make_args(
+      {"prog", "--port=65535", "--wrapped=70000", "--huge=4294967296",
+       "--class=-2", "--rate=2.5", "--zero=0", "--negative=-5", "--nan=nan",
+       "--inf=inf"});
+  EXPECT_EQ(args.get_int("port", -1, 0, 65535), 65535);
+  // An absent flag keeps its default, even a sentinel outside the range.
+  EXPECT_EQ(args.get_int("missing", -1, 0, 65535), -1);
+  EXPECT_THROW(args.get_int("wrapped", -1, 0, 65535), InputError);
+  EXPECT_THROW(args.get_int("huge", -1, 0, 65535), InputError);
+  EXPECT_THROW(args.get_int("class", -1, 0, 3), InputError);
+  try {
+    args.get_int("wrapped", -1, 0, 65535);
+    FAIL() << "out-of-range value accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("--wrapped=70000"), std::string::npos)
+        << e.what();
+  }
+
+  EXPECT_DOUBLE_EQ(args.get_nonnegative("rate", 0.0), 2.5);
+  EXPECT_DOUBLE_EQ(args.get_nonnegative("zero", 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(args.get_nonnegative("missing", 3.0), 3.0);
+  for (const char* flag : {"negative", "nan", "inf"}) {
+    try {
+      args.get_nonnegative(flag, 0.0);
+      ADD_FAILURE() << "--" << flag << " accepted";
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CliArgs, DeclaredFlagsPassAndUnknownFlagThrows) {
@@ -92,7 +126,8 @@ TEST(CliArgs, HelpListsTheDeclaredFlags) {
 
 TEST(CliArgs, MalformedTypedValueThrows) {
   const CliArgs args = make_args({"prog", "--k=abc"});
-  EXPECT_THROW(args.get_int("k", 0), InputError);
+  EXPECT_THROW(args.get_int("k", 0, 0, 10), InputError);
+  EXPECT_THROW(args.get_nonnegative("k", 0.0), InputError);
 }
 
 TEST(CliArgs, BareDashesArePositionals) {

@@ -198,6 +198,30 @@ BENCHMARK_CAPTURE(BM_Crc32, avx2, la::simd::Dispatch::kAvx2)
     ->Arg(4096)
     ->Arg(422944);
 
+// The generator's jitter kernel per dispatch, on the 168-value rows
+// AnalyticGenerator fills once per (commune, usable service), at the
+// example scenario's sigma.
+void BM_LognormalPhilox(benchmark::State& state, la::simd::Dispatch dispatch) {
+  if (dispatch == la::simd::Dispatch::kAvx2 && !la::simd::avx2_available()) {
+    state.SkipWithError("AVX2/PCLMULQDQ kernels unavailable");
+    return;
+  }
+  const auto kernel = la::simd::kernels_for(dispatch).lognormal_philox;
+  constexpr double kSigma = 0.05;
+  la::AlignedVector<double> row(ts::kHoursPerWeek);
+  std::uint32_t commune = 0;
+  for (auto _ : state) {
+    kernel(0x243f6a88u, 0x85a308d3u, 3, commune++, 0, -0.5 * kSigma * kSigma,
+           kSigma, row.data(), row.size());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(row.size()));
+}
+BENCHMARK_CAPTURE(BM_LognormalPhilox, scalar, la::simd::Dispatch::kScalar);
+BENCHMARK_CAPTURE(BM_LognormalPhilox, avx2, la::simd::Dispatch::kAvx2);
+
 // False-sharing microbench: every thread hammers its own counter slot. In
 // the packed layout eight slots share a cache line, so the increments
 // ping-pong the line between cores; the padded layout gives each slot a

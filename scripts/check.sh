@@ -8,8 +8,9 @@
 # end-to-end checks against that build:
 #   --metrics     every bench writes a well-formed metrics document
 #   --trace       a traced test-scale report equals the untraced one, and
-#                 so do the reports at APPSCOPE_THREADS=1 and 4; the
-#                 trace's critical path covers 90% of core.run_study
+#                 so do the reports at APPSCOPE_THREADS=1 and 4 and under
+#                 APPSCOPE_SIMD=scalar; the trace's critical path covers
+#                 90% of core.run_study
 #   --query       example-scale snapshot save/reload gives the same report;
 #                 appscope_query answers from the sections it reads and
 #                 agrees with a full load (--check)
@@ -19,7 +20,8 @@
 #                 by SIGTERM; its sealed snapshot feeds paper_report and
 #                 appscope_query. Then an unthrottled run is SIGKILLed
 #                 mid-seal: what it published must load, and a daemon
-#                 restarted on its directory must succeed
+#                 restarted on its directory must succeed and leave only
+#                 its own epochs
 #   --bench-gate  perf_core against BENCH_core.json, measured right after
 #                 ctest and judged at the end (bench_regression.py;
 #                 APPSCOPE_BENCH_REGRESSION_SKIP=1 skips the comparison)
@@ -125,6 +127,9 @@ if [ "$TRACE" = 1 ]; then
       --out="$OUT/report_threads$threads.md"
     cmp "$OUT/report_threads$threads.md" "$OUT/report_untraced.md"
   done
+  # Nor on the SIMD dispatch (both sides scalar on a host without AVX2).
+  APPSCOPE_SIMD=scalar "$REPORT" --scale=test --out="$OUT/report_scalar.md"
+  cmp "$OUT/report_scalar.md" "$OUT/report_untraced.md"
   python3 scripts/trace_summary.py "$ART/paper_report.trace.json" \
     --root core.run_study --min-coverage 0.9
 fi
@@ -242,6 +247,10 @@ if [ "$SERVE" = 1 ]; then
   "$BUILD"/src/serve/appscope_serve --scale=test --weeks=1 \
     --snapshot-dir="$KILLED" 2> "$OUT/serve_restart.log"
   "$QUERY_CLI" --snapshot="$KILLED/latest.snapshot" --check > /dev/null
+  # The restart owns the directory: its 168 hourly epochs, none of the
+  # killed run's later ones.
+  restarted=("$KILLED"/epoch_*.snapshot)
+  test "${#restarted[@]}" = 168
 fi
 
 if [ "$METRICS" = 1 ]; then

@@ -6,16 +6,25 @@
 // here changes results project-wide.
 #include "la/simd.hpp"
 
+#if defined(__FMA__) || defined(__FMA4__) || defined(__AVX512F__)
+#error "simd.cpp must be compiled without FMA (-mno-fma -mno-fma4 -mno-avx512f)"
+#endif
+
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
 
+#include "la/simd_noise.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace appscope::la::simd {
 
@@ -225,18 +234,141 @@ std::uint32_t crc32(const std::byte* data, std::size_t n) {
   return crc32_update(0xFFFFFFFFu, data, n) ^ 0xFFFFFFFFu;
 }
 
+namespace {
+
+// The noise kernel's elementary functions, inline here so the kernel's
+// batched loops below can overlap (and vectorize) them; the exported
+// noise_log, noise_sincos_2pi and noise_exp call them too. These are the
+// operation sequences the AVX2 kernel mirrors lane by lane
+// (simd_avx2.cpp): change both or neither.
+
+inline double log_poly(double x) noexcept {
+  using namespace noise;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t high = (bits >> 32) + kLogHighShift;
+  const double k = static_cast<double>(
+      static_cast<std::int64_t>(high >> 20) - 0x3ff);
+  const std::uint64_t reduced =
+      ((high & 0xfffffu) + kLogHighBase) << 32 | (bits & 0xffffffffu);
+  const double f = std::bit_cast<double>(reduced) - 1.0;
+  const double hfsq = 0.5 * f * f;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  const double w = z * z;
+  const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const double r = t2 + t1;
+  return s * (hfsq + r) + k * kLn2Lo - hfsq + f + k * kLn2Hi;
+}
+
+inline void sincos_2pi_poly(double u, double* sin_out,
+                            double* cos_out) noexcept {
+  using namespace noise;
+  const double t = 4.0 * u + kRoundShifter;
+  const double q = t - kRoundShifter;
+  const double x = (u - 0.25 * q) * kTwoPi;
+  const double z = x * x;
+  const double w = z * z;
+  const double rs = kS2 + z * (kS3 + z * kS4) + z * w * (kS5 + z * kS6);
+  const double sin_x = x + z * x * (kS1 + z * rs);
+  const double rc = z * (kC1 + z * (kC2 + z * kC3)) +
+                    w * w * (kC4 + z * (kC5 + z * kC6));
+  const double hz = 0.5 * z;
+  const double one_minus_hz = 1.0 - hz;
+  const double cos_x = one_minus_hz + (((1.0 - one_minus_hz) - hz) + z * rc);
+  // Quarter turns q mod 4, read from the shifted sum's low mantissa bits:
+  // an odd q swaps sin and cos, q in {2, 3} negates sin, q in {1, 2} cos.
+  const std::uint64_t quarter = std::bit_cast<std::uint64_t>(t) & 3u;
+  const double a = (quarter & 1u) != 0 ? cos_x : sin_x;
+  const double b = (quarter & 1u) != 0 ? sin_x : cos_x;
+  *sin_out = (quarter & 2u) != 0 ? -a : a;
+  *cos_out = ((quarter + 1) & 2u) != 0 ? -b : b;
+}
+
+inline double exp_poly(double x) noexcept {
+  using namespace noise;
+  double xc = kExpClampLo > x ? kExpClampLo : x;
+  xc = kExpClampHi < xc ? kExpClampHi : xc;
+  const double t = xc * kInvLn2 + kExpShifter;
+  const double k = t - kExpShifter;
+  const double hi = xc - k * kLn2Hi;
+  const double lo = k * kLn2Lo;
+  const double r = hi - lo;
+  const double rr = r * r;
+  const double c = r - rr * (kP1 + rr * (kP2 + rr * (kP3 + rr * (kP4 + rr * kP5))));
+  const double y = 1.0 + (r * c / (2.0 - c) - lo + hi);
+  // k + 2048 from the mantissa; 2^k1 and 2^(k - k1) as exponent fields.
+  const std::uint64_t biased = std::bit_cast<std::uint64_t>(t) -
+                               std::bit_cast<std::uint64_t>(kRoundShifter);
+  const std::uint64_t half = biased >> 1;
+  const double scale1 = std::bit_cast<double>((half - 1) << 52);
+  const double scale2 = std::bit_cast<double>((biased - half - 1) << 52);
+  double result = y * scale1 * scale2;
+  if (x > kExpOverflow) result = std::numeric_limits<double>::infinity();
+  if (x < kExpUnderflow) result = 0.0;
+  return result;
+}
+
+}  // namespace
+
+void lognormal_philox(std::uint32_t key0, std::uint32_t key1,
+                      std::uint32_t c1, std::uint32_t c2, std::uint32_t c3,
+                      double mu, double sigma, double* out, std::size_t n) {
+  // Blocks in batches, one phase at a time: a block is one long dependent
+  // chain, and independent blocks side by side let the chains overlap.
+  // Every value still takes the same operations.
+  constexpr std::size_t kBatch = 8;
+  double u1[kBatch];
+  double u2[kBatch];
+  double r[kBatch];
+  double sin_2pi[kBatch];
+  double cos_2pi[kBatch];
+  const std::size_t blocks = (n + 1) / 2;
+  for (std::size_t j0 = 0; j0 < blocks; j0 += kBatch) {
+    const std::size_t m = std::min(kBatch, blocks - j0);
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::array<std::uint32_t, 4> w = util::philox4x32_10(
+          {static_cast<std::uint32_t>(j0 + k), c1, c2, c3}, {key0, key1});
+      const std::uint64_t m1 =
+          ((std::uint64_t{w[1]} << 32 | w[0]) >> 11) + 1;  // [1, 2^53]
+      const std::uint64_t m2 = (std::uint64_t{w[3]} << 32 | w[2]) >> 11;
+      u1[k] = static_cast<double>(m1) * noise::kUnitScale;
+      u2[k] = static_cast<double>(m2) * noise::kUnitScale;
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      r[k] = std::sqrt(-2.0 * log_poly(u1[k]));
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      sincos_2pi_poly(u2[k], &sin_2pi[k], &cos_2pi[k]);
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t i = 2 * (j0 + k);
+      out[i] = exp_poly(mu + sigma * (r[k] * cos_2pi[k]));
+      if (i + 1 < n) out[i + 1] = exp_poly(mu + sigma * (r[k] * sin_2pi[k]));
+    }
+  }
+}
+
 const Kernels& table() noexcept {
   static constexpr Kernels kTable = {
       "scalar",      fft_passes, rfft_untangle, rfft_retangle,
       conj_multiply, complex_scale, scale,      axpy,
       accumulate,    znorm_apply, row_scale,    max_value,
       find_first_equal, sum_stripes, masked_sum_stripes, masked_max,
-      crc32,
+      crc32,         lognormal_philox,
   };
   return kTable;
 }
 
 }  // namespace scalar
+
+double noise_log(double x) noexcept { return scalar::log_poly(x); }
+
+void noise_sincos_2pi(double u, double* sin_out, double* cos_out) noexcept {
+  scalar::sincos_2pi_poly(u, sin_out, cos_out);
+}
+
+double noise_exp(double x) noexcept { return scalar::exp_poly(x); }
 
 #if defined(APPSCOPE_SIMD_AVX2)
 namespace avx2 {

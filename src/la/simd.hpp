@@ -1,21 +1,23 @@
 // appscope/la/simd.hpp
 //
-// Dispatched SIMD kernels for the SBD/FFT/z-norm hot path and the snapshot
-// checksum (io::crc32).
+// Dispatched SIMD kernels for the SBD/FFT/z-norm hot path, the snapshot
+// checksum (io::crc32) and the generator's lognormal noise.
 //
 // Every kernel here exists in (at least) two implementations: a scalar
 // reference and an AVX2 version, selected once per process through a kernel
 // table. The contract that makes this safe project-wide is *bitwise
 // determinism*: for every input, every implementation of a kernel produces
 // exactly the same double bits (crc32 is exact integer arithmetic, so its
-// implementations agree trivially). That is achievable because the kernels are
-// restricted to elementwise work — each output element is computed by the
-// same IEEE operation sequence in every implementation, so vector lanes
-// can't reorder anything that affects rounding. Order-sensitive reductions
-// (Welford running stats, sequential dot products and sums) deliberately
-// stay scalar in their home modules; the only reduction-shaped kernels here
-// (max_value / find_first_equal) are exact searches whose results are
-// order-independent, see the notes on each.
+// implementations agree trivially). That is achievable because the kernels
+// are restricted to elementwise work — each output element is computed by
+// the same IEEE operation sequence in every implementation, so vector lanes
+// can't reorder anything that affects rounding — and because both kernel
+// files are compiled without fused multiply-adds whatever the -march
+// (src/la/CMakeLists.txt), so a multiply and an add stay two roundings.
+// Order-sensitive reductions (Welford running stats, sequential dot products
+// and sums) deliberately stay scalar in their home modules; the only
+// reduction-shaped kernels here (max_value / find_first_equal) are exact
+// searches whose results are order-independent, see the notes on each.
 //
 // Dispatch: the active table is chosen on first use from the APPSCOPE_SIMD
 // environment variable ("avx2" or "scalar"); unset picks AVX2 when the
@@ -140,7 +142,45 @@ struct Kernels {
   /// Barrett reduction (Gopal et al., Intel 2009); inputs under 64 bytes and
   /// the last n mod 16 bytes go through slicing-by-8.
   std::uint32_t (*crc32)(const std::byte* data, std::size_t n);
+
+  // --- Counter-based lognormal noise (synth::AnalyticGenerator) -------------
+
+  /// out[i] = exp(mu + sigma * z_i) for i in [0, n), n <= 2^33, where z is a
+  /// standard normal stream: block j = i / 2 is Philox4x32-10
+  /// (util::philox4x32_10) of counter {j, c1, c2, c3} under key
+  /// {key0, key1}, whose words w0..w3 give
+  ///   u1 = (((w1 * 2^32 + w0) >> 11) + 1) * 2^-53 in (0, 1],
+  ///   u2 = ((w3 * 2^32 + w2) >> 11) * 2^-53 in [0, 1),
+  /// and Box-Muller gives z_2j = r cos(2 pi u2), z_2j+1 = r sin(2 pi u2) with
+  /// r = sqrt(-2 ln u1). ln, sin/cos and exp are noise_log,
+  /// noise_sincos_2pi and noise_exp below, evaluated with the same IEEE
+  /// operations by every implementation (AVX2: four blocks per vector), so
+  /// each element is a pure function of (key, c1, c2, c3, i, mu, sigma)
+  /// whatever the dispatch or the chunking of i.
+  void (*lognormal_philox)(std::uint32_t key0, std::uint32_t key1,
+                           std::uint32_t c1, std::uint32_t c2, std::uint32_t c3,
+                           double mu, double sigma, double* out, std::size_t n);
 };
+
+// --- The noise kernel's elementary functions ---------------------------------
+// Scalar references of the polynomials lognormal_philox evaluates (fdlibm's,
+// constants in la/simd_noise.hpp); the AVX2 kernel runs the same operations
+// lane by lane. No libm call and no fused multiply-add: both kernel files
+// are built without FMA (see src/la/CMakeLists.txt). Exposed for the
+// accuracy tests (NoiseKernel.*).
+
+/// ln x for a positive normal double x (the kernel's u1 lies in
+/// [2^-53, 1]); ln 1 is exactly +0.
+double noise_log(double x) noexcept;
+
+/// sin(2 pi u) and cos(2 pi u) for u in [0, 1). The quarter turn is
+/// reduced exactly on u (q = round(4u), f = u - q / 4, |f| <= 1/8) before
+/// the one rounded multiply by 2 pi, so accuracy holds at every zero.
+void noise_sincos_2pi(double u, double* sin_out, double* cos_out) noexcept;
+
+/// e^x: exactly 1 at 0, +inf above the largest x with a finite e^x, +0
+/// below the smallest with a nonzero one (where std::exp saturates too).
+double noise_exp(double x) noexcept;
 
 /// The active kernel table (atomic acquire load; first call resolves
 /// APPSCOPE_SIMD and CPU support).

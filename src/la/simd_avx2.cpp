@@ -1,9 +1,9 @@
 // AVX2 kernel implementations for la::simd.
 //
-// Compiled with -mavx2 -mpclmul -ffp-contract=off (see
-// src/la/CMakeLists.txt); the rest of the project never needs AVX2 or
-// PCLMULQDQ to link this TU because everything is reached through the
-// kernel table, which is only selected when the CPU reports both.
+// Compiled with -mavx2 -mpclmul -ffp-contract=off and with FMA and AVX-512
+// off (see src/la/CMakeLists.txt); the rest of the project never needs
+// AVX2 or PCLMULQDQ to link this TU because everything is reached through
+// the kernel table, which is only selected when the CPU reports both.
 //
 // Bitwise contract with the scalar kernels: every lane performs the same
 // IEEE operation sequence the scalar loop performs for that element. The
@@ -25,11 +25,18 @@
 #if !defined(__AVX2__) || !defined(__PCLMUL__)
 #error "simd_avx2.cpp must be compiled with -mavx2 -mpclmul"
 #endif
+#if defined(__FMA__) || defined(__FMA4__) || defined(__AVX512F__)
+#error "simd_avx2.cpp must be compiled without FMA (-mno-fma -mno-fma4 -mno-avx512f)"
+#endif
 
 #include <immintrin.h>
 
+#include <bit>
 #include <cstring>
 #include <limits>
+
+#include "la/simd_noise.hpp"
+#include "util/rng.hpp"
 
 namespace appscope::la::simd {
 
@@ -491,6 +498,248 @@ std::uint32_t crc32(const std::byte* data, std::size_t n) {
   return scalar::crc32_update(state, data, n) ^ 0xFFFFFFFFu;
 }
 
+namespace {
+
+// Lane-wise mirrors of simd.cpp's noise_log, noise_sincos_2pi and
+// noise_exp: the same IEEE operations in the same order, so every lane
+// returns the scalar reference's bits. Integer-to-double conversions go
+// through the 2^52 bit trick; they are exact, as the scalar casts are.
+
+inline __m256d splat(double v) noexcept { return _mm256_set1_pd(v); }
+inline __m256i splat_u64(std::uint64_t v) noexcept {
+  return _mm256_set1_epi64x(static_cast<long long>(v));
+}
+
+/// Exact double of each 64-bit lane, which must be below 2^53.
+inline __m256d u53_to_double(__m256i v) noexcept {
+  const __m256i two52_bits = splat_u64(std::bit_cast<std::uint64_t>(0x1p52));
+  const __m256d two52 = splat(0x1p52);
+  const __m256d lo = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_and_si256(v, splat_u64(0xffffffffu)), two52_bits)),
+      two52);
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(v, 32), two52_bits)),
+      two52);
+  return _mm256_add_pd(_mm256_mul_pd(hi, splat(0x1p32)), lo);
+}
+
+inline __m256d log_lanes(__m256d x) noexcept {
+  using namespace noise;
+  const __m256i bits = _mm256_castpd_si256(x);
+  const __m256i high =
+      _mm256_add_epi64(_mm256_srli_epi64(bits, 32), splat_u64(kLogHighShift));
+  // (2^52 + e) - (2^52 + 1023) = k, e = high >> 20 the biased exponent.
+  const __m256d k = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_srli_epi64(high, 20),
+          splat_u64(std::bit_cast<std::uint64_t>(0x1p52)))),
+      splat(0x1p52 + 1023.0));
+  const __m256i reduced = _mm256_or_si256(
+      _mm256_slli_epi64(
+          _mm256_add_epi64(_mm256_and_si256(high, splat_u64(0xfffffu)),
+                           splat_u64(kLogHighBase)),
+          32),
+      _mm256_and_si256(bits, splat_u64(0xffffffffu)));
+  const __m256d f = _mm256_sub_pd(_mm256_castsi256_pd(reduced), splat(1.0));
+  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(splat(0.5), f), f);
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(splat(2.0), f));
+  const __m256d z = _mm256_mul_pd(s, s);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d t1 = _mm256_mul_pd(
+      w, _mm256_add_pd(splat(kLg2),
+                       _mm256_mul_pd(w, _mm256_add_pd(splat(kLg4),
+                                                      _mm256_mul_pd(w, splat(kLg6))))));
+  const __m256d t2 = _mm256_mul_pd(
+      z, _mm256_add_pd(
+             splat(kLg1),
+             _mm256_mul_pd(
+                 w, _mm256_add_pd(
+                        splat(kLg3),
+                        _mm256_mul_pd(w, _mm256_add_pd(splat(kLg5),
+                                                       _mm256_mul_pd(w, splat(kLg7))))))));
+  const __m256d r = _mm256_add_pd(t2, t1);
+  __m256d acc = _mm256_mul_pd(s, _mm256_add_pd(hfsq, r));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(k, splat(kLn2Lo)));
+  acc = _mm256_sub_pd(acc, hfsq);
+  acc = _mm256_add_pd(acc, f);
+  return _mm256_add_pd(acc, _mm256_mul_pd(k, splat(kLn2Hi)));
+}
+
+inline void sincos_2pi_lanes(__m256d u, __m256d* sin_out,
+                             __m256d* cos_out) noexcept {
+  using namespace noise;
+  const __m256d t =
+      _mm256_add_pd(_mm256_mul_pd(splat(4.0), u), splat(kRoundShifter));
+  const __m256d q = _mm256_sub_pd(t, splat(kRoundShifter));
+  const __m256d x = _mm256_mul_pd(
+      _mm256_sub_pd(u, _mm256_mul_pd(splat(0.25), q)), splat(kTwoPi));
+  const __m256d z = _mm256_mul_pd(x, x);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d rs = _mm256_add_pd(
+      _mm256_add_pd(splat(kS2),
+                    _mm256_mul_pd(z, _mm256_add_pd(splat(kS3),
+                                                   _mm256_mul_pd(z, splat(kS4))))),
+      _mm256_mul_pd(_mm256_mul_pd(z, w),
+                    _mm256_add_pd(splat(kS5), _mm256_mul_pd(z, splat(kS6)))));
+  const __m256d sin_x = _mm256_add_pd(
+      x, _mm256_mul_pd(_mm256_mul_pd(z, x),
+                       _mm256_add_pd(splat(kS1), _mm256_mul_pd(z, rs))));
+  const __m256d rc = _mm256_add_pd(
+      _mm256_mul_pd(
+          z, _mm256_add_pd(
+                 splat(kC1),
+                 _mm256_mul_pd(z, _mm256_add_pd(splat(kC2),
+                                                _mm256_mul_pd(z, splat(kC3)))))),
+      _mm256_mul_pd(
+          _mm256_mul_pd(w, w),
+          _mm256_add_pd(
+              splat(kC4),
+              _mm256_mul_pd(z, _mm256_add_pd(splat(kC5),
+                                             _mm256_mul_pd(z, splat(kC6)))))));
+  const __m256d hz = _mm256_mul_pd(splat(0.5), z);
+  const __m256d one_minus_hz = _mm256_sub_pd(splat(1.0), hz);
+  const __m256d cos_x = _mm256_add_pd(
+      one_minus_hz,
+      _mm256_add_pd(_mm256_sub_pd(_mm256_sub_pd(splat(1.0), one_minus_hz), hz),
+                    _mm256_mul_pd(z, rc)));
+  // Quarter turns: bit 0 of q swaps (blend on a sign-bit mask), bit 1 of q
+  // negates sin and bit 1 of q + 1 negates cos (sign-bit xor).
+  const __m256i quarter =
+      _mm256_and_si256(_mm256_castpd_si256(t), splat_u64(3));
+  const __m256d swap = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_and_si256(quarter, splat_u64(1)), 63));
+  const __m256d a = _mm256_blendv_pd(sin_x, cos_x, swap);
+  const __m256d b = _mm256_blendv_pd(cos_x, sin_x, swap);
+  const __m256d sin_sign = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_and_si256(quarter, splat_u64(2)), 62));
+  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(quarter, splat_u64(1)), splat_u64(2)),
+      62));
+  *sin_out = _mm256_xor_pd(a, sin_sign);
+  *cos_out = _mm256_xor_pd(b, cos_sign);
+}
+
+inline __m256d exp_lanes(__m256d x) noexcept {
+  using namespace noise;
+  // max_pd(a, b) is a > b ? a : b and min_pd(a, b) is a < b ? a : b, the
+  // scalar clamps' exact selections (a NaN x passes through both).
+  __m256d xc = _mm256_max_pd(splat(kExpClampLo), x);
+  xc = _mm256_min_pd(splat(kExpClampHi), xc);
+  const __m256d t =
+      _mm256_add_pd(_mm256_mul_pd(xc, splat(kInvLn2)), splat(kExpShifter));
+  const __m256d k = _mm256_sub_pd(t, splat(kExpShifter));
+  const __m256d hi = _mm256_sub_pd(xc, _mm256_mul_pd(k, splat(kLn2Hi)));
+  const __m256d lo = _mm256_mul_pd(k, splat(kLn2Lo));
+  const __m256d r = _mm256_sub_pd(hi, lo);
+  const __m256d rr = _mm256_mul_pd(r, r);
+  __m256d p = _mm256_add_pd(splat(kP4), _mm256_mul_pd(rr, splat(kP5)));
+  p = _mm256_add_pd(splat(kP3), _mm256_mul_pd(rr, p));
+  p = _mm256_add_pd(splat(kP2), _mm256_mul_pd(rr, p));
+  p = _mm256_add_pd(splat(kP1), _mm256_mul_pd(rr, p));
+  const __m256d c = _mm256_sub_pd(r, _mm256_mul_pd(rr, p));
+  const __m256d y = _mm256_add_pd(
+      splat(1.0),
+      _mm256_add_pd(
+          _mm256_sub_pd(_mm256_div_pd(_mm256_mul_pd(r, c),
+                                      _mm256_sub_pd(splat(2.0), c)),
+                        lo),
+          hi));
+  const __m256i biased = _mm256_sub_epi64(
+      _mm256_castpd_si256(t), splat_u64(std::bit_cast<std::uint64_t>(kRoundShifter)));
+  const __m256i half = _mm256_srli_epi64(biased, 1);
+  const __m256d scale1 = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_sub_epi64(half, splat_u64(1)), 52));
+  const __m256d scale2 = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_sub_epi64(_mm256_sub_epi64(biased, half), splat_u64(1)), 52));
+  __m256d result = _mm256_mul_pd(_mm256_mul_pd(y, scale1), scale2);
+  result = _mm256_blendv_pd(
+      result, splat(std::numeric_limits<double>::infinity()),
+      _mm256_cmp_pd(x, splat(kExpOverflow), _CMP_GT_OQ));
+  return _mm256_blendv_pd(result, _mm256_setzero_pd(),
+                          _mm256_cmp_pd(x, splat(kExpUnderflow), _CMP_LT_OQ));
+}
+
+}  // namespace
+
+void lognormal_philox(std::uint32_t key0, std::uint32_t key1,
+                      std::uint32_t c1, std::uint32_t c2, std::uint32_t c3,
+                      double mu, double sigma, double* out, std::size_t n) {
+  using namespace noise;
+  using util::kPhiloxRounds;
+  // Round keys, bumped by the Weyl increments before rounds 2..10.
+  __m256i round_key0[kPhiloxRounds];
+  __m256i round_key1[kPhiloxRounds];
+  std::uint32_t k0 = key0;
+  std::uint32_t k1 = key1;
+  for (int round = 0; round < kPhiloxRounds; ++round) {
+    if (round > 0) {
+      k0 += util::kPhiloxW0;
+      k1 += util::kPhiloxW1;
+    }
+    round_key0[round] = splat_u64(k0);
+    round_key1[round] = splat_u64(k1);
+  }
+  const __m256i m0 = splat_u64(util::kPhiloxM0);
+  const __m256i m1 = splat_u64(util::kPhiloxM1);
+  const __m256i low32 = splat_u64(0xffffffffu);
+  const __m256d mu_v = splat(mu);
+  const __m256d sigma_v = splat(sigma);
+
+  // Four Philox blocks per vector, one block per 64-bit lane with its word
+  // in the low half: vpmuludq multiplies exactly those halves. Every word a
+  // round writes is below 2^32; the initial word 0, j + lane, is read only
+  // by vpmuludq, which wraps it to 32 bits as the scalar cast does.
+  const std::size_t blocks = (n + 1) / 2;
+  for (std::size_t j = 0; j < blocks; j += 4) {
+    __m256i w0 = _mm256_add_epi64(splat_u64(j), _mm256_set_epi64x(3, 2, 1, 0));
+    __m256i w1 = splat_u64(c1);
+    __m256i w2 = splat_u64(c2);
+    __m256i w3 = splat_u64(c3);
+    for (int round = 0; round < kPhiloxRounds; ++round) {
+      const __m256i p0 = _mm256_mul_epu32(w0, m0);
+      const __m256i p1 = _mm256_mul_epu32(w2, m1);
+      w0 = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p1, 32), w1),
+                            round_key0[round]);
+      w1 = _mm256_and_si256(p1, low32);
+      w2 = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p0, 32), w3),
+                            round_key1[round]);
+      w3 = _mm256_and_si256(p0, low32);
+    }
+    const __m256i m1_bits = _mm256_add_epi64(
+        _mm256_or_si256(_mm256_slli_epi64(w1, 21), _mm256_srli_epi64(w0, 11)),
+        splat_u64(1));
+    const __m256i m2_bits =
+        _mm256_or_si256(_mm256_slli_epi64(w3, 21), _mm256_srli_epi64(w2, 11));
+    const __m256d u1 = _mm256_mul_pd(u53_to_double(m1_bits), splat(kUnitScale));
+    const __m256d u2 = _mm256_mul_pd(u53_to_double(m2_bits), splat(kUnitScale));
+    const __m256d r =
+        _mm256_sqrt_pd(_mm256_mul_pd(splat(-2.0), log_lanes(u1)));
+    __m256d sin_2pi;
+    __m256d cos_2pi;
+    sincos_2pi_lanes(u2, &sin_2pi, &cos_2pi);
+    const __m256d even = exp_lanes(_mm256_add_pd(
+        mu_v, _mm256_mul_pd(sigma_v, _mm256_mul_pd(r, cos_2pi))));
+    const __m256d odd = exp_lanes(_mm256_add_pd(
+        mu_v, _mm256_mul_pd(sigma_v, _mm256_mul_pd(r, sin_2pi))));
+    // {e0, o0, e1, o1} and {e2, o2, e3, o3}: outputs 2j .. 2j + 7 in order.
+    const __m256d lo_pairs = _mm256_unpacklo_pd(even, odd);
+    const __m256d hi_pairs = _mm256_unpackhi_pd(even, odd);
+    const __m256d first = _mm256_permute2f128_pd(lo_pairs, hi_pairs, 0x20);
+    const __m256d second = _mm256_permute2f128_pd(lo_pairs, hi_pairs, 0x31);
+    const std::size_t at = 2 * j;
+    if (at + 8 <= n) {
+      _mm256_storeu_pd(out + at, first);
+      _mm256_storeu_pd(out + at + 4, second);
+    } else {
+      alignas(32) double tail[8];
+      _mm256_store_pd(tail, first);
+      _mm256_store_pd(tail + 4, second);
+      std::memcpy(out + at, tail, (n - at) * sizeof(double));
+    }
+  }
+}
+
 bool cpu_supported() noexcept {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul");
 }
@@ -501,7 +750,7 @@ const Kernels& table() noexcept {
       conj_multiply, complex_scale, scale,      axpy,
       accumulate,    znorm_apply, row_scale,    max_value,
       find_first_equal, sum_stripes, masked_sum_stripes, masked_max,
-      crc32,
+      crc32,         lognormal_philox,
   };
   return kTable;
 }

@@ -172,14 +172,27 @@ void AdminServer::serve_connection(int fd) {
     if (response.status >= 400) registry.add("obs.admin.errors");
   }
 
-  std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                     status_text(response.status) +
-                     "\r\nContent-Type: " + response.content_type +
-                     "\r\nContent-Length: " +
-                     std::to_string(response.body.size()) +
-                     "\r\nConnection: close\r\n\r\n";
-  if (send_all(fd, head.data(), head.size()) && !head_method) {
-    send_all(fd, response.body.data(), response.body.size());
+  // One write for head and body: a body sent separately can sit behind the
+  // head (Nagle) when the close below resets the connection.
+  std::string reply = "HTTP/1.1 " + std::to_string(response.status) + " " +
+                      status_text(response.status) +
+                      "\r\nContent-Type: " + response.content_type +
+                      "\r\nContent-Length: " +
+                      std::to_string(response.body.size()) +
+                      "\r\nConnection: close\r\n\r\n";
+  if (!head_method) reply += response.body;
+  if (!send_all(fd, reply.data(), reply.size())) return;
+  // Lingering close: closing a socket with request bytes still unread (an
+  // oversized head) sends a reset, which discards reply bytes not yet
+  // delivered. Shut down writes (the FIN follows the reply), then drain
+  // what the client still sends, at most kMaxRequestBytes more and within
+  // the I/O timeout, before the caller closes.
+  ::shutdown(fd, SHUT_WR);
+  std::size_t drained = 0;
+  while (drained < kMaxRequestBytes) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    drained += static_cast<std::size_t>(n);
   }
 }
 

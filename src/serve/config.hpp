@@ -48,6 +48,9 @@ struct ServeConfig {
   bool force_sampling = false;
 
   /// Directory epoch snapshots are sealed into; empty disables sealing.
+  /// It belongs to one run: IngestDaemon::run first removes the
+  /// latest.snapshot, epoch_*.snapshot and *.snapshot.tmp files an earlier
+  /// run left there.
   std::string snapshot_dir;
 
   /// When set, a true value drains and stops the daemon (SIGTERM handler

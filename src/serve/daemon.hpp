@@ -53,10 +53,11 @@ class IngestDaemon {
   IngestDaemon& operator=(const IngestDaemon&) = delete;
 
   /// Runs the ingest loop to completion (or stop signal), seals the final
-  /// partial epoch, waits for its seal, and returns the run summary. A
-  /// failed seal (util::InputError) is rethrown here, at the next epoch
-  /// boundary or at the drain, and no later epoch is sealed. Call at most
-  /// once.
+  /// partial epoch, waits for its seal, and returns the run summary. When
+  /// sealing, it first empties the snapshot directory of an earlier run's
+  /// snapshots (ServeConfig::snapshot_dir). A failed seal (util::InputError)
+  /// is rethrown here, at the next epoch boundary or at the drain, and no
+  /// later epoch is sealed. Call at most once.
   ServeStats run();
 
   /// Staged events per replayed week (diagnostics / test sizing).

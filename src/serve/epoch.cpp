@@ -1,8 +1,10 @@
 #include "serve/epoch.hpp"
 
 #include <filesystem>
+#include <string>
 #include <system_error>
 #include <utility>
+#include <vector>
 
 #include "io/publish.hpp"
 #include "util/error.hpp"
@@ -11,6 +13,45 @@
 namespace appscope::serve {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// `sealer`, with its directory emptied of the files an earlier run sealed
+/// there: the directory belongs to one run, and a run restarted where a
+/// longer one was killed must not leave that run's later epochs beside its
+/// own (where io::find_latest_snapshot's fallback would pick them).
+/// latest.snapshot goes first, then the epoch files and the temp files a
+/// kill left, so a kill in between leaves what a kill mid-seal can leave
+/// already: whole epochs without latest.snapshot, or no snapshot at all.
+/// Only regular files are removed.
+EpochSealer owning_directory(EpochSealer sealer) {
+  const fs::path directory = fs::path(sealer.latest_path()).parent_path();
+  const auto fail = [](const std::string& what, const std::error_code& ec) {
+    throw util::InputError("BackgroundSealer: cannot " + what + ": " +
+                           ec.message());
+  };
+  std::vector<fs::path> stale;
+  std::error_code ec;
+  for (fs::directory_iterator it(directory, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    std::error_code file_ec;
+    if (!it->is_regular_file(file_ec)) continue;
+    if (name == "latest.snapshot") {
+      stale.insert(stale.begin(), it->path());
+    } else if ((name.starts_with("epoch_") && name.ends_with(".snapshot")) ||
+               name.ends_with(".snapshot.tmp")) {
+      stale.push_back(it->path());
+    }
+  }
+  if (ec) fail("list " + directory.string(), ec);
+  for (const fs::path& path : stale) {
+    if (!fs::remove(path, ec) && ec) fail("remove " + path.string(), ec);
+  }
+  return sealer;
+}
+
+}  // namespace
 
 EpochSealer::EpochSealer(std::string directory,
                          const synth::ScenarioConfig& config,
@@ -76,7 +117,7 @@ void record_publication(std::uint64_t index, SteadyTime barrier,
 
 BackgroundSealer::BackgroundSealer(EpochSealer sealer, std::size_t services,
                                    std::size_t communes)
-    : sealer_(std::move(sealer)),
+    : sealer_(owning_directory(std::move(sealer))),
       span_context_(util::current_span_context()),
       buffer_(services, communes),
       thread_([this] { loop(); }) {}

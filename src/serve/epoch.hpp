@@ -103,7 +103,11 @@ void record_publication(std::uint64_t index, SteadyTime barrier,
 /// finish(), rethrows it on the caller's thread.
 class BackgroundSealer {
  public:
-  /// Starts the sealer thread. Seal spans parent to the span open here.
+  /// Empties the sealer's directory of the latest.snapshot,
+  /// epoch_*.snapshot and *.snapshot.tmp files an earlier run left there
+  /// (the directory belongs to one run; util::InputError if that fails),
+  /// then starts the sealer thread. Seal spans parent to the span open
+  /// here.
   BackgroundSealer(EpochSealer sealer, std::size_t services,
                    std::size_t communes);
   /// Joins, after the seal in flight (if any) ends; a failure finish()

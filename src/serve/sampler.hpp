@@ -14,13 +14,21 @@
 // deterministic replays pin it with force_sampling(), which samples the
 // whole stream from event zero.
 //
-// Estimator bound (documented contract, asserted by the overload property
-// test): systematic 1-in-k sampling with scale k preserves every aggregate
-// in expectation, and the absolute error of any total over a sampled stream
-// segment of n events is at most k * max_event_volume per k-run, i.e.
-// relative error O(k * e_max / (n * e_mean)) — negligible for the small k
-// (2..16) the daemon uses and the ~28-byte..~MB event volumes of the
-// synthetic stream.
+// Estimator (documented contract, checked exactly by the overload property
+// test). With sampling forced from event zero, the events kept are those
+// whose sequence number is 0 mod k, each scaled by k. For any additive
+// total T = e_0 + ... + e_(n-1) of non-negative event volumes:
+//   - Unbiased over the phase: the k estimates that keeping phase
+//     p = 0 .. k-1 would give sum to exactly k * T, so their mean is T.
+//   - Absolute error: cut the stream into runs of k consecutive events, each
+//     starting at a kept event e_first. A full run's estimate k * e_first
+//     differs from the run's sum by at most (k - 1) * (max - min) over the
+//     run; a last run of m < k events by at most (m - 1) * (max - min) +
+//     (k - m) * e_first. |estimate - T| is at most the sum over the runs.
+//   - No relative bound: keeping or dropping one heavy event moves the
+//     estimate by up to (k - 1) times its volume, so on a heavy-tailed
+//     stream the relative error is not bounded by any function of k, n and
+//     the mean and maximum event volumes alone.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,13 @@
 #include "synth/generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "la/simd.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
+#include "util/trace.hpp"
 #include "workload/spatial_profile.hpp"
 #include "workload/temporal_profile.hpp"
 
@@ -26,7 +27,8 @@ AnalyticGenerator::AnalyticGenerator(const geo::Territory& territory,
       presence_(presence) {
   APPSCOPE_REQUIRE(territory_.size() == subscribers_.commune_count(),
                    "AnalyticGenerator: territory/subscriber mismatch");
-  APPSCOPE_REQUIRE(noise_sigma_ >= 0.0, "AnalyticGenerator: negative noise");
+  APPSCOPE_REQUIRE(std::isfinite(noise_sigma_) && noise_sigma_ >= 0.0,
+                   "AnalyticGenerator: noise sigma must be finite and >= 0");
 
   const std::size_t n = catalog_.size();
   share_.resize(n);
@@ -60,6 +62,12 @@ double AnalyticGenerator::expected_weekly_per_user(workload::ServiceIndex servic
       service * 2 + static_cast<std::uint64_t>(d));
 }
 
+namespace {
+/// Counter word 3 of the generator's Philox blocks: names the temporal
+/// jitter stream.
+constexpr std::uint32_t kTemporalJitterStream = 0;
+}  // namespace
+
 void AnalyticGenerator::generate_commune(const geo::Commune& commune,
                                          TrafficSink& sink,
                                          RowScratch& scratch) const {
@@ -67,9 +75,6 @@ void AnalyticGenerator::generate_commune(const geo::Commune& commune,
   const double mu_correction = -0.5 * noise_sigma_ * noise_sigma_;
   const double subs = static_cast<double>(subscribers_.subscribers(commune.id));
   const bool is_tgv = commune.urbanization == geo::Urbanization::kTgv;
-  util::Rng noise_rng(
-      util::SplitMix64(seed_ ^ (0xBEEFULL + commune.id * 0x9E3779B97F4A7C15ULL))
-          .next());
 
   constexpr std::size_t kHours = ts::kHoursPerWeek;
   scratch.jitter.resize(kHours);
@@ -99,12 +104,16 @@ void AnalyticGenerator::generate_commune(const geo::Commune& commune,
         expected_weekly_per_user(s, commune.id, workload::Direction::kUplink);
     if (weekly_dl <= 0.0 && weekly_ul <= 0.0) continue;
 
-    // One jitter draw per hour, in hour order — the same stream positions
-    // the cell-at-a-time loop consumed (skipped services draw nothing).
+    // The week's jitter of this (commune, service): Philox counters
+    // {hour pair, service, commune, 0} under the traffic seed, so every
+    // value is a pure function of (seed, commune, service, hour) and a
+    // skipped service shifts no other service's draws.
     if (noise_sigma_ > 0.0) {
-      for (std::size_t h = 0; h < kHours; ++h) {
-        scratch.jitter[h] = noise_rng.lognormal(mu_correction, noise_sigma_);
-      }
+      kernels.lognormal_philox(static_cast<std::uint32_t>(seed_),
+                               static_cast<std::uint32_t>(seed_ >> 32),
+                               static_cast<std::uint32_t>(s), commune.id,
+                               kTemporalJitterStream, mu_correction,
+                               noise_sigma_, scratch.jitter.data(), kHours);
     }
     // volume[h] = ((subs * weekly) * hourly[h]) * jitter[h] * presence[h],
     // the cell path's left-to-right product with the loop-invariant prefix
@@ -123,12 +132,14 @@ void AnalyticGenerator::generate(TrafficSink& sink) const {
   util::StageTimer timer("synth.generate");
   const auto& communes = territory_.communes();
   // Fixed shard grain: the decomposition (and so the replay order) is the
-  // same at every thread count. Each commune's noise stream is seeded by
-  // its id, so shards are independent of the worker that runs them.
+  // same at every thread count. Each jitter value is keyed by its (seed,
+  // commune, service, hour), so shards are independent of the worker that
+  // runs them.
   constexpr std::size_t kCommunesPerShard = 32;
   util::parallel_map_reduce<RowBufferSink>(
       0, communes.size(), kCommunesPerShard,
       [&](std::size_t lo, std::size_t hi) {
+        const util::ScopedSpan span("synth.generate.shard");
         RowBufferSink buffer;
         buffer.reserve((hi - lo) * catalog_.size());
         RowScratch scratch;
@@ -138,6 +149,7 @@ void AnalyticGenerator::generate(TrafficSink& sink) const {
         return buffer;
       },
       [&sink, &timer](RowBufferSink&& buffer, std::size_t) {
+        const util::ScopedSpan span("synth.generate.fold");
         // Items/bytes accounting per shard (not per cell) keeps the
         // instrumented hot path allocation- and atomic-light. Items stay
         // cell-granular for continuity with the cell-at-a-time generator.

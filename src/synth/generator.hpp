@@ -24,7 +24,8 @@ class AnalyticGenerator {
  public:
   /// References must outlive the generator. `presence` (optional) applies
   /// the commuter mobility model: each cell's volume is scaled by the
-  /// commune's presence multiplier at that hour.
+  /// commune's presence multiplier at that hour. `temporal_noise_sigma`
+  /// must be finite and >= 0 (util::PreconditionError otherwise).
   AnalyticGenerator(const geo::Territory& territory,
                     const workload::SubscriberBase& subscribers,
                     const workload::ServiceCatalog& catalog,
@@ -33,13 +34,18 @@ class AnalyticGenerator {
 
   /// Streams the full week into `sink`.
   ///
-  /// Communes are sharded across the global util::ThreadPool: each worker
-  /// derives the commune's own noise stream (seeded by commune id, exactly
-  /// as the serial path always has) and stages its (service, commune) rows
-  /// in a RowBufferSink; shards are replayed into `sink` in commune order
-  /// via consume_row. The sink therefore sees the identical row sequence at
-  /// any thread count, so outputs are bitwise equal to a single-threaded
-  /// run.
+  /// Each (commune, service) row's hourly jitter is exp(mu + sigma z) with
+  /// mu = -sigma^2 / 2 (unit mean), drawn by la::simd's lognormal_philox
+  /// kernel from Philox4x32-10 counters {hour pair, service, commune, 0}
+  /// under the traffic seed: a pure function of (seed, commune, service,
+  /// hour), bitwise the same under every SIMD dispatch.
+  ///
+  /// Communes are sharded across the global util::ThreadPool (each shard a
+  /// synth.generate.shard span) and stage their (service, commune) rows in
+  /// a RowBufferSink; shards are replayed into `sink` in commune order via
+  /// consume_row (each replay a synth.generate.fold span). The sink
+  /// therefore sees the identical row sequence at any thread count, so
+  /// outputs are bitwise equal to a single-threaded run.
   void generate(TrafficSink& sink) const;
 
   /// Expected (noise-free) weekly per-user volume of a service in a commune.

@@ -13,6 +13,24 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 }
 }  // namespace
 
+std::array<std::uint32_t, 4> philox4x32_10(
+    std::array<std::uint32_t, 4> counter,
+    std::array<std::uint32_t, 2> key) noexcept {
+  for (int round = 0; round < kPhiloxRounds; ++round) {
+    if (round > 0) {
+      key[0] += kPhiloxW0;
+      key[1] += kPhiloxW1;
+    }
+    const std::uint64_t p0 = std::uint64_t{kPhiloxM0} * counter[0];
+    const std::uint64_t p1 = std::uint64_t{kPhiloxM1} * counter[2];
+    counter = {static_cast<std::uint32_t>(p1 >> 32) ^ counter[1] ^ key[0],
+               static_cast<std::uint32_t>(p1),
+               static_cast<std::uint32_t>(p0 >> 32) ^ counter[3] ^ key[1],
+               static_cast<std::uint32_t>(p0)};
+  }
+  return counter;
+}
+
 Rng::Rng(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();

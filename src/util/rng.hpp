@@ -31,6 +31,26 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// Philox4x32-10 constants: the round multipliers, the Weyl key
+/// increments applied before rounds 2..10, and the round count.
+inline constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
+inline constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
+inline constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;
+inline constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;
+inline constexpr int kPhiloxRounds = 10;
+
+/// Philox4x32-10 block (Salmon, Moraes, Dror & Shaw, "Parallel Random
+/// Numbers: As Easy as 1, 2, 3", SC 2011): ten rounds of the 4x32
+/// multiply-xor bijection keyed by `key`. A counter-based generator: each
+/// output block is a pure function of (counter, key), so any element of a
+/// stream is computed without generating the ones before it. Reproduces the
+/// Random123 known-answer vectors. Out of line on purpose: la::simd's scalar
+/// noise kernel calls it, and a shared inline copy could be linked in its
+/// -mavx2 instantiation (the AVX2 kernel runs its own vector rounds).
+std::array<std::uint32_t, 4> philox4x32_10(
+    std::array<std::uint32_t, 4> counter,
+    std::array<std::uint32_t, 2> key) noexcept;
+
 /// Xoshiro256** — fast, high-quality 64-bit generator (Blackman & Vigna).
 /// Satisfies the UniformRandomBitGenerator requirements so it composes with
 /// <random> distributions, but appscope ships its own samplers below for

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <tuple>
 
 #include "util/error.hpp"
@@ -39,6 +41,29 @@ thread_local std::vector<ShardRef> t_trace_shards;
 /// save/restore it in strict stack order per thread).
 thread_local SpanContext t_span_ctx;
 
+/// The one copy of `name` every span with that name points at. Span names
+/// are a small fixed set (literals, plus a few built from section and stage
+/// names), so the table stays small; each thread keeps the names it used in
+/// a cache, so only a thread's first span of a name takes the lock.
+const std::string* intern_span_name(std::string_view name) {
+  thread_local std::vector<const std::string*> cache;
+  for (const std::string* interned : cache) {
+    if (*interned == name) return interned;
+  }
+  static std::mutex mutex;
+  // Intentionally immortal, like the global recorder that points into it.
+  static auto* names = new std::set<std::string, std::less<>>();
+  const std::string* interned = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto it = names->find(name);
+    if (it == names->end()) it = names->emplace(name).first;
+    interned = &*it;
+  }
+  cache.push_back(interned);
+  return interned;
+}
+
 /// One-time stderr warning when any per-thread buffer first overflows.
 std::atomic<bool> g_drop_warned{false};
 
@@ -58,7 +83,7 @@ SpanContextScope::~SpanContextScope() { t_span_ctx = saved_; }
 struct alignas(64) TraceRecorder::Shard {
   std::mutex mutex;  // guards events/dropped against concurrent snapshot
   std::uint32_t thread_index = 0;
-  std::deque<TraceEvent> events;
+  std::deque<Record> events;
   std::uint64_t dropped = 0;
 };
 
@@ -86,7 +111,12 @@ TraceRecorder::Shard& TraceRecorder::local_shard() {
   return *shard;
 }
 
-void TraceRecorder::record(TraceEvent event) {
+void TraceRecorder::record(const TraceEvent& event) {
+  append({intern_span_name(event.name), event.span_id, event.parent_id,
+          event.depth, event.start_ns, event.duration_ns});
+}
+
+void TraceRecorder::append(const Record& record) {
   Shard& shard = local_shard();
   const std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.events.size() >= kMaxEventsPerThread) {
@@ -100,8 +130,7 @@ void TraceRecorder::record(TraceEvent event) {
     }
     return;
   }
-  event.thread = shard.thread_index;
-  shard.events.push_back(std::move(event));
+  shard.events.push_back(record);
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
@@ -109,7 +138,17 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> shard_lock(shard->mutex);
-    out.insert(out.end(), shard->events.begin(), shard->events.end());
+    for (const Record& r : shard->events) {
+      TraceEvent event;
+      event.name = *r.name;
+      event.span_id = r.span_id;
+      event.parent_id = r.parent_id;
+      event.thread = shard->thread_index;
+      event.depth = r.depth;
+      event.start_ns = r.start_ns;
+      event.duration_ns = r.duration_ns;
+      out.push_back(std::move(event));
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
@@ -148,7 +187,7 @@ TraceRecorder& TraceRecorder::global() {
 ScopedSpan::ScopedSpan(std::string_view name)
     : active_(MetricsRegistry::enabled()) {
   if (!active_) return;  // zero-allocation, no clock stamp
-  name_.assign(name);
+  name_ = intern_span_name(name);
   saved_ = t_span_ctx;
   span_id_ = next_span_id();
   parent_id_ = saved_.span_id;
@@ -160,15 +199,9 @@ ScopedSpan::ScopedSpan(std::string_view name)
 ScopedSpan::~ScopedSpan() {
   if (!active_) return;
   const std::uint64_t end_ns = TraceRecorder::global().now_ns();
-  TraceEvent event;
-  event.name = std::move(name_);
-  event.span_id = span_id_;
-  event.parent_id = parent_id_;
-  event.depth = depth_;
-  event.start_ns = start_ns_;
-  event.duration_ns = end_ns - start_ns_;
   t_span_ctx = saved_;
-  TraceRecorder::global().record(std::move(event));
+  TraceRecorder::global().append({name_, span_id_, parent_id_, depth_,
+                                  start_ns_, end_ns - start_ns_});
 }
 
 // ---------------------------------------------------------------------------

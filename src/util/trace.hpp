@@ -89,7 +89,7 @@ class TraceRecorder {
   /// capped at kMaxEventsPerThread; overflow increments the dropped count
   /// instead of recording (exported as the trace.dropped_events counter,
   /// with a one-time stderr warning when a cap is first hit).
-  void record(TraceEvent event);
+  void record(const TraceEvent& event);
 
   /// All recorded spans, merged and sorted by (start_ns, thread, span_id).
   std::vector<TraceEvent> snapshot() const;
@@ -102,6 +102,23 @@ class TraceRecorder {
   static constexpr std::size_t kMaxEventsPerThread = 1 << 16;
 
  private:
+  friend class ScopedSpan;
+
+  /// A span as a shard stores it. The name points into the process-wide
+  /// table of interned span names (trace.cpp), so recording a span allocates
+  /// no string: per-span name strings, interleaved with the large
+  /// short-lived buffers of the stages they time, kept glibc from reusing
+  /// those buffers' memory, and a traced process grew with every stage run.
+  struct Record {
+    const std::string* name = nullptr;
+    std::uint64_t span_id = 0;
+    std::uint64_t parent_id = 0;
+    std::uint32_t depth = 0;
+    std::uint64_t start_ns = 0;
+    std::uint64_t duration_ns = 0;
+  };
+  void append(const Record& record);
+
   struct Shard;
   Shard& local_shard();
 
@@ -128,7 +145,7 @@ class ScopedSpan {
 
  private:
   bool active_;
-  std::string name_;
+  const std::string* name_ = nullptr;  // interned
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_id_ = 0;
   std::uint32_t depth_ = 0;

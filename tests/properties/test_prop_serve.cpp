@@ -144,10 +144,8 @@ TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
   EventAggregates expected(catalog.size(), territory.size());
   std::uint64_t seq = 0;
   net::Bytes true_downlink = 0;
-  net::Bytes max_event = 0;
   for (const net::ServiceEvent& e : replay.events()) {
     true_downlink += e.downlink_bytes;
-    max_event = std::max(max_event, e.downlink_bytes + e.uplink_bytes);
     if (seq++ % kPeriod == 0) expected.apply(e, kPeriod);
   }
 
@@ -167,19 +165,45 @@ TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
         << "service " << s;
   }
 
-  // Documented estimator bound (serve/sampler.hpp): the relative error of a
-  // total over n sampled events is O(k * e_max / (n * e_mean)). Assert the
-  // explicit form with the stream's own moments — and that the estimate is
-  // close in absolute terms (the synthetic stream's events are
-  // similar-sized, so systematic sampling is tight).
-  const double estimate = static_cast<double>(expected.downlink_total);
-  const double truth = static_cast<double>(true_downlink);
-  const double relative_error = std::abs(estimate - truth) / truth;
-  const double e_mean = truth / static_cast<double>(total);
-  const double bound = static_cast<double>(kPeriod) *
-                       static_cast<double>(max_event) /
-                       (static_cast<double>(total) * e_mean);
-  EXPECT_LE(relative_error, bound);
+  // The estimator contract of serve/sampler.hpp, exactly in integers over
+  // the replayed downlink volumes: the k phase estimates sum to k times the
+  // truth, and the kept phase's error is within the per-run bound.
+  std::vector<net::Bytes> phase_sums(kPeriod, 0);
+  __uint128_t error_bound = 0;
+  const auto events = replay.events();
+  for (std::size_t run = 0; run < events.size(); run += kPeriod) {
+    const std::size_t m = std::min<std::size_t>(kPeriod, events.size() - run);
+    const net::Bytes first = events[run].downlink_bytes;
+    net::Bytes lo = first;
+    net::Bytes hi = first;
+    for (std::size_t i = 0; i < m; ++i) {
+      const net::Bytes v = events[run + i].downlink_bytes;
+      phase_sums[i] += v;
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    error_bound += static_cast<__uint128_t>(m - 1) * (hi - lo) +
+                   static_cast<__uint128_t>(kPeriod - m) * first;
+  }
+  __uint128_t phase_estimates = 0;
+  for (const net::Bytes sum : phase_sums) {
+    phase_estimates += static_cast<__uint128_t>(kPeriod) * sum;
+  }
+  EXPECT_TRUE(phase_estimates ==
+              static_cast<__uint128_t>(kPeriod) * true_downlink)
+      << "the phase estimates do not average to the truth";
+  EXPECT_EQ(kPeriod * phase_sums[0], expected.downlink_total);
+  const __uint128_t estimate = expected.downlink_total;
+  const __uint128_t abs_error = estimate > true_downlink
+                                          ? estimate - true_downlink
+                                          : true_downlink - estimate;
+  EXPECT_TRUE(abs_error <= error_bound)
+      << "|error| " << static_cast<double>(abs_error) << " > bound "
+      << static_cast<double>(error_bound);
+
+  // And the estimate is close on this stream.
+  const double relative_error =
+      static_cast<double>(abs_error) / static_cast<double>(true_downlink);
   EXPECT_LE(relative_error, 0.05);
   fs::remove_all(dir);
 }

@@ -111,13 +111,25 @@ TEST(SealCrash, KilledDaemonLeavesWholeSnapshotsAndRestarts) {
     expect_whole(dir, when);
   }
 
-  // A daemon restarted over whatever the kills left runs to completion.
+  // A daemon restarted over whatever the kills left runs to completion,
+  // and leaves its own epochs only: none of the killed runs' later ones.
   ServeConfig config;
   config.snapshot_dir = dir.string();
   IngestDaemon daemon(config);
   const ServeStats stats = daemon.run();
   EXPECT_EQ(stats.epochs_sealed, 168u);
   EXPECT_TRUE(loads(stats.latest_snapshot));
+  std::size_t epoch_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with("epoch_") || !name.ends_with(".snapshot")) continue;
+    ++epoch_files;
+    EXPECT_LE(name, io::epoch_filename(167)) << "a killed run's epoch is left";
+  }
+  EXPECT_EQ(epoch_files, 168u);
+  fs::remove(dir / "latest.snapshot");
+  EXPECT_EQ(fs::path(io::find_latest_snapshot(dir.string())).filename().string(),
+            io::epoch_filename(167));
   fs::remove_all(dir);
 }
 

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "io/serialize.hpp"
 #include "net/simulator.hpp"
 #include "stats/correlation.hpp"
 #include "support/cell_fold.hpp"
 #include "synth/scenario.hpp"
+#include "support/metrics_on.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/trace.hpp"
 
 namespace appscope::synth {
 namespace {
@@ -167,6 +177,90 @@ TEST_F(GeneratorTest, AgreesWithEventLevelSimulatorOnNationalShape) {
 TEST_F(GeneratorTest, ConstructionValidation) {
   EXPECT_THROW(AnalyticGenerator(territory_, subscribers_, catalog_, 1, -0.1),
                util::PreconditionError);
+  EXPECT_THROW(AnalyticGenerator(territory_, subscribers_, catalog_, 1,
+                                 std::numeric_limits<double>::infinity()),
+               util::PreconditionError);
+}
+
+/// Keeps every row the generator emits, by (service, commune).
+class RowCapture final : public TrafficSink {
+ public:
+  void consume_row(const TrafficRow& row) override {
+    std::vector<double> hours(row.downlink_bytes.begin(), row.downlink_bytes.end());
+    hours.insert(hours.end(), row.uplink_bytes.begin(), row.uplink_bytes.end());
+    rows[{row.service, row.commune}] = std::move(hours);
+  }
+  std::map<std::pair<workload::ServiceIndex, geo::CommuneId>, std::vector<double>> rows;
+};
+
+TEST_F(GeneratorTest, NoiseIgnoresSkippedServices) {
+  // Two catalogs that differ only in one early service being adopted by
+  // nobody: it emits no rows, and every other service's rows, jitter
+  // included, keep their exact bits.
+  constexpr workload::ServiceIndex kSkipped = 1;
+  std::vector<workload::ServiceSpec> specs = catalog_.services();
+  specs[kSkipped].spatial.adoption = 0.0;
+  const workload::ServiceCatalog without(std::move(specs));
+
+  RowCapture full;
+  AnalyticGenerator(territory_, subscribers_, catalog_, config_.traffic_seed,
+                    config_.temporal_noise_sigma)
+      .generate(full);
+  RowCapture skipped;
+  AnalyticGenerator(territory_, subscribers_, without, config_.traffic_seed,
+                    config_.temporal_noise_sigma)
+      .generate(skipped);
+
+  std::size_t compared = 0;
+  for (const auto& [key, hours] : full.rows) {
+    if (key.first == kSkipped) continue;
+    const auto other = skipped.rows.find(key);
+    ASSERT_NE(other, skipped.rows.end())
+        << "service " << key.first << " commune " << key.second;
+    ASSERT_EQ(std::memcmp(hours.data(), other->second.data(),
+                          hours.size() * sizeof(double)),
+              0)
+        << "service " << key.first << " commune " << key.second;
+    ++compared;
+  }
+  EXPECT_EQ(compared, skipped.rows.size());
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(ParallelTrace, GeneratorShardsAndFoldsAreNamedUnderGenerate) {
+  // Every 32-commune shard's map and every ordered replay into the sink is
+  // a span of its own, wherever the pool ran it, descending from
+  // synth.generate through the pool's captured span context.
+  const ScenarioConfig config = ScenarioConfig::test_scale();
+  const geo::Territory territory = geo::build_synthetic_country(config.country);
+  const workload::SubscriberBase subscribers(territory, config.population);
+  const workload::ServiceCatalog catalog = workload::ServiceCatalog::paper_services();
+  const AnalyticGenerator gen(territory, subscribers, catalog, config.traffic_seed,
+                              config.temporal_noise_sigma);
+  const test_support::MetricsOn metrics;
+  util::ThreadPool::set_global_threads(4);
+  AggregateSink sink(catalog.size(), territory.size());
+  gen.generate(sink);
+  util::ThreadPool::set_global_threads(0);
+
+  const std::vector<util::TraceEvent> events = util::TraceRecorder::global().snapshot();
+  std::map<std::uint64_t, const util::TraceEvent*> by_id;
+  for (const util::TraceEvent& e : events) by_id.emplace(e.span_id, &e);
+  std::map<std::string, std::size_t> seen;
+  for (const util::TraceEvent& e : events) {
+    if (e.name != "synth.generate.shard" && e.name != "synth.generate.fold") continue;
+    ++seen[e.name];
+    const util::TraceEvent* ancestor = &e;
+    while (ancestor->name != "synth.generate") {
+      const auto next = by_id.find(ancestor->parent_id);
+      ASSERT_NE(next, by_id.end()) << e.name << ": chain breaks at " << ancestor->name;
+      ancestor = next->second;
+    }
+  }
+  const std::size_t shards = (territory.size() + 31) / 32;
+  const std::map<std::string, std::size_t> expected{
+      {"synth.generate.fold", shards}, {"synth.generate.shard", shards}};
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(ScenarioConfig, PresetsScaleAsDocumented) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -10,6 +11,20 @@
 
 namespace appscope::util {
 namespace {
+
+TEST(Philox4x32, KnownAnswers) {
+  // The Random123 known-answer vectors for philox4x32 with 10 rounds.
+  using Block = std::array<std::uint32_t, 4>;
+  using Key = std::array<std::uint32_t, 2>;
+  EXPECT_EQ(philox4x32_10(Block{0, 0, 0, 0}, Key{0, 0}),
+            (Block{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}));
+  EXPECT_EQ(philox4x32_10(Block{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+                          Key{0xffffffff, 0xffffffff}),
+            (Block{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}));
+  EXPECT_EQ(philox4x32_10(Block{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                          Key{0xa4093822, 0x299f31d0}),
+            (Block{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}));
+}
 
 TEST(SplitMix64, IsDeterministic) {
   SplitMix64 a(123);

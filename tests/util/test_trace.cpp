@@ -71,6 +71,23 @@ TEST(Trace, SpanIdsAreUniqueAndParentsLink) {
   }
 }
 
+TEST(Trace, SpanNamesAreKeptByContent) {
+  // Recorded spans share one interned copy per name; a name built in a
+  // buffer that is then reused for another name must keep its own text.
+  const TracingOn guard;
+  std::string name = "trace.test.first.built.name";
+  { const ScopedSpan span(name); }
+  name.replace(11, 5, "other");
+  { const ScopedSpan span(name); }
+  { const ScopedSpan span(std::string("trace.test.first.built.name")); }
+  name.clear();
+  const auto events = TraceRecorder::global().snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].name, "trace.test.first.built.name");
+  EXPECT_EQ(events[1].name, "trace.test.other.built.name");
+  EXPECT_EQ(events[2].name, "trace.test.first.built.name");
+}
+
 TEST(Trace, SiblingContextRestoresAfterEachSpan) {
   const TracingOn guard;
   const SpanContext before = current_span_context();

@@ -15,7 +15,9 @@
 #                 appscope_query answers from the sections it reads and
 #                 agrees with a full load (--check)
 #   --region      a 4-region campaign, its warm rerun (every region reused,
-#                 same report) and the merged snapshot through paper_report
+#                 same report), cold reruns at APPSCOPE_THREADS=1 and under
+#                 APPSCOPE_SIMD=scalar (same report, national and region
+#                 snapshots) and the merged snapshot through paper_report
 #   --serve       a ~30 s throttled appscope_serve run scraped live, drained
 #                 by SIGTERM; its sealed snapshot feeds paper_report and
 #                 appscope_query. Then an unthrottled run is SIGKILLed
@@ -166,6 +168,20 @@ if [ "$REGION" = 1 ]; then
     test -s "$R/$f"
   done
   contract region "$ART/appscope_region.metrics.json"
+  # Cold campaigns at one thread and under the scalar kernels, each in a
+  # fresh root, publish the same bytes as the default run.
+  APPSCOPE_THREADS=1 "$BUILD"/src/region/appscope_region --count=4 \
+    --scale=test --out="$OUT/region_threads1" \
+    --report="$OUT/region_threads1/report.md" 2> /dev/null
+  APPSCOPE_SIMD=scalar "$BUILD"/src/region/appscope_region --count=4 \
+    --scale=test --out="$OUT/region_scalar" \
+    --report="$OUT/region_scalar/report.md" 2> /dev/null
+  for variant in threads1 scalar; do
+    for f in report.md national.snapshot \
+             {paris,lyon,marseille,toulouse}/latest.snapshot; do
+      cmp "$R/$f" "$OUT/region_$variant/$f"
+    done
+  done
   "$BUILD"/src/region/appscope_region --count=4 --scale=test --out="$R" \
     --report="$R/report_warm.md" 2> "$OUT/region_warm.log"
   cmp "$R/report.md" "$R/report_warm.md"

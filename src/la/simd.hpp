@@ -154,9 +154,10 @@ struct Kernels {
   /// and Box-Muller gives z_2j = r cos(2 pi u2), z_2j+1 = r sin(2 pi u2) with
   /// r = sqrt(-2 ln u1). ln, sin/cos and exp are noise_log,
   /// noise_sincos_2pi and noise_exp below, evaluated with the same IEEE
-  /// operations by every implementation (AVX2: four blocks per vector), so
-  /// each element is a pure function of (key, c1, c2, c3, i, mu, sigma)
-  /// whatever the dispatch or the chunking of i.
+  /// operations by every implementation (AVX2: four blocks per vector,
+  /// three vectors per step), so each element is a pure function of
+  /// (key, c1, c2, c3, i, mu, sigma) whatever the dispatch or the chunking
+  /// of i.
   void (*lognormal_philox)(std::uint32_t key0, std::uint32_t key1,
                            std::uint32_t c1, std::uint32_t c2, std::uint32_t c3,
                            double mu, double sigma, double* out, std::size_t n);

@@ -682,61 +682,87 @@ void lognormal_philox(std::uint32_t key0, std::uint32_t key1,
   }
   const __m256i m0 = splat_u64(util::kPhiloxM0);
   const __m256i m1 = splat_u64(util::kPhiloxM1);
-  const __m256i low32 = splat_u64(0xffffffffu);
+  const __m256i lanes = _mm256_set_epi64x(3, 2, 1, 0);
   const __m256d mu_v = splat(mu);
   const __m256d sigma_v = splat(sigma);
 
   // Four Philox blocks per vector, one block per 64-bit lane with its word
-  // in the low half: vpmuludq multiplies exactly those halves. Every word a
-  // round writes is below 2^32; the initial word 0, j + lane, is read only
-  // by vpmuludq, which wraps it to 32 bits as the scalar cast does.
+  // in the low half. One vector's ten rounds are a chain of dependent
+  // multiplies, so each step runs three independent vectors (24 values)
+  // side by side, phase by phase, and keeps their twelve state words in
+  // registers. vpmuludq reads only the low halves, so the rounds leave the
+  // high halves unmasked (they carry earlier products' high words); the
+  // blends after the last round take only the low halves. The initial
+  // word 0, j + lane, is read only by vpmuludq, which wraps it to 32 bits
+  // as the scalar cast does.
+  constexpr std::size_t kVectors = 3;
+  constexpr std::size_t kStepValues = 8 * kVectors;
   const std::size_t blocks = (n + 1) / 2;
-  for (std::size_t j = 0; j < blocks; j += 4) {
-    __m256i w0 = _mm256_add_epi64(splat_u64(j), _mm256_set_epi64x(3, 2, 1, 0));
-    __m256i w1 = splat_u64(c1);
-    __m256i w2 = splat_u64(c2);
-    __m256i w3 = splat_u64(c3);
+  for (std::size_t j = 0; j < blocks; j += 4 * kVectors) {
+    __m256i w0[kVectors];
+    __m256i w1[kVectors];
+    __m256i w2[kVectors];
+    __m256i w3[kVectors];
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      w0[v] = _mm256_add_epi64(splat_u64(j + 4 * v), lanes);
+      w1[v] = splat_u64(c1);
+      w2[v] = splat_u64(c2);
+      w3[v] = splat_u64(c3);
+    }
     for (int round = 0; round < kPhiloxRounds; ++round) {
-      const __m256i p0 = _mm256_mul_epu32(w0, m0);
-      const __m256i p1 = _mm256_mul_epu32(w2, m1);
-      w0 = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p1, 32), w1),
-                            round_key0[round]);
-      w1 = _mm256_and_si256(p1, low32);
-      w2 = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p0, 32), w3),
-                            round_key1[round]);
-      w3 = _mm256_and_si256(p0, low32);
+      for (std::size_t v = 0; v < kVectors; ++v) {
+        const __m256i p0 = _mm256_mul_epu32(w0[v], m0);
+        const __m256i p1 = _mm256_mul_epu32(w2[v], m1);
+        w0[v] = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p1, 32), w1[v]),
+                                 round_key0[round]);
+        w1[v] = p1;
+        w2[v] = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p0, 32), w3[v]),
+                                 round_key1[round]);
+        w3[v] = p0;
+      }
     }
-    const __m256i m1_bits = _mm256_add_epi64(
-        _mm256_or_si256(_mm256_slli_epi64(w1, 21), _mm256_srli_epi64(w0, 11)),
-        splat_u64(1));
-    const __m256i m2_bits =
-        _mm256_or_si256(_mm256_slli_epi64(w3, 21), _mm256_srli_epi64(w2, 11));
-    const __m256d u1 = _mm256_mul_pd(u53_to_double(m1_bits), splat(kUnitScale));
-    const __m256d u2 = _mm256_mul_pd(u53_to_double(m2_bits), splat(kUnitScale));
-    const __m256d r =
-        _mm256_sqrt_pd(_mm256_mul_pd(splat(-2.0), log_lanes(u1)));
-    __m256d sin_2pi;
-    __m256d cos_2pi;
-    sincos_2pi_lanes(u2, &sin_2pi, &cos_2pi);
-    const __m256d even = exp_lanes(_mm256_add_pd(
-        mu_v, _mm256_mul_pd(sigma_v, _mm256_mul_pd(r, cos_2pi))));
-    const __m256d odd = exp_lanes(_mm256_add_pd(
-        mu_v, _mm256_mul_pd(sigma_v, _mm256_mul_pd(r, sin_2pi))));
-    // {e0, o0, e1, o1} and {e2, o2, e3, o3}: outputs 2j .. 2j + 7 in order.
-    const __m256d lo_pairs = _mm256_unpacklo_pd(even, odd);
-    const __m256d hi_pairs = _mm256_unpackhi_pd(even, odd);
-    const __m256d first = _mm256_permute2f128_pd(lo_pairs, hi_pairs, 0x20);
-    const __m256d second = _mm256_permute2f128_pd(lo_pairs, hi_pairs, 0x31);
+    __m256d u1[kVectors];
+    __m256d u2[kVectors];
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      // w1 * 2^32 + w0 and w3 * 2^32 + w2: each blend takes a lane's low
+      // half from w0 (w2) and its high half from w1's (w3's) low half.
+      const __m256i m1_bits = _mm256_add_epi64(
+          _mm256_srli_epi64(
+              _mm256_blend_epi32(w0[v], _mm256_slli_epi64(w1[v], 32), 0xaa), 11),
+          splat_u64(1));
+      const __m256i m2_bits = _mm256_srli_epi64(
+          _mm256_blend_epi32(w2[v], _mm256_slli_epi64(w3[v], 32), 0xaa), 11);
+      u1[v] = _mm256_mul_pd(u53_to_double(m1_bits), splat(kUnitScale));
+      u2[v] = _mm256_mul_pd(u53_to_double(m2_bits), splat(kUnitScale));
+    }
+    __m256d r[kVectors];
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      r[v] = _mm256_sqrt_pd(_mm256_mul_pd(splat(-2.0), log_lanes(u1[v])));
+    }
+    __m256d sin_2pi[kVectors];
+    __m256d cos_2pi[kVectors];
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      sincos_2pi_lanes(u2[v], &sin_2pi[v], &cos_2pi[v]);
+    }
+    // The last step may pass n: it goes through a buffer, and only its
+    // first n - at values are copied out.
+    alignas(32) double step[kStepValues];
     const std::size_t at = 2 * j;
-    if (at + 8 <= n) {
-      _mm256_storeu_pd(out + at, first);
-      _mm256_storeu_pd(out + at + 4, second);
-    } else {
-      alignas(32) double tail[8];
-      _mm256_store_pd(tail, first);
-      _mm256_store_pd(tail + 4, second);
-      std::memcpy(out + at, tail, (n - at) * sizeof(double));
+    double* const dst = at + kStepValues <= n ? out + at : step;
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      const __m256d even = exp_lanes(_mm256_add_pd(
+          mu_v, _mm256_mul_pd(sigma_v, _mm256_mul_pd(r[v], cos_2pi[v]))));
+      const __m256d odd = exp_lanes(_mm256_add_pd(
+          mu_v, _mm256_mul_pd(sigma_v, _mm256_mul_pd(r[v], sin_2pi[v]))));
+      // {e0, o0, e1, o1} and {e2, o2, e3, o3}: eight outputs in order.
+      const __m256d lo_pairs = _mm256_unpacklo_pd(even, odd);
+      const __m256d hi_pairs = _mm256_unpackhi_pd(even, odd);
+      _mm256_storeu_pd(dst + 8 * v,
+                       _mm256_permute2f128_pd(lo_pairs, hi_pairs, 0x20));
+      _mm256_storeu_pd(dst + 8 * v + 4,
+                       _mm256_permute2f128_pd(lo_pairs, hi_pairs, 0x31));
     }
+    if (dst == step) std::memcpy(out + at, step, (n - at) * sizeof(double));
   }
 }
 

@@ -91,15 +91,17 @@ SessionSimReport SessionSimulator::run(const Probe::Sink& sink) {
             ? index.neighbors(commune.id, config_.uli_error_radius_km)
             : std::vector<geo::CommuneId>{};
 
+    const double activity = workload::commune_activity(config_.seed, commune);
+
     for (std::size_t s = 0; s < n_services; ++s) {
       const auto& spec = catalog_[s];
       const double weekly_dl = workload::per_user_rate(
           spec.spatial, spec.urban_rate(workload::Direction::kDownlink), commune,
-          config_.seed, s * 2 + 0);
+          config_.seed, s * 2 + 0, activity);
       if (weekly_dl <= 0.0) continue;
       const double weekly_ul = workload::per_user_rate(
           spec.spatial, spec.urban_rate(workload::Direction::kUplink), commune,
-          config_.seed, s * 2 + 1);
+          config_.seed, s * 2 + 1, activity);
 
       const double week_sessions =
           subs * config_.sessions_per_user_week * config_.session_thinning;

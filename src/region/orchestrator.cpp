@@ -60,6 +60,12 @@ RegionRun run_shard(const RegionSpec& spec, const OrchestratorOptions& options) 
             "region \"" + spec.id + "\" (regenerate, or point --out at a "
             "fresh directory)");
       }
+      // A kill between publish_shard's two steps leaves the epoch file
+      // without its link: republish the link so the layout is whole again.
+      const fs::path latest = dir / "latest.snapshot";
+      if (fs::path(existing) != latest) {
+        io::publish_link(existing, latest.string());
+      }
       run.reused = true;
       run.snapshot_path = existing;
       run.bytes = static_cast<std::uint64_t>(fs::file_size(existing, ec));

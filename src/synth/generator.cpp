@@ -56,10 +56,19 @@ double AnalyticGenerator::expected_weekly_per_user(workload::ServiceIndex servic
                                                    geo::CommuneId commune,
                                                    workload::Direction d) const {
   APPSCOPE_REQUIRE(service < catalog_.size(), "expected_weekly_per_user: bad service");
+  const geo::Commune& c = territory_.commune(commune);
+  return weekly_per_user(service, c, d, workload::commune_activity(seed_, c));
+}
+
+double AnalyticGenerator::weekly_per_user(workload::ServiceIndex service,
+                                          const geo::Commune& commune,
+                                          workload::Direction d,
+                                          double activity) const {
   const auto& spec = catalog_[service];
-  return workload::per_user_rate(
-      spec.spatial, spec.urban_rate(d), territory_.commune(commune), seed_,
-      service * 2 + static_cast<std::uint64_t>(d));
+  return workload::per_user_rate(spec.spatial, spec.urban_rate(d), commune,
+                                 seed_,
+                                 service * 2 + static_cast<std::uint64_t>(d),
+                                 activity);
 }
 
 namespace {
@@ -97,11 +106,13 @@ void AnalyticGenerator::generate_commune(const geo::Commune& commune,
   row.urbanization = commune.urbanization;
   row.downlink_bytes = {scratch.downlink.data(), kHours};
   row.uplink_bytes = {scratch.uplink.data(), kHours};
+  // Every service and direction of the commune shares its activity factor.
+  const double activity = workload::commune_activity(seed_, commune);
   for (std::size_t s = 0; s < n_services; ++s) {
     const double weekly_dl =
-        expected_weekly_per_user(s, commune.id, workload::Direction::kDownlink);
+        weekly_per_user(s, commune, workload::Direction::kDownlink, activity);
     const double weekly_ul =
-        expected_weekly_per_user(s, commune.id, workload::Direction::kUplink);
+        weekly_per_user(s, commune, workload::Direction::kUplink, activity);
     if (weekly_dl <= 0.0 && weekly_ul <= 0.0) continue;
 
     // The week's jitter of this (commune, service): Philox counters

@@ -68,6 +68,12 @@ class AnalyticGenerator {
   void generate_commune(const geo::Commune& commune, TrafficSink& sink,
                         RowScratch& scratch) const;
 
+  /// expected_weekly_per_user given the commune's
+  /// workload::commune_activity.
+  double weekly_per_user(workload::ServiceIndex service,
+                         const geo::Commune& commune, workload::Direction d,
+                         double activity) const;
+
   const geo::Territory& territory_;
   const workload::SubscriberBase& subscribers_;
   const workload::ServiceCatalog& catalog_;

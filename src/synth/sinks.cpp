@@ -10,14 +10,6 @@ namespace {
 constexpr workload::Direction kDown = workload::Direction::kDownlink;
 constexpr workload::Direction kUp = workload::Direction::kUplink;
 
-/// Scalar hour-ascending adds of a row into one accumulator: the adds of
-/// folding the row one hour at a time.
-void add_in_hour_order(double& total, std::span<const double> hours) {
-  double acc = total;
-  for (const double v : hours) acc += v;
-  total = acc;
-}
-
 }  // namespace
 
 // --- AggregateSink --------------------------------------------------------------
@@ -42,12 +34,27 @@ void AggregateSink::consume_row(const TrafficRow& row) {
              row.downlink_bytes);
   accumulate(tables_.urbanization_row(row.service, row.urbanization, kUp),
              row.uplink_bytes);
-  add_in_hour_order(tables_.commune_row(row.service, kDown)[row.commune],
-                    row.downlink_bytes);
-  add_in_hour_order(tables_.commune_row(row.service, kUp)[row.commune],
-                    row.uplink_bytes);
-  add_in_hour_order(tables_.downlink_total, row.downlink_bytes);
-  add_in_hour_order(tables_.uplink_total, row.uplink_bytes);
+  // The commune cells and the grand totals each take the row's 168 hours
+  // in ascending order, as folding it one hour at a time does. The four
+  // chains are independent, so one hour loop carries all four side by side.
+  double& commune_down = tables_.commune_row(row.service, kDown)[row.commune];
+  double& commune_up = tables_.commune_row(row.service, kUp)[row.commune];
+  double cell_down = commune_down;
+  double cell_up = commune_up;
+  double total_down = tables_.downlink_total;
+  double total_up = tables_.uplink_total;
+  for (std::size_t h = 0; h < ts::kHoursPerWeek; ++h) {
+    const double down = row.downlink_bytes[h];
+    const double up = row.uplink_bytes[h];
+    cell_down += down;
+    cell_up += up;
+    total_down += down;
+    total_up += up;
+  }
+  commune_down = cell_down;
+  commune_up = cell_up;
+  tables_.downlink_total = total_down;
+  tables_.uplink_total = total_up;
   tables_.cells += row.downlink_bytes.size();
 }
 

@@ -45,7 +45,8 @@ class TrafficSink {
 /// every hour is its own accumulator, so the kernel gives the bits of
 /// adding the row one hour at a time. Its commune and grand totals take
 /// scalar hour-ascending adds: all 168 hours land in one accumulator, so
-/// that hour-at-a-time order of adds is kept, and with it the bits.
+/// that hour-at-a-time order of adds is kept, and with it the bits. The
+/// four such totals a row touches share one hour loop.
 class AggregateSink final : public TrafficSink {
  public:
   AggregateSink(std::size_t service_count, std::size_t commune_count);

@@ -48,6 +48,7 @@ class ThreadPool::Impl {
 
   void resize(std::size_t threads) {
     const std::lock_guard<std::mutex> admin(run_mutex_);
+    if ((threads == 0 ? 1 : threads) == thread_count_) return;
     stop();
     start(threads);
   }

@@ -52,8 +52,9 @@ class ThreadPool {
   /// (a deterministic choice at any thread count).
   void run(std::size_t task_count, const std::function<void(std::size_t)>& task);
 
-  /// Stops and re-spawns the workers with a new target concurrency.
-  /// Must not race with run() calls from other threads.
+  /// Stops and re-spawns the workers with a new target concurrency; a
+  /// resize to the current one keeps its workers. Must not race with run()
+  /// calls from other threads.
   void resize(std::size_t threads);
 
   /// The process-wide pool, created on first use with default_thread_count().

@@ -1,5 +1,6 @@
 #include "workload/spatial_profile.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -31,16 +32,7 @@ double commune_activity_factor(std::uint64_t seed, geo::CommuneId commune,
   return rng.lognormal(-0.5 * sigma * sigma, sigma);
 }
 
-double per_user_rate(const SpatialProfile& profile, double urban_base_rate,
-                     const geo::Commune& commune, std::uint64_t seed,
-                     std::uint64_t service_tag) {
-  if (!usable_in(profile, commune)) return 0.0;
-
-  util::Rng rng(util::SplitMix64(seed ^ (service_tag * 0xD1B54A32D192ED03ULL +
-                                         commune.id * 0x9E3779B97F4A7C15ULL))
-                    .next());
-  if (profile.adoption < 1.0 && !rng.bernoulli(profile.adoption)) return 0.0;
-
+double commune_activity(std::uint64_t seed, const geo::Commune& commune) {
   // Small communes have few potential adopters, so their per-capita usage
   // is dominated by adoption sampling: a village where two residents use a
   // service looks negligible per subscriber while a metropolis averages
@@ -53,13 +45,24 @@ double per_user_rate(const SpatialProfile& profile, double urban_base_rate,
       8.0, std::sqrt(1.0 + kAdoptionVariancePopulation /
                                std::max(1.0, static_cast<double>(
                                                  commune.population))));
-  const double shared =
-      commune_activity_factor(seed, commune.id, 0.9 * sigma_scale);
+  return commune_activity_factor(seed, commune.id, 0.9 * sigma_scale);
+}
+
+double per_user_rate(const SpatialProfile& profile, double urban_base_rate,
+                     const geo::Commune& commune, std::uint64_t seed,
+                     std::uint64_t service_tag, double activity) {
+  if (!usable_in(profile, commune)) return 0.0;
+
+  util::Rng rng(util::SplitMix64(seed ^ (service_tag * 0xD1B54A32D192ED03ULL +
+                                         commune.id * 0x9E3779B97F4A7C15ULL))
+                    .next());
+  if (profile.adoption < 1.0 && !rng.bernoulli(profile.adoption)) return 0.0;
+
   const double residual =
       rng.lognormal(-0.5 * profile.residual_sigma * profile.residual_sigma,
                     profile.residual_sigma);
   return urban_base_rate * class_ratio(profile, commune.urbanization) *
-         std::pow(shared, profile.activity_exponent) * residual;
+         std::pow(activity, profile.activity_exponent) * residual;
 }
 
 }  // namespace appscope::workload

@@ -48,13 +48,21 @@ bool usable_in(const SpatialProfile& profile, const geo::Commune& commune) noexc
 double commune_activity_factor(std::uint64_t seed, geo::CommuneId commune,
                                double sigma = 0.9);
 
+/// The activity factor per_user_rate applies in a commune: the shared
+/// factor at 0.9 times a sigma scale that widens as the population shrinks
+/// (up to 8x), so small communes, whose usage is dominated by a few
+/// adopters, disperse more. Every service and direction of a commune shares
+/// it, so callers compute it once per commune.
+double commune_activity(std::uint64_t seed, const geo::Commune& commune);
+
 /// Full per-commune per-user weekly rate for the service (bytes):
 /// urban_base_rate × class_ratio × activity^exponent × residual × adoption
-/// gate, zeroed when coverage gating applies. Deterministic in (seed,
-/// commune, service_tag); callers encode service index and direction into
-/// the tag so downlink and uplink draw independent residuals.
+/// gate, zeroed when coverage gating applies. `activity` is the commune's
+/// commune_activity(seed, commune). Deterministic in (seed, commune,
+/// service_tag); callers encode service index and direction into the tag
+/// so downlink and uplink draw independent residuals.
 double per_user_rate(const SpatialProfile& profile, double urban_base_rate,
                      const geo::Commune& commune, std::uint64_t seed,
-                     std::uint64_t service_tag);
+                     std::uint64_t service_tag, double activity);
 
 }  // namespace appscope::workload

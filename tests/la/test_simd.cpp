@@ -6,6 +6,7 @@
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "la/aligned.hpp"
@@ -449,11 +450,16 @@ TEST_F(SimdParity, MaskedMax) {
 
 TEST_F(SimdParity, LognormalPhilox) {
   // Random keys and counters, the generator's and extreme sigmas (mu the
-  // generator's unit-mean correction), and lengths around the 8-value
-  // vector step. Every element must match bit for bit, a shorter call must
-  // be a prefix of a longer one, and nothing past n may be written.
+  // generator's unit-mean correction), and every length up to 49: each tail
+  // of the AVX2 kernel's 24-value step twice, plus the generator's 168 and
+  // 167. Every element must match bit for bit, every call must be a prefix
+  // of the 168-value one, and nothing past n may be written.
   constexpr double kSigmas[] = {1e-3, 0.02, 0.05, 0.5, 2.0, 10.0, 40.0};
-  constexpr std::size_t kNoiseLengths[] = {0, 1, 2, 3, 167, 168};
+  std::vector<std::size_t> lengths(50);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(167);
+  lengths.push_back(168);
+  constexpr std::size_t kFull = 168;
   constexpr double kSentinel = -7.0;
   util::Rng rng(0x9417);
   for (int trial = 0; trial < 1000; ++trial) {
@@ -465,20 +471,21 @@ TEST_F(SimdParity, LognormalPhilox) {
     const std::uint32_t c3 = trial % 2 == 0 ? 0 : word();
     for (const double sigma : kSigmas) {
       const double mu = -0.5 * sigma * sigma;
-      std::vector<double> longest;
-      for (const std::size_t n : kNoiseLengths) {
+      std::vector<double> full(kFull);
+      s_.lognormal_philox(key0, key1, c1, c2, c3, mu, sigma, full.data(), kFull);
+      for (const std::size_t n : lengths) {
         std::vector<double> a(n + 1, kSentinel);
         std::vector<double> b(n + 1, kSentinel);
         s_.lognormal_philox(key0, key1, c1, c2, c3, mu, sigma, a.data(), n);
         v_.lognormal_philox(key0, key1, c1, c2, c3, mu, sigma, b.data(), n);
-        expect_bits_equal(a, b, "lognormal_philox", n);
         EXPECT_EQ(a[n], kSentinel) << "scalar wrote past n=" << n;
         EXPECT_EQ(b[n], kSentinel) << "avx2 wrote past n=" << n;
         a.pop_back();
-        if (n == 167) longest = a;
-        if (n == 168) {
-          EXPECT_EQ(std::memcmp(longest.data(), a.data(), 167 * sizeof(double)), 0)
-              << "n=167 is not a prefix of n=168";
+        b.pop_back();
+        expect_bits_equal(a, b, "lognormal_philox", n);
+        if (n > 0) {
+          EXPECT_EQ(std::memcmp(full.data(), a.data(), n * sizeof(double)), 0)
+              << "n=" << n << " is not a prefix of n=" << kFull;
         }
       }
       if (::testing::Test::HasFailure()) return;  // one report per failure

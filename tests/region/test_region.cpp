@@ -153,6 +153,25 @@ TEST(RegionOrchestrator, PublishesRegionKeyedLayoutAndReuses) {
   fs::remove_all(root);
 }
 
+TEST(RegionOrchestrator, ReuseRepublishesAMissingLatestLink) {
+  // A kill between a shard's epoch publish and its latest.snapshot link
+  // leaves the epoch file alone; the next run reuses it and restores the
+  // link, so the layout is whole again.
+  const fs::path root = temp_dir("relink");
+  const RegionSet set = RegionSet::metro_areas(1, RegionScale::kTiny);
+  OrchestratorOptions options;
+  options.root = root.string();
+  orchestrate(set, options);
+  const fs::path dir = root / set[0].id;
+  ASSERT_TRUE(fs::remove(dir / "latest.snapshot"));
+
+  const OrchestrationReport rerun = orchestrate(set, options);
+  EXPECT_TRUE(rerun.runs[0].reused);
+  ASSERT_TRUE(fs::is_regular_file(dir / "latest.snapshot"));
+  EXPECT_TRUE(fs::equivalent(dir / "latest.snapshot", dir / "epoch_000000.snapshot"));
+  fs::remove_all(root);
+}
+
 TEST(RegionOrchestrator, RejectsForeignSnapshotsInRegionDirectory) {
   const fs::path root = temp_dir("mismatch");
   RegionSet set = RegionSet::metro_areas(1, RegionScale::kTiny);

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -92,6 +94,48 @@ TEST(ParallelPool, ResizeRestartsWorkers) {
   EXPECT_EQ(pool.thread_count(), 1u);
   pool.run(20, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 40);
+}
+
+/// A per-thread serial, taken on the thread's first use: unlike
+/// std::thread::id, never reused by a later thread.
+std::atomic<std::uint64_t> g_next_serial{1};
+thread_local const std::uint64_t t_serial = g_next_serial.fetch_add(1);
+
+/// The serials of `pool`'s background workers: one batch of thread_count()
+/// tasks that each wait until all have started, so every thread of the
+/// pool takes exactly one.
+std::set<std::uint64_t> worker_serials(ThreadPool& pool) {
+  const std::size_t n = pool.thread_count();
+  std::mutex m;
+  std::condition_variable all_started;
+  std::size_t started = 0;
+  std::set<std::uint64_t> serials;
+  pool.run(n, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(m);
+    serials.insert(t_serial);
+    ++started;
+    all_started.notify_all();
+    EXPECT_TRUE(all_started.wait_for(lock, std::chrono::seconds(30),
+                                     [&] { return started == n; }))
+        << "the pool's threads did not all take a task";
+  });
+  serials.erase(t_serial);  // the caller's
+  return serials;
+}
+
+TEST(ParallelPool, SameSizeResizeKeepsWorkers) {
+  ThreadPool pool(3);
+  const std::set<std::uint64_t> before = worker_serials(pool);
+  EXPECT_EQ(before.size(), 2u);
+  pool.resize(3);
+  EXPECT_EQ(pool.thread_count(), 3u);
+  EXPECT_EQ(worker_serials(pool), before);
+
+  // A real resize joins them and starts new ones.
+  pool.resize(4);
+  const std::set<std::uint64_t> after = worker_serials(pool);
+  EXPECT_EQ(after.size(), 3u);
+  for (const std::uint64_t serial : after) EXPECT_FALSE(before.contains(serial));
 }
 
 TEST(ParallelPool, NestedRunExecutesInline) {

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+
+#include "geo/territory.hpp"
 #include "stats/descriptive.hpp"
+#include "synth/scenario.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "workload/catalog.hpp"
 
 namespace appscope::workload {
 namespace {
@@ -17,6 +25,13 @@ geo::Commune make_commune(geo::CommuneId id, geo::Urbanization u, bool has_4g,
   c.has_3g = has_3g;
   c.population = 1000;
   return c;
+}
+
+/// per_user_rate at 1 MB/week, with the commune's activity factor.
+double rate(const SpatialProfile& p, const geo::Commune& commune,
+            std::uint64_t seed, std::uint64_t service_tag) {
+  return per_user_rate(p, 1e6, commune, seed, service_tag,
+                       commune_activity(seed, commune));
 }
 
 TEST(ClassRatio, MatchesProfileFields) {
@@ -66,16 +81,79 @@ TEST(PerUserRate, ZeroWhenCoverageGated) {
   SpatialProfile p;
   p.requires_4g = true;
   const auto commune = make_commune(3, geo::Urbanization::kRural, false);
-  EXPECT_DOUBLE_EQ(per_user_rate(p, 1e6, commune, 42, 1), 0.0);
+  EXPECT_DOUBLE_EQ(rate(p, commune, 42, 1), 0.0);
 }
 
 TEST(PerUserRate, DeterministicInInputs) {
   SpatialProfile p;
   const auto commune = make_commune(3, geo::Urbanization::kUrban, true);
-  const double a = per_user_rate(p, 1e6, commune, 42, 1);
-  EXPECT_DOUBLE_EQ(a, per_user_rate(p, 1e6, commune, 42, 1));
-  EXPECT_NE(a, per_user_rate(p, 1e6, commune, 42, 2));  // other direction/tag
-  EXPECT_NE(a, per_user_rate(p, 1e6, commune, 43, 1));  // other seed
+  const double a = rate(p, commune, 42, 1);
+  EXPECT_DOUBLE_EQ(a, rate(p, commune, 42, 1));
+  EXPECT_NE(a, rate(p, commune, 42, 2));  // other direction/tag
+  EXPECT_NE(a, rate(p, commune, 43, 1));  // other seed
+}
+
+/// per_user_rate as it was computed before callers passed the activity
+/// factor in: the factor drawn inside, once per (service, direction), after
+/// the coverage and adoption gates.
+double rate_drawing_activity(const SpatialProfile& profile,
+                             double urban_base_rate, const geo::Commune& commune,
+                             std::uint64_t seed, std::uint64_t service_tag) {
+  if (!usable_in(profile, commune)) return 0.0;
+  util::Rng rng(util::SplitMix64(seed ^ (service_tag * 0xD1B54A32D192ED03ULL +
+                                         commune.id * 0x9E3779B97F4A7C15ULL))
+                    .next());
+  if (profile.adoption < 1.0 && !rng.bernoulli(profile.adoption)) return 0.0;
+  const double sigma_scale = std::min(
+      8.0, std::sqrt(1.0 + 1500.0 / std::max(1.0, static_cast<double>(
+                                                       commune.population))));
+  const double shared =
+      commune_activity_factor(seed, commune.id, 0.9 * sigma_scale);
+  const double residual =
+      rng.lognormal(-0.5 * profile.residual_sigma * profile.residual_sigma,
+                    profile.residual_sigma);
+  return urban_base_rate * class_ratio(profile, commune.urbanization) *
+         std::pow(shared, profile.activity_exponent) * residual;
+}
+
+TEST(PerUserRate, PrecomputedActivityIsBitwiseThePerCallDraw) {
+  const synth::ScenarioConfig config = synth::ScenarioConfig::test_scale();
+  const geo::Territory territory = geo::build_synthetic_country(config.country);
+  const ServiceCatalog catalog = ServiceCatalog::paper_services();
+  ASSERT_EQ(catalog.size(), 20u);
+  const std::uint64_t seed = config.traffic_seed;
+  std::size_t coverage_gated = 0;
+  std::size_t adoption_gated = 0;
+  std::size_t positive = 0;
+  for (const geo::Commune& commune : territory.communes()) {
+    const double activity = commune_activity(seed, commune);
+    for (std::size_t s = 0; s < catalog.size(); ++s) {
+      const SpatialProfile& profile = catalog[s].spatial;
+      for (const Direction d : {Direction::kDownlink, Direction::kUplink}) {
+        const std::uint64_t tag = s * 2 + static_cast<std::uint64_t>(d);
+        const double base = catalog[s].urban_rate(d);
+        const double expected =
+            rate_drawing_activity(profile, base, commune, seed, tag);
+        const double got =
+            per_user_rate(profile, base, commune, seed, tag, activity);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "commune " << commune.id << ", service " << s << ", tag " << tag;
+        if (!usable_in(profile, commune)) {
+          ++coverage_gated;
+        } else if (got == 0.0) {
+          ++adoption_gated;
+        } else {
+          ++positive;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(coverage_gated + adoption_gated + positive,
+            territory.size() * catalog.size() * 2);
+  EXPECT_GT(coverage_gated, 0u);
+  EXPECT_GT(adoption_gated, 0u);
+  EXPECT_GT(positive, 0u);
 }
 
 TEST(PerUserRate, ClassMeansScaleByRatios) {
@@ -86,7 +164,7 @@ TEST(PerUserRate, ClassMeansScaleByRatios) {
   auto mean_over_communes = [&p](geo::Urbanization u) {
     stats::RunningStats rs;
     for (geo::CommuneId c = 0; c < 20'000; ++c) {
-      rs.add(per_user_rate(p, 1e6, make_commune(c, u, true), 42, 1));
+      rs.add(rate(p, make_commune(c, u, true), 42, 1));
     }
     return rs.mean();
   };
@@ -103,8 +181,8 @@ TEST(PerUserRate, AdoptionGateZeroesSomeCommunes) {
   std::size_t zeros = 0;
   const std::size_t n = 10'000;
   for (geo::CommuneId c = 0; c < n; ++c) {
-    if (per_user_rate(p, 1e6, make_commune(c, geo::Urbanization::kUrban, true),
-                      42, 1) == 0.0) {
+    if (rate(p, make_commune(c, geo::Urbanization::kUrban, true), 42, 1) ==
+        0.0) {
       ++zeros;
     }
   }
@@ -125,7 +203,7 @@ TEST(PerUserRate, LowActivityExponentReducesDispersion) {
       commune.urbanization = geo::Urbanization::kUrban;
       commune.has_4g = true;
       commune.population = 50'000;  // city-sized: adoption noise negligible
-      rs.add(per_user_rate(p, 1e6, commune, 42, 1));
+      rs.add(rate(p, commune, 42, 1));
     }
     return rs.stddev_population() / rs.mean();
   };

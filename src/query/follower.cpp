@@ -1,8 +1,7 @@
 #include "query/follower.hpp"
 
-#include <chrono>
-#include <filesystem>
-#include <system_error>
+#include <sys/stat.h>
+
 #include <utility>
 
 #include "io/snapshot.hpp"
@@ -14,17 +13,17 @@ namespace appscope::query {
 Follower::Follower(std::string directory) : directory_(std::move(directory)) {}
 
 Follower::Published Follower::stat_published(const std::string& path) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0) {
+    throw util::InputError("query: cannot stat snapshot " + path);
+  }
   Published p;
   p.path = path;
-  p.size = static_cast<std::uint64_t>(fs::file_size(path, ec));
-  if (ec) throw util::InputError("query: cannot stat snapshot " + path);
-  const auto mtime = fs::last_write_time(path, ec);
-  if (ec) throw util::InputError("query: cannot stat snapshot " + path);
-  p.mtime_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   mtime.time_since_epoch())
-                   .count();
+  p.device = static_cast<std::uint64_t>(st.st_dev);
+  p.inode = static_cast<std::uint64_t>(st.st_ino);
+  p.size = static_cast<std::uint64_t>(st.st_size);
+  p.mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+               st.st_mtim.tv_nsec;
   return p;
 }
 

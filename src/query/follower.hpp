@@ -35,8 +35,14 @@ class Follower {
   std::uint64_t reloads() const;
 
  private:
+  /// What identifies one publish. A publish renames a new file into
+  /// place, so its inode differs from the loaded one (which the loaded
+  /// view keeps open) even when size and mtime match: two publishes
+  /// within one tick of the filesystem's coarse clock share an mtime.
   struct Published {
     std::string path;
+    std::uint64_t device = 0;
+    std::uint64_t inode = 0;
     std::uint64_t size = 0;
     std::int64_t mtime_ns = 0;
 

@@ -18,8 +18,11 @@
 // same live telemetry plane as appscope_serve, so a long poll loop is
 // scrapeable too.
 #include <chrono>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "core/dataset.hpp"
@@ -39,8 +42,10 @@ using namespace appscope;
 
 namespace {
 
+/// "--<what>=a,b,..." as ids, each checked before the narrowing cast.
 std::vector<std::uint32_t> parse_id_list(const std::string& text,
                                          const char* what) {
+  constexpr std::int64_t kMaxId = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> ids;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -50,7 +55,13 @@ std::vector<std::uint32_t> parse_id_list(const std::string& text,
     if (token.empty()) {
       throw util::InputError(std::string("empty id in --") + what);
     }
-    ids.push_back(static_cast<std::uint32_t>(util::parse_int(token)));
+    const std::int64_t id = util::parse_int(token);
+    if (id < 0 || id > kMaxId) {
+      throw util::InputError(std::string("--") + what + "=" + text +
+                             ": each id must be in [0, " +
+                             std::to_string(kMaxId) + "]");
+    }
+    ids.push_back(static_cast<std::uint32_t>(id));
     pos = comma + 1;
   }
   return ids;

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+#include <vector>
 
 #include "la/simd.hpp"
 #include "util/error.hpp"
@@ -77,9 +81,9 @@ namespace {
 constexpr std::uint32_t kTemporalJitterStream = 0;
 }  // namespace
 
-void AnalyticGenerator::generate_commune(const geo::Commune& commune,
-                                         TrafficSink& sink,
-                                         RowScratch& scratch) const {
+std::size_t AnalyticGenerator::generate_commune(const geo::Commune& commune,
+                                                TrafficSink& sink,
+                                                RowScratch& scratch) const {
   const std::size_t n_services = catalog_.size();
   const double mu_correction = -0.5 * noise_sigma_ * noise_sigma_;
   const double subs = static_cast<double>(subscribers_.subscribers(commune.id));
@@ -108,6 +112,7 @@ void AnalyticGenerator::generate_commune(const geo::Commune& commune,
   row.uplink_bytes = {scratch.uplink.data(), kHours};
   // Every service and direction of the commune shares its activity factor.
   const double activity = workload::commune_activity(seed_, commune);
+  std::size_t rows = 0;
   for (std::size_t s = 0; s < n_services; ++s) {
     const double weekly_dl =
         weekly_per_user(s, commune, workload::Direction::kDownlink, activity);
@@ -136,38 +141,170 @@ void AnalyticGenerator::generate_commune(const geo::Commune& commune,
                       scratch.presence.data(), scratch.uplink.data(), kHours);
     row.service = s;
     sink.consume_row(row);
+    ++rows;
   }
+  return rows;
 }
+
+namespace {
+
+/// The ordered fold behind AnalyticGenerator::generate. Shards run in any
+/// order on the pool, but their rows must reach the sink in shard order,
+/// fed by one thread at a time. The thread holding the frontier shard (the
+/// lowest one not yet in the sink) is the one that feeds it: a shard that
+/// is the frontier when it starts generates straight into the sink, and a
+/// shard that runs ahead stages its rows in a RowBufferSink from the spare
+/// list and deposits it. The frontier's thread then replays each staged
+/// shard the frontier reaches and puts its buffer back on the list; a
+/// shard deposited after the frontier's thread looked for it finds itself
+/// the frontier and carries on from there. The frontier moves only under
+/// the mutex and only by its own thread, so it is the sink's one owner.
+/// Generation and replays run outside the mutex. Each staged shard adds
+/// one to the synth.generate.staged_shards counter, each buffer made one
+/// to synth.generate.staging_buffers.
+///
+/// Run-ahead is bounded: at most `max_buffers` buffers are ever made, and a
+/// shard that is not the frontier waits for a spare one once they all are
+/// out, so a sink slower than generation holds the pool back instead of
+/// every remaining shard being staged at once. The frontier shard never
+/// waits, and the pool claims shards in index order, so the frontier's
+/// shard is always running or staged and every wait ends. Failure ends the
+/// bound: the frontier stops, so nothing staged would come back.
+class FrontierFold {
+ public:
+  FrontierFold(TrafficSink& sink, std::size_t shard_count,
+               std::size_t max_buffers, util::StageTimer& timer)
+      : sink_(sink),
+        timer_(timer),
+        max_buffers_(max_buffers),
+        staged_(shard_count) {}
+
+  /// Runs one shard: emit(TrafficSink&) feeds the shard's rows to the sink
+  /// it is given and returns how many it fed. A failed shard stops the
+  /// frontier for good; every later shard still runs (so the pool rethrows
+  /// the lowest-index exception) but drops its rows instead of staging them.
+  template <typename Emit>
+  void run(std::size_t shard, std::size_t rows_hint, Emit&& emit) {
+    try {
+      std::unique_lock<std::mutex> lock(mutex_);
+      room_.wait(lock, [&] {
+        return shard == frontier_ || failed_ || !spare_.empty() ||
+               buffers_ < max_buffers_;
+      });
+      if (shard == frontier_ && !failed_) {
+        lock.unlock();
+        timer_.add_items(emit(sink_) * ts::kHoursPerWeek);
+        lock.lock();
+        ++frontier_;
+      } else {
+        RowBufferSink buffer = take_buffer();
+        lock.unlock();
+        buffer.reserve(rows_hint);
+        emit(buffer);
+        lock.lock();
+        if (failed_) {
+          buffer.clear();
+          spare_.push_back(std::move(buffer));
+          return;
+        }
+        staged_[shard].emplace(std::move(buffer));
+        if (util::MetricsRegistry::enabled()) {
+          util::MetricsRegistry::global().add("synth.generate.staged_shards");
+        }
+        if (shard != frontier_) return;
+      }
+      drain(lock);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      failed_ = true;
+      room_.notify_all();
+      throw;
+    }
+  }
+
+ private:
+  /// A spare buffer, or a new one. Called holding the lock.
+  RowBufferSink take_buffer() {
+    RowBufferSink buffer;
+    if (!spare_.empty()) {
+      buffer = std::move(spare_.back());
+      spare_.pop_back();
+    } else {
+      ++buffers_;
+      if (util::MetricsRegistry::enabled()) {
+        util::MetricsRegistry::global().add("synth.generate.staging_buffers");
+      }
+    }
+    return buffer;
+  }
+
+  /// Called by the frontier's thread, holding the lock, after the frontier
+  /// moved: replays staged shards while the frontier's is there, then wakes
+  /// the shards waiting for a buffer or for the frontier. The last look and
+  /// the return share one lock hold, so a shard deposited during a replay is
+  /// either replayed here or finds itself the frontier when it deposits.
+  void drain(std::unique_lock<std::mutex>& lock) {
+    while (!failed_ && frontier_ < staged_.size() && staged_[frontier_]) {
+      RowBufferSink buffer = std::move(*staged_[frontier_]);
+      staged_[frontier_].reset();
+      lock.unlock();
+      {
+        const util::ScopedSpan span("synth.generate.fold");
+        timer_.add_items(buffer.row_count() * ts::kHoursPerWeek);
+        buffer.replay_into(sink_);
+      }
+      buffer.clear();
+      lock.lock();
+      spare_.push_back(std::move(buffer));
+      ++frontier_;
+    }
+    room_.notify_all();
+  }
+
+  TrafficSink& sink_;
+  util::StageTimer& timer_;
+  const std::size_t max_buffers_;
+  std::mutex mutex_;
+  std::condition_variable room_;
+  std::size_t frontier_ = 0;
+  std::size_t buffers_ = 0;
+  bool failed_ = false;
+  std::vector<std::optional<RowBufferSink>> staged_;
+  std::vector<RowBufferSink> spare_;
+};
+
+}  // namespace
 
 void AnalyticGenerator::generate(TrafficSink& sink) const {
   util::StageTimer timer("synth.generate");
   const auto& communes = territory_.communes();
-  // Fixed shard grain: the decomposition (and so the replay order) is the
-  // same at every thread count. Each jitter value is keyed by its (seed,
-  // commune, service, hour), so shards are independent of the worker that
-  // runs them.
+  // Fixed shard grain: the decomposition (and so the row order the sink
+  // sees) is the same at every thread count. Each jitter value is keyed by
+  // its (seed, commune, service, hour), so shards are independent of the
+  // worker that runs them.
   constexpr std::size_t kCommunesPerShard = 32;
-  util::parallel_map_reduce<RowBufferSink>(
-      0, communes.size(), kCommunesPerShard,
-      [&](std::size_t lo, std::size_t hi) {
-        const util::ScopedSpan span("synth.generate.shard");
-        RowBufferSink buffer;
-        buffer.reserve((hi - lo) * catalog_.size());
-        RowScratch scratch;
-        for (std::size_t i = lo; i < hi; ++i) {
-          generate_commune(communes[i], buffer, scratch);
-        }
-        return buffer;
-      },
-      [&sink, &timer](RowBufferSink&& buffer, std::size_t) {
-        const util::ScopedSpan span("synth.generate.fold");
-        // Items/bytes accounting per shard (not per cell) keeps the
-        // instrumented hot path allocation- and atomic-light. Items stay
-        // cell-granular for continuity with the cell-at-a-time generator.
-        timer.add_items(buffer.row_count() * ts::kHoursPerWeek);
-        timer.add_bytes(buffer.buffered_bytes());
-        buffer.replay_into(sink);
-      });
+  const std::size_t shard_count =
+      (communes.size() + kCommunesPerShard - 1) / kCommunesPerShard;
+  // Two staging buffers per thread: behind an AggregateSink at 4 threads
+  // the fold makes 6-7 of its 8, while one per thread left the threads that
+  // deposited waiting on each replay (about 40% more wall time).
+  FrontierFold fold(sink, shard_count,
+                    2 * util::ThreadPool::global_thread_count(), timer);
+  util::parallel_for(0, shard_count, 1, [&](std::size_t shard, std::size_t) {
+    const std::size_t lo = shard * kCommunesPerShard;
+    const std::size_t hi = std::min(lo + kCommunesPerShard, communes.size());
+    fold.run(shard, (hi - lo) * catalog_.size(), [&](TrafficSink& out) {
+      // The span times generation alone, except at the frontier, where
+      // generation and the sink interleave row by row.
+      const util::ScopedSpan span("synth.generate.shard");
+      RowScratch scratch;
+      std::size_t rows = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        rows += generate_commune(communes[i], out, scratch);
+      }
+      return rows;
+    });
+  });
 }
 
 }  // namespace appscope::synth

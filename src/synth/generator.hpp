@@ -40,12 +40,20 @@ class AnalyticGenerator {
   /// under the traffic seed: a pure function of (seed, commune, service,
   /// hour), bitwise the same under every SIMD dispatch.
   ///
-  /// Communes are sharded across the global util::ThreadPool (each shard a
-  /// synth.generate.shard span) and stage their (service, commune) rows in
-  /// a RowBufferSink; shards are replayed into `sink` in commune order via
-  /// consume_row (each replay a synth.generate.fold span). The sink
-  /// therefore sees the identical row sequence at any thread count, so
-  /// outputs are bitwise equal to a single-threaded run.
+  /// Communes are sharded 32 at a time across the global util::ThreadPool
+  /// (each shard a synth.generate.shard span) and reach `sink` in commune
+  /// order, fed by one thread at a time. The shard at the fold frontier
+  /// generates straight into `sink`; a shard that runs ahead of it stages
+  /// its (service, commune) rows in a reused RowBufferSink, replayed once
+  /// the frontier reaches it (each replay a synth.generate.fold span,
+  /// counted by the synth.generate.staged_shards counter). At most two
+  /// buffers per pool thread are made (synth.generate.staging_buffers);
+  /// once they are all out, a shard that is not the frontier waits for
+  /// one, so a slow sink holds generation back. At 1 thread and inside a
+  /// pool task nothing is staged. The sink therefore sees the
+  /// identical row sequence at any thread count, so outputs are bitwise
+  /// equal to a single-threaded run. If a shard throws, the lowest-index
+  /// exception is rethrown and the sink's contents are unspecified.
   void generate(TrafficSink& sink) const;
 
   /// Expected (noise-free) weekly per-user volume of a service in a commune.
@@ -65,8 +73,9 @@ class AnalyticGenerator {
     la::AlignedVector<double> uplink;
   };
 
-  void generate_commune(const geo::Commune& commune, TrafficSink& sink,
-                        RowScratch& scratch) const;
+  /// Feeds the commune's rows to `sink`; returns how many.
+  std::size_t generate_commune(const geo::Commune& commune, TrafficSink& sink,
+                               RowScratch& scratch) const;
 
   /// expected_weekly_per_user given the commune's
   /// workload::commune_activity.

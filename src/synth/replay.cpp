@@ -1,6 +1,10 @@
 #include "synth/replay.hpp"
 
 #include <cmath>
+#include <limits>
+#include <new>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "ts/calendar.hpp"
@@ -72,7 +76,28 @@ EventReplaySource::EventReplaySource(const geo::Territory& territory,
                    "EventReplaySource: events_per_cell must be >= 1");
   util::StageTimer timer("serve.replay.stage");
 
+  // A row adds at most events_per_cell events to an hour, so each hour's
+  // bucket is reserved to communes x services x events_per_cell up front
+  // and every event is written into it once, never moved by regrowth.
+  const std::size_t rows = territory.size() * catalog.size();
+  const auto reject = [&](const char* why) {
+    return util::InputError(
+        "EventReplaySource: events_per_cell=" + std::to_string(events_per_cell) +
+        " stages up to " + std::to_string(rows) + " x " +
+        std::to_string(events_per_cell) + " events per hour, which " + why);
+  };
+  if (rows != 0 &&
+      events_per_cell > std::numeric_limits<std::size_t>::max() / rows) {
+    throw reject("overflows");
+  }
   std::vector<std::vector<net::ServiceEvent>> hours(ts::kHoursPerWeek);
+  try {
+    for (auto& bucket : hours) bucket.reserve(rows * events_per_cell);
+  } catch (const std::bad_alloc&) {
+    throw reject("cannot be reserved");
+  } catch (const std::length_error&) {
+    throw reject("cannot be reserved");
+  }
   EventStagingSink staging(events_per_cell, hours);
   const AnalyticGenerator generator(territory, subscribers, catalog,
                                     config.traffic_seed,

@@ -35,7 +35,10 @@ class EventReplaySource {
   /// Stages one synthetic week of events from the scenario's analytic
   /// generator. References must outlive the source. `events_per_cell`
   /// (>= 1) splits each nonzero cell's volume over that many events —
-  /// larger values stress queue throughput with smaller events.
+  /// larger values stress queue throughput with smaller events. Each hour
+  /// is reserved for communes × services × events_per_cell events; a
+  /// bound that overflows or cannot be reserved throws util::InputError
+  /// naming events_per_cell.
   EventReplaySource(const geo::Territory& territory,
                     const workload::SubscriberBase& subscribers,
                     const workload::ServiceCatalog& catalog,

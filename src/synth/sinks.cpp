@@ -77,11 +77,6 @@ void RowBufferSink::reserve(std::size_t rows) {
   uplink_.reserve(rows * ts::kHoursPerWeek);
 }
 
-std::size_t RowBufferSink::buffered_bytes() const noexcept {
-  return headers_.size() * sizeof(Header) +
-         (downlink_.size() + uplink_.size()) * sizeof(double);
-}
-
 void RowBufferSink::replay_into(TrafficSink& sink) const {
   TrafficRow row;
   for (std::size_t r = 0; r < headers_.size(); ++r) {

@@ -60,21 +60,20 @@ class AggregateSink final : public TrafficSink {
   AggregateTables<double> tables_;
 };
 
-/// Buffers whole rows for deferred replay. This is the thread-local staging
-/// area of the parallel generator: each worker streams its commune shard's
-/// rows into a private RowBufferSink (headers plus two flat cache-line-
-/// aligned hourly planes — no per-row allocations), and the buffers are
-/// replayed into the caller's sink in shard order via consume_row, so the
-/// downstream sink observes exactly the row sequence the serial generator
-/// would have produced.
+/// Buffers whole rows for deferred replay. This is the staging area of the
+/// parallel generator: a commune shard that runs ahead of the fold frontier
+/// streams its rows into a RowBufferSink (headers plus two flat cache-line-
+/// aligned hourly planes — no per-row allocations), which is replayed into
+/// the caller's sink in shard order via consume_row, so the downstream sink
+/// observes exactly the row sequence the serial generator would have
+/// produced. clear() keeps the capacity, so a buffer is reused shard after
+/// shard.
 class RowBufferSink final : public TrafficSink {
  public:
   void consume_row(const TrafficRow& row) override;
 
   void reserve(std::size_t rows);
   std::size_t row_count() const noexcept { return headers_.size(); }
-  /// Bytes currently held by the row buffers (headers + hourly planes).
-  std::size_t buffered_bytes() const noexcept;
 
   /// Feeds every buffered row into `sink`, in insertion order.
   void replay_into(TrafficSink& sink) const;

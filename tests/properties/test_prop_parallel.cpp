@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "stats/bootstrap.hpp"
 #include "stats/correlation.hpp"
 #include "support/cell_fold.hpp"
+#include "support/metrics_on.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "synth/sinks.hpp"
@@ -108,6 +112,137 @@ TEST(ParallelDeterminism, AnalyticGeneratorIsBitwiseIdentical) {
     }
     return flat;
   });
+}
+
+TEST(ParallelDeterminism, GeneratorRowStreamUnderRunAhead) {
+  // The shard at the fold frontier feeds the sink directly; shards that run
+  // ahead of it are staged and replayed when the frontier reaches them.
+  // Whichever way each shard goes, in whatever interleaving the pool
+  // produces, the sink must see the 1-thread row stream row for row.
+  const auto config = synth::ScenarioConfig::test_scale();
+  const geo::Territory territory = geo::build_synthetic_country(config.country);
+  const workload::SubscriberBase subscribers(territory, config.population);
+  const workload::ServiceCatalog catalog =
+      workload::ServiceCatalog::paper_services();
+  const synth::AnalyticGenerator gen(territory, subscribers, catalog,
+                                     config.traffic_seed,
+                                     config.temporal_noise_sigma);
+  const test_support::MetricsOn metrics;
+  const auto staged_shards = [] {
+    return test_support::counter_value("synth.generate.staged_shards");
+  };
+
+  util::ThreadPool::set_global_threads(1);
+  test_support::RowRecorder reference;
+  gen.generate(reference);
+  ASSERT_FALSE(reference.rows().empty());
+  EXPECT_EQ(staged_shards(), 0u);
+
+  std::uint64_t staged_at_four_or_more = 0;
+  for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+    util::ThreadPool::set_global_threads(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::uint64_t before = staged_shards();
+      test_support::RowRecorder rows;
+      gen.generate(rows);
+      ASSERT_TRUE(rows.rows() == reference.rows())
+          << threads << " threads, repetition " << rep;
+      if (threads >= 4) staged_at_four_or_more += staged_shards() - before;
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
+  EXPECT_GT(staged_at_four_or_more, 0u);
+}
+
+TEST(ParallelDeterminism, GeneratorBoundsRunAheadBehindASlowSink) {
+  // Behind a sink slower than generation, shards that run ahead of the
+  // frontier wait for a spare staging buffer once the fold has made two per
+  // pool thread, instead of each taking a new one. 1,200 communes make 38
+  // shards, more than the 16 buffers an 8-thread pool may make. The slow
+  // sink still sees the 1-thread row stream.
+  class SlowRecorder final : public synth::TrafficSink {
+   public:
+    void consume_row(const synth::TrafficRow& row) override {
+      if (rows_.rows().size() % 256 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      rows_.consume_row(row);
+    }
+    const std::vector<test_support::RecordedRow>& rows() const noexcept {
+      return rows_.rows();
+    }
+
+   private:
+    test_support::RowRecorder rows_;
+  };
+  auto config = synth::ScenarioConfig::test_scale();
+  config.country.commune_count = 1'200;
+  const geo::Territory territory = geo::build_synthetic_country(config.country);
+  const workload::SubscriberBase subscribers(territory, config.population);
+  const workload::ServiceCatalog catalog =
+      workload::ServiceCatalog::paper_services();
+  const synth::AnalyticGenerator gen(territory, subscribers, catalog,
+                                     config.traffic_seed,
+                                     config.temporal_noise_sigma);
+  const test_support::MetricsOn metrics;
+  const auto buffers_made = [] {
+    return test_support::counter_value("synth.generate.staging_buffers");
+  };
+
+  util::ThreadPool::set_global_threads(1);
+  test_support::RowRecorder reference;
+  gen.generate(reference);
+  EXPECT_EQ(buffers_made(), 0u);
+
+  for (const std::size_t threads : {2u, 3u, 8u}) {
+    util::ThreadPool::set_global_threads(threads);
+    const std::uint64_t before = buffers_made();
+    SlowRecorder rows;
+    gen.generate(rows);
+    EXPECT_TRUE(rows.rows() == reference.rows()) << threads << " threads";
+    EXPECT_LE(buffers_made() - before, 2 * threads) << threads << " threads";
+  }
+  util::ThreadPool::set_global_threads(0);
+}
+
+TEST(ParallelDeterminism, GeneratorStopsFeedingAFailedSink) {
+  // A sink that throws on one row ends the fold: generate rethrows that
+  // failure at every thread count, and no later row, direct or replayed,
+  // reaches the sink. Row 5000 falls in the middle of the 13 shards; the
+  // shards after it still run but drop their rows instead of staging them,
+  // so at 1 thread none is staged.
+  class FailingSink final : public synth::TrafficSink {
+   public:
+    explicit FailingSink(std::size_t fail_at) : fail_at_(fail_at) {}
+    void consume_row(const synth::TrafficRow&) override {
+      if (++rows_ == fail_at_) throw std::runtime_error("sink full");
+    }
+    std::size_t rows() const noexcept { return rows_; }
+
+   private:
+    std::size_t fail_at_;
+    std::size_t rows_ = 0;
+  };
+  constexpr std::size_t kFailAt = 5000;
+  const auto config = synth::ScenarioConfig::test_scale();
+  const geo::Territory territory = geo::build_synthetic_country(config.country);
+  const workload::SubscriberBase subscribers(territory, config.population);
+  const workload::ServiceCatalog catalog =
+      workload::ServiceCatalog::paper_services();
+  const synth::AnalyticGenerator gen(territory, subscribers, catalog,
+                                     config.traffic_seed,
+                                     config.temporal_noise_sigma);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const test_support::MetricsOn metrics;
+    util::ThreadPool::set_global_threads(threads);
+    FailingSink sink(kFailAt);
+    EXPECT_THROW(gen.generate(sink), std::runtime_error) << threads;
+    EXPECT_EQ(sink.rows(), kFailAt) << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(test_support::counter_value("synth.generate.staged_shards"), 0u);
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
 }
 
 TEST(ParallelDeterminism, KShapeIsBitwiseIdentical) {

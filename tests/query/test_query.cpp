@@ -546,6 +546,31 @@ TEST(QueryFollower, RefreshReloadsOnlyWhenThePublishedFileChanges) {
   fs::remove_all(dir);
 }
 
+TEST(QueryFollower, RefreshSeesARepublishWithTheSameSizeAndMtime) {
+  // Snapshots of one scenario shape share a size, and two publishes within
+  // one tick of the filesystem's coarse clock share an mtime: the follower
+  // must still see the file renamed into place.
+  const fs::path dir = temp_file("follow_same_stamp");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string latest = (dir / "latest.snapshot").string();
+  base_dataset().save(latest);
+  Follower follower(dir.string());
+  const auto v1 = follower.refresh();
+  ASSERT_NE(v1, nullptr);
+
+  const std::string staging = (dir / "epoch_next.tmp").string();
+  core::TrafficDataset::generate(small_config(777)).save(staging);
+  ASSERT_EQ(fs::file_size(staging), fs::file_size(latest));
+  fs::last_write_time(staging, fs::last_write_time(latest));
+  fs::rename(staging, latest);
+
+  const auto v2 = follower.refresh();
+  EXPECT_EQ(follower.reloads(), 2u);
+  EXPECT_NE(v2->fingerprint(), v1->fingerprint());
+  fs::remove_all(dir);
+}
+
 TEST(QueryFollower, EmptyDirectoryThrowsInputError) {
   const fs::path dir = temp_file("follow_empty");
   fs::remove_all(dir);

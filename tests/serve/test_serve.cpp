@@ -187,6 +187,32 @@ TEST(EventReplaySource, EventsPerCellSplitsConserveBytesExactly) {
   EXPECT_GT(split.week_event_count(), whole.week_event_count());
 }
 
+TEST(EventReplaySource, RejectsAnEventsPerCellWhoseBucketsCannotBeReserved) {
+  // Each hour is reserved for communes x services x events_per_cell events
+  // before any is staged. A product past size_t, or past what a vector can
+  // hold, is a typed input error naming the parameter, raised before any
+  // allocation is attempted.
+  const auto config = small_config();
+  const geo::Territory territory =
+      geo::build_synthetic_country(config.country);
+  const workload::SubscriberBase subscribers(territory, config.population);
+  const auto catalog = workload::ServiceCatalog::paper_services();
+  const std::size_t rows = territory.size() * catalog.size();
+  for (const std::size_t events_per_cell :
+       {std::numeric_limits<std::size_t>::max(),
+        std::numeric_limits<std::size_t>::max() / rows}) {
+    try {
+      const synth::EventReplaySource replay(territory, subscribers, catalog,
+                                            config, events_per_cell);
+      ADD_FAILURE() << "staged " << replay.week_event_count() << " events";
+    } catch (const util::InputError& e) {
+      EXPECT_NE(std::string(e.what()).find("events_per_cell"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- EventAggregates -------------------------------------------------------
 
 TEST(EventAggregates, ApplyMergeResetAndScale) {

@@ -2,6 +2,9 @@
 // recorder.
 #pragma once
 
+#include <cstdint>
+#include <string>
+
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -30,5 +33,12 @@ class MetricsOn {
  private:
   bool was_;
 };
+
+/// The global registry's counter `name`, 0 when nothing has added to it.
+inline std::uint64_t counter_value(const std::string& name) {
+  const auto counters = util::MetricsRegistry::global().snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
 
 }  // namespace appscope::test_support

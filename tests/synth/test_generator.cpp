@@ -228,39 +228,50 @@ TEST_F(GeneratorTest, NoiseIgnoresSkippedServices) {
 }
 
 TEST(ParallelTrace, GeneratorShardsAndFoldsAreNamedUnderGenerate) {
-  // Every 32-commune shard's map and every ordered replay into the sink is
-  // a span of its own, wherever the pool ran it, descending from
-  // synth.generate through the pool's captured span context.
+  // Every 32-commune shard is a span of its own, wherever the pool ran it,
+  // and so is every replay of a shard that ran ahead of the fold frontier;
+  // all descend from synth.generate through the pool's captured span
+  // context. At 1 thread every shard is the frontier when it runs, so none
+  // is staged; at 4 the replays are exactly the staged shards.
   const ScenarioConfig config = ScenarioConfig::test_scale();
   const geo::Territory territory = geo::build_synthetic_country(config.country);
   const workload::SubscriberBase subscribers(territory, config.population);
   const workload::ServiceCatalog catalog = workload::ServiceCatalog::paper_services();
   const AnalyticGenerator gen(territory, subscribers, catalog, config.traffic_seed,
                               config.temporal_noise_sigma);
-  const test_support::MetricsOn metrics;
-  util::ThreadPool::set_global_threads(4);
-  AggregateSink sink(catalog.size(), territory.size());
-  gen.generate(sink);
-  util::ThreadPool::set_global_threads(0);
-
-  const std::vector<util::TraceEvent> events = util::TraceRecorder::global().snapshot();
-  std::map<std::uint64_t, const util::TraceEvent*> by_id;
-  for (const util::TraceEvent& e : events) by_id.emplace(e.span_id, &e);
-  std::map<std::string, std::size_t> seen;
-  for (const util::TraceEvent& e : events) {
-    if (e.name != "synth.generate.shard" && e.name != "synth.generate.fold") continue;
-    ++seen[e.name];
-    const util::TraceEvent* ancestor = &e;
-    while (ancestor->name != "synth.generate") {
-      const auto next = by_id.find(ancestor->parent_id);
-      ASSERT_NE(next, by_id.end()) << e.name << ": chain breaks at " << ancestor->name;
-      ancestor = next->second;
-    }
-  }
   const std::size_t shards = (territory.size() + 31) / 32;
-  const std::map<std::string, std::size_t> expected{
-      {"synth.generate.fold", shards}, {"synth.generate.shard", shards}};
-  EXPECT_EQ(seen, expected);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const test_support::MetricsOn metrics;
+    util::ThreadPool::set_global_threads(threads);
+    AggregateSink sink(catalog.size(), territory.size());
+    gen.generate(sink);
+    util::ThreadPool::set_global_threads(0);
+
+    const std::vector<util::TraceEvent> events =
+        util::TraceRecorder::global().snapshot();
+    std::map<std::uint64_t, const util::TraceEvent*> by_id;
+    for (const util::TraceEvent& e : events) by_id.emplace(e.span_id, &e);
+    std::map<std::string, std::size_t> seen;
+    for (const util::TraceEvent& e : events) {
+      if (e.name != "synth.generate.shard" && e.name != "synth.generate.fold") {
+        continue;
+      }
+      ++seen[e.name];
+      const util::TraceEvent* ancestor = &e;
+      while (ancestor->name != "synth.generate") {
+        const auto next = by_id.find(ancestor->parent_id);
+        ASSERT_NE(next, by_id.end())
+            << e.name << ": chain breaks at " << ancestor->name;
+        ancestor = next->second;
+      }
+    }
+    const std::uint64_t staged =
+        test_support::counter_value("synth.generate.staged_shards");
+    if (threads == 1) EXPECT_EQ(staged, 0u);
+    EXPECT_EQ(seen["synth.generate.shard"], shards);
+    EXPECT_EQ(seen["synth.generate.fold"], staged);
+  }
 }
 
 TEST(ScenarioConfig, PresetsScaleAsDocumented) {

@@ -29,6 +29,7 @@
 #include "la/fft_plan.hpp"
 #include "la/simd.hpp"
 #include "synth/generator.hpp"
+#include "ts/calendar.hpp"
 #include "ts/znorm.hpp"
 #include "ts/kmeans.hpp"
 #include "ts/kshape.hpp"
@@ -605,8 +606,10 @@ void BM_IngestEvents(benchmark::State& state) {
                               {shards, 1 << 16});
   serve::EventAggregates rolling(catalog.size(), territory.size());
   for (auto _ : state) {
-    for (const net::ServiceEvent& event : replay.events()) {
-      ingest.route(event, 1);
+    for (std::size_t hour = 0; hour < ts::kHoursPerWeek; ++hour) {
+      for (const net::ServiceEvent& event : replay.hour_events(hour)) {
+        ingest.route(event, 1);
+      }
     }
     ingest.collect_epoch(rolling);
     benchmark::DoNotOptimize(rolling.events());
@@ -648,8 +651,10 @@ void BM_IngestEventsSampled(benchmark::State& state) {
                               {shards, 1 << 16});
   serve::EventAggregates rolling(catalog.size(), territory.size());
   for (auto _ : state) {
-    for (const net::ServiceEvent& event : replay.events()) {
-      ingest.route(event, 1);
+    for (std::size_t hour = 0; hour < ts::kHoursPerWeek; ++hour) {
+      for (const net::ServiceEvent& event : replay.hour_events(hour)) {
+        ingest.route(event, 1);
+      }
     }
     ingest.collect_epoch(rolling);
     benchmark::DoNotOptimize(rolling.events());

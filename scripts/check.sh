@@ -20,10 +20,11 @@
 #                 snapshots) and the merged snapshot through paper_report
 #   --serve       a ~30 s throttled appscope_serve run scraped live, drained
 #                 by SIGTERM; its sealed snapshot feeds paper_report and
-#                 appscope_query. Then an unthrottled run is SIGKILLed
-#                 mid-seal: what it published must load, and a daemon
-#                 restarted on its directory must succeed and leave only
-#                 its own epochs
+#                 appscope_query. Force-sampled weeks at APPSCOPE_THREADS=1
+#                 and at the default pool seal the same latest.snapshot.
+#                 Then an unthrottled run is SIGKILLed mid-seal: what it
+#                 published must load, and a daemon restarted on its
+#                 directory must succeed and leave only its own epochs
 #   --bench-gate  perf_core against BENCH_core.json, measured right after
 #                 ctest and judged at the end (bench_regression.py;
 #                 APPSCOPE_BENCH_REGRESSION_SKIP=1 skips the comparison)
@@ -246,6 +247,18 @@ if [ "$SERVE" = 1 ]; then
   cmp "$OUT/soak_report.md.slicing" "$OUT/soak_query.txt.slicing"
   epochs=("$SNAPS"/epoch_*.snapshot)
   cp "$SNAPS/latest.snapshot" "${epochs[0]}" "${epochs[-1]}" "$S/snapshots/"
+
+  echo "==== serve at two pool sizes"
+  # The default pool stages most of the replay through run-ahead buffers.
+  # Forced sampling keeps events by stream position, so a replay staged out
+  # of order would show in the sealed bytes.
+  APPSCOPE_THREADS=1 "$BUILD"/src/serve/appscope_serve --scale=test \
+    --weeks=1 --force-sampling --snapshot-dir="$OUT/serve-pool1" \
+    2> /dev/null
+  "$BUILD"/src/serve/appscope_serve --scale=test --weeks=1 --force-sampling \
+    --snapshot-dir="$OUT/serve-pool-default" 2> /dev/null
+  cmp "$OUT/serve-pool1/latest.snapshot" \
+    "$OUT/serve-pool-default/latest.snapshot"
 
   echo "==== serve SIGKILL"
   KILLED="$OUT/serve-killed"

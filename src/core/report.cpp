@@ -6,8 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "core/category_analysis.hpp"
-#include "core/slicing.hpp"
 #include "util/strings.hpp"
 
 namespace appscope::core {
@@ -223,33 +221,34 @@ void render_fig11(std::ostream& out, const StudyReport& r) {
   out << "\n";
 }
 
-void render_extensions(std::ostream& out, const TrafficDataset& dataset) {
+void render_extensions(std::ostream& out, const StudyReport& r) {
   out << "## Beyond the figures\n\n";
 
-  const CategoryReport categories = analyze_category_heterogeneity(
-      dataset, workload::Direction::kDownlink);
   out << "### Within-category heterogeneity (Sec. 4's key argument)\n\n"
       << "| category | members | mean SBD | member-vs-aggregate r² | "
          "signatures |\n|---|---|---|---|---|\n";
-  for (const auto& c : categories.categories) {
+  for (const auto& c : r.categories.categories) {
     out << "| " << c.name << " | " << c.members.size() << " | "
         << format_double(c.mean_pairwise_sbd, 3) << " | "
         << format_double(c.mean_member_aggregate_r2, 2) << " | "
         << c.distinct_signatures << " |\n";
   }
+  out << "\n";
+  write_slicing_section(out, r.slicing);
+  out << "\n";
+}
 
-  const SlicingReport slices =
-      analyze_slicing(dataset, workload::Direction::kDownlink);
-  out << "\n### Network-slicing economics (the Sec. 1 motivation)\n\n"
+}  // namespace
+
+void write_slicing_section(std::ostream& out, const SlicingReport& slices) {
+  out << "### Network-slicing economics (the Sec. 1 motivation)\n\n"
       << "- static per-slice capacity (sum of peaks): "
       << util::format_bytes(slices.static_capacity) << "/h\n"
       << "- dynamic hourly reallocation: "
       << util::format_bytes(slices.dynamic_capacity) << "/h\n"
       << "- multiplexing gain from temporal heterogeneity: "
-      << format_percent(slices.multiplexing_gain(), 1) << "\n\n";
+      << format_percent(slices.multiplexing_gain(), 1) << "\n";
 }
-
-}  // namespace
 
 void write_markdown_report(const StudyReport& report,
                            const TrafficDataset& dataset, std::ostream& out,
@@ -266,7 +265,7 @@ void write_markdown_report(const StudyReport& report,
   render_fig9(out, report, dataset, options.include_maps);
   render_fig10(out, report, dataset);
   render_fig11(out, report);
-  render_extensions(out, dataset);
+  render_extensions(out, report);
 }
 
 std::string markdown_report(const StudyReport& report,

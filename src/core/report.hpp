@@ -24,6 +24,10 @@ void write_markdown_report(const StudyReport& report,
                            const TrafficDataset& dataset, std::ostream& out,
                            const ReportOptions& options = {});
 
+/// Writes the network-slicing section: its heading, a blank line and three
+/// bullets. The report and `appscope_query --slicing` both print it here.
+void write_slicing_section(std::ostream& out, const SlicingReport& slices);
+
 /// Convenience: renders to a string.
 std::string markdown_report(const StudyReport& report,
                             const TrafficDataset& dataset,

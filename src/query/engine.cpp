@@ -127,21 +127,21 @@ Result execute_plan(const SnapshotView& view, const QueryPlan& plan) {
       }
     }
   } else {
-    // Buffered aggregation: accumulate rows elementwise into one window
-    // buffer, in fixed chunks merged strictly in chunk order.
+    // Buffered aggregation: each fixed row chunk sums into its own window
+    // slot of one zeroed buffer; the slots are then added in chunk order.
+    const std::size_t chunks = (nrows + kRowChunk - 1) / kRowChunk;
+    std::vector<double> parts(chunks * window, 0.0);
+    util::parallel_for(0, nrows, kRowChunk,
+                       [&](std::size_t lo, std::size_t hi) {
+                         double* part = parts.data() + lo / kRowChunk * window;
+                         for (std::size_t i = lo; i < hi; ++i) {
+                           k.accumulate(part, row_ptr(i), window);
+                         }
+                       });
     std::vector<double> acc(window, 0.0);
-    util::parallel_map_reduce<std::vector<double>>(
-        0, nrows, kRowChunk,
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<double> part(window, 0.0);
-          for (std::size_t i = lo; i < hi; ++i) {
-            k.accumulate(part.data(), row_ptr(i), window);
-          }
-          return part;
-        },
-        [&](std::vector<double>&& part, std::size_t) {
-          k.accumulate(acc.data(), part.data(), window);
-        });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      k.accumulate(acc.data(), parts.data() + c * window, window);
+    }
     const double total = mask != nullptr
                              ? k.masked_sum_stripes(acc.data(), mask, window)
                              : k.sum_stripes(acc.data(), window);

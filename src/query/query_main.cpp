@@ -10,8 +10,9 @@
 //       ./appscope_query --dir=serve_out --follow --repeat=10
 //       ./appscope_query --snapshot=out/latest.snapshot --slicing --check
 //
-// --slicing prints the same network-slicing economics lines paper_report
-// emits (the CI soak job cross-checks them textually); --check recomputes
+// --slicing prints paper_report's network-slicing section
+// (core::write_slicing_section), computed on the mapped view; the CI soak
+// job compares it with a full-load report's. --check recomputes
 // the answer on a full load (io::read_snapshot, every section checked) and
 // fails loudly on divergence.
 // Under --follow, --admin-port=N (or APPSCOPE_ADMIN_PORT) attaches the
@@ -26,6 +27,7 @@
 #include <thread>
 
 #include "core/dataset.hpp"
+#include "core/report.hpp"
 #include "core/slicing.hpp"
 #include "geo/commune.hpp"
 #include "io/snapshot.hpp"
@@ -141,18 +143,6 @@ query::Slice slice_from_args(const util::CliArgs& args) {
     throw util::InputError("unknown --group-by=" + group);
   }
   return slice;
-}
-
-/// The exact lines core::write_markdown_report prints for the slicing
-/// section — the CI soak job compares them against paper_report output.
-void print_slicing(std::ostream& out, const core::SlicingReport& slices) {
-  out << "### Network-slicing economics (the Sec. 1 motivation)\n\n"
-      << "- static per-slice capacity (sum of peaks): "
-      << util::format_bytes(slices.static_capacity) << "/h\n"
-      << "- dynamic hourly reallocation: "
-      << util::format_bytes(slices.dynamic_capacity) << "/h\n"
-      << "- multiplexing gain from temporal heterogeneity: "
-      << util::format_percent(slices.multiplexing_gain(), 1) << "\n";
 }
 
 /// Naive full-load recomputation of the slice aggregate, for --check. Runs
@@ -316,7 +306,8 @@ int main(int argc, char** argv) {
 
     print_result(std::cout, slice, result);
     if (args.has("slicing")) {
-      print_slicing(std::cout, core::analyze_slicing(*view, slice.direction));
+      core::write_slicing_section(
+          std::cout, core::analyze_slicing(*view, slice.direction));
     }
     if (args.has("stats")) {
       std::cerr << "appscope_query: snapshot " << view->path() << " ("

@@ -170,7 +170,7 @@ std::vector<io::LoadedSnapshot> load_region_snapshots(
 }
 
 io::LoadedSnapshot merge_loaded_snapshots(
-    std::vector<io::LoadedSnapshot> snapshots) {
+    const std::vector<io::LoadedSnapshot>& snapshots) {
   if (snapshots.empty()) reject("no input snapshots");
   util::ScopedSpan span("region.merge");
   const std::vector<std::size_t> order = canonical_order(snapshots);

@@ -50,7 +50,7 @@ std::vector<io::LoadedSnapshot> load_region_snapshots(
 /// share one catalog; per-region popularity tilt only rescales rates).
 /// Span: region.merge.
 io::LoadedSnapshot merge_loaded_snapshots(
-    std::vector<io::LoadedSnapshot> snapshots);
+    const std::vector<io::LoadedSnapshot>& snapshots);
 
 /// Writes a merged national snapshot to `out_path` (published atomically
 /// through io::publish) and derives its MergeStats. Counters (when metrics are

@@ -75,7 +75,6 @@ void ShardedIngest::worker_loop(std::size_t shard_index) {
         // state, so the swap hands the fresh delta out and takes a zeroed
         // aggregate back — no allocation on the barrier path.
         std::swap(shard.handoff, delta);
-        shard.handoff_ready = true;
         --handoffs_pending_;
       }
       handoff_cv_.notify_one();
@@ -133,7 +132,6 @@ void ShardedIngest::collect_epoch(EventAggregates& rolling) {
   for (auto& shard : shards_) {
     rolling.merge(shard->handoff);
     shard->handoff.reset();
-    shard->handoff_ready = false;
   }
 }
 

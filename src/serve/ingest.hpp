@@ -106,7 +106,6 @@ class ShardedIngest {
         : queue(queue_capacity), handoff(services, communes) {}
     SpscQueue<Msg> queue;
     EventAggregates handoff;  // filled at a barrier, guarded by handoff_mutex_
-    bool handoff_ready = false;
     std::thread worker;
     /// Events applied by the worker (relaxed; read by the telemetry plane).
     std::atomic<std::uint64_t> processed{0};

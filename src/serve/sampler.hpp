@@ -31,6 +31,7 @@
 //     the mean and maximum event volumes alone.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/error.hpp"
@@ -49,10 +50,11 @@ class OverloadSampler {
     APPSCOPE_REQUIRE(window >= 1, "OverloadSampler: window must be >= 1");
   }
 
-  /// Signals sustained overload: sampling engages (or re-arms) for the next
-  /// `window` events.
+  /// Signals sustained overload: sampling engages (or re-arms) for at
+  /// least the next `window` events. A trigger never shortens sampling
+  /// already armed further, so a forced run stays forced.
   void trigger() noexcept {
-    sampling_until_ = seq_ + window_;
+    sampling_until_ = std::max(sampling_until_, seq_ + window_);
     ++triggers_;
   }
 

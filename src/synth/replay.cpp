@@ -71,7 +71,8 @@ EventReplaySource::EventReplaySource(const geo::Territory& territory,
                                      const workload::SubscriberBase& subscribers,
                                      const workload::ServiceCatalog& catalog,
                                      const ScenarioConfig& config,
-                                     std::size_t events_per_cell) {
+                                     std::size_t events_per_cell)
+    : hours_(ts::kHoursPerWeek) {
   APPSCOPE_REQUIRE(events_per_cell >= 1,
                    "EventReplaySource: events_per_cell must be >= 1");
   util::StageTimer timer("serve.replay.stage");
@@ -90,15 +91,14 @@ EventReplaySource::EventReplaySource(const geo::Territory& territory,
       events_per_cell > std::numeric_limits<std::size_t>::max() / rows) {
     throw reject("overflows");
   }
-  std::vector<std::vector<net::ServiceEvent>> hours(ts::kHoursPerWeek);
   try {
-    for (auto& bucket : hours) bucket.reserve(rows * events_per_cell);
+    for (auto& bucket : hours_) bucket.reserve(rows * events_per_cell);
   } catch (const std::bad_alloc&) {
     throw reject("cannot be reserved");
   } catch (const std::length_error&) {
     throw reject("cannot be reserved");
   }
-  EventStagingSink staging(events_per_cell, hours);
+  EventStagingSink staging(events_per_cell, hours_);
   const AnalyticGenerator generator(territory, subscribers, catalog,
                                     config.traffic_seed,
                                     config.temporal_noise_sigma);
@@ -106,24 +106,15 @@ EventReplaySource::EventReplaySource(const geo::Territory& territory,
   staged_downlink_ = staging.downlink();
   staged_uplink_ = staging.uplink();
 
-  std::size_t total = 0;
-  for (const auto& bucket : hours) total += bucket.size();
-  events_.reserve(total);
-  hour_begin_.reserve(ts::kHoursPerWeek + 1);
-  for (const auto& bucket : hours) {
-    hour_begin_.push_back(events_.size());
-    events_.insert(events_.end(), bucket.begin(), bucket.end());
-  }
-  hour_begin_.push_back(events_.size());
-  timer.add_items(events_.size());
+  for (const auto& bucket : hours_) week_events_ += bucket.size();
+  timer.add_items(week_events_);
 }
 
 std::span<const net::ServiceEvent> EventReplaySource::hour_events(
     std::size_t week_hour) const {
   APPSCOPE_REQUIRE(week_hour < ts::kHoursPerWeek,
                    "EventReplaySource: week hour out of range");
-  return {events_.data() + hour_begin_[week_hour],
-          hour_begin_[week_hour + 1] - hour_begin_[week_hour]};
+  return hours_[week_hour];
 }
 
 RatePacer::RatePacer(double events_per_second)

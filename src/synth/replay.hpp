@@ -46,14 +46,11 @@ class EventReplaySource {
                     std::size_t events_per_cell = 1);
 
   /// Total staged events for one week.
-  std::size_t week_event_count() const noexcept { return events_.size(); }
+  std::size_t week_event_count() const noexcept { return week_events_; }
 
   /// Events of one week hour, in staging order (timestamps are
   /// week-relative; replay loops add whole-week offsets).
   std::span<const net::ServiceEvent> hour_events(std::size_t week_hour) const;
-
-  /// All staged events of the week, hour-major.
-  std::span<const net::ServiceEvent> events() const noexcept { return events_; }
 
   /// Sum of staged volumes (diagnostics; equals the analytic dataset's
   /// totals up to per-cell rounding).
@@ -61,9 +58,9 @@ class EventReplaySource {
   net::Bytes staged_uplink_bytes() const noexcept { return staged_uplink_; }
 
  private:
-  std::vector<net::ServiceEvent> events_;
-  /// hour h's events are events_[hour_begin_[h], hour_begin_[h + 1]).
-  std::vector<std::size_t> hour_begin_;
+  /// hours_[h] holds week hour h's events: the only copy of the week.
+  std::vector<std::vector<net::ServiceEvent>> hours_;
+  std::size_t week_events_ = 0;
   net::Bytes staged_downlink_ = 0;
   net::Bytes staged_uplink_ = 0;
 };

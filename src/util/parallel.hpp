@@ -19,10 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -90,42 +86,6 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t chunk,
     const std::size_t lo = begin + c * chunk;
     const std::size_t hi = lo + chunk < end ? lo + chunk : end;
     fn(lo, hi);
-  });
-}
-
-/// Ordered map/reduce over [begin, end): map(chunk_begin, chunk_end) -> T
-/// runs on the pool; reduce(std::move(partial), chunk_index) is called for
-/// chunk 0, 1, 2, ... strictly in order, one call at a time, from whichever
-/// thread completed the chunk that unblocked the merge frontier. Partials
-/// are merged (and freed) as soon as their turn arrives, so at most
-/// O(threads) partials are typically alive. If map throws, the exception
-/// propagates after the batch drains; chunks before the failed one may
-/// already have been merged.
-template <typename T, typename MapFn, typename ReduceFn>
-void parallel_map_reduce(std::size_t begin, std::size_t end, std::size_t chunk,
-                         MapFn&& map, ReduceFn&& reduce) {
-  APPSCOPE_REQUIRE(chunk > 0, "parallel_map_reduce: chunk grain must be positive");
-  APPSCOPE_REQUIRE(begin <= end, "parallel_map_reduce: begin must be <= end");
-  if (begin == end) return;
-  const std::size_t span = end - begin;
-  const std::size_t chunks = (span + chunk - 1) / chunk;
-
-  std::mutex merge_mutex;
-  std::vector<std::optional<T>> ready(chunks);
-  std::size_t next_merge = 0;
-
-  ThreadPool::global().run(chunks, [&](std::size_t c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-    T partial = map(lo, hi);
-    const std::lock_guard<std::mutex> lock(merge_mutex);
-    ready[c].emplace(std::move(partial));
-    while (next_merge < chunks && ready[next_merge].has_value()) {
-      T merged = std::move(*ready[next_merge]);
-      ready[next_merge].reset();
-      reduce(std::move(merged), next_merge);
-      ++next_merge;
-    }
   });
 }
 

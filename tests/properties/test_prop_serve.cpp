@@ -30,6 +30,7 @@
 #include "serve/ingest.hpp"
 #include "support/temp_dir.hpp"
 #include "synth/replay.hpp"
+#include "ts/calendar.hpp"
 #include "util/error.hpp"
 #include "workload/catalog.hpp"
 #include "workload/population.hpp"
@@ -69,6 +70,19 @@ ServeConfig daemon_config(const fs::path& dir, std::size_t shards) {
   config.epoch_seconds = kEpochSeconds;
   config.snapshot_dir = dir.string();
   return config;
+}
+
+/// The staged week as one hour-major stream, for checks whose positions
+/// cross hour boundaries: the router numbers events across the whole week.
+std::vector<net::ServiceEvent> week_stream(
+    const synth::EventReplaySource& replay) {
+  std::vector<net::ServiceEvent> events;
+  events.reserve(replay.week_event_count());
+  for (std::size_t h = 0; h < ts::kHoursPerWeek; ++h) {
+    const auto hour = replay.hour_events(h);
+    events.insert(events.end(), hour.begin(), hour.end());
+  }
+  return events;
 }
 
 ServeStats run_daemon(const fs::path& dir, std::size_t shards,
@@ -136,7 +150,9 @@ TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
   const synth::EventReplaySource replay(territory, subscribers, catalog,
                                         config);
 
+  const std::vector<net::ServiceEvent> events = week_stream(replay);
   const std::uint64_t total = replay.week_event_count();
+  ASSERT_EQ(events.size(), total);
   const std::uint64_t kept = (total + kPeriod - 1) / kPeriod;
   EXPECT_EQ(stats.ingested, kept);
   EXPECT_EQ(stats.sampled, total - kept);  // net.sampled is exact
@@ -144,7 +160,7 @@ TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
   EventAggregates expected(catalog.size(), territory.size());
   std::uint64_t seq = 0;
   net::Bytes true_downlink = 0;
-  for (const net::ServiceEvent& e : replay.events()) {
+  for (const net::ServiceEvent& e : events) {
     true_downlink += e.downlink_bytes;
     if (seq++ % kPeriod == 0) expected.apply(e, kPeriod);
   }
@@ -170,7 +186,6 @@ TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
   // truth, and the kept phase's error is within the per-run bound.
   std::vector<net::Bytes> phase_sums(kPeriod, 0);
   __uint128_t error_bound = 0;
-  const auto events = replay.events();
   for (std::size_t run = 0; run < events.size(); run += kPeriod) {
     const std::size_t m = std::min<std::size_t>(kPeriod, events.size() - run);
     const net::Bytes first = events[run].downlink_bytes;
@@ -220,13 +235,14 @@ TEST(ParallelIngestBarrier, MidStreamEpochsPartitionTheWeek) {
   const synth::EventReplaySource replay(territory, subscribers, catalog,
                                         config);
 
+  const std::vector<net::ServiceEvent> events = week_stream(replay);
+
   EventAggregates serial(catalog.size(), territory.size());
-  for (const net::ServiceEvent& e : replay.events()) serial.apply(e, 1);
+  for (const net::ServiceEvent& e : events) serial.apply(e, 1);
 
   for (const std::size_t barriers : {1u, 7u, 31u}) {
     ShardedIngest ingest(catalog.size(), territory.size(), {4, 1 << 12});
     EventAggregates rolling(catalog.size(), territory.size());
-    const auto events = replay.events();
     std::size_t routed = 0;
     for (std::size_t cut = 1; cut <= barriers; ++cut) {
       const std::size_t until = events.size() * cut / barriers;

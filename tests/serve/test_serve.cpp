@@ -96,10 +96,12 @@ TEST(SpscQueue, RejectsCapacityWhoseRingCannotBeAllocated) {
 // --- OverloadSampler -------------------------------------------------------
 
 TEST(OverloadSampler, KeepsOneInKWithExactScale) {
-  OverloadSampler sampler(4);
+  OverloadSampler sampler(4, /*window=*/16);
   sampler.force_sampling();
   std::uint64_t kept = 0, dropped = 0;
   for (std::uint64_t i = 0; i < 1000; ++i) {
+    // An overload mid-stream must not cut the forced run down to a window.
+    if (i == 100) sampler.trigger();
     const std::uint64_t scale = sampler.admit();
     if (scale == 0) {
       ++dropped;
@@ -111,6 +113,7 @@ TEST(OverloadSampler, KeepsOneInKWithExactScale) {
   EXPECT_EQ(kept, 250u);
   EXPECT_EQ(dropped, 750u);
   EXPECT_EQ(sampler.sampled(), dropped);
+  EXPECT_TRUE(sampler.sampling_active());
 }
 
 TEST(OverloadSampler, InactiveUntilTriggeredAndWindowExpires) {
@@ -145,9 +148,12 @@ TEST(EventReplaySource, ConservesVolumesAndStagesHourMajor) {
   ASSERT_GT(replay.week_event_count(), 0u);
 
   net::Bytes downlink = 0, uplink = 0;
+  std::size_t events = 0;
   std::uint32_t last_hour_end = 0;
   for (std::size_t h = 0; h < 168; ++h) {
-    for (const net::ServiceEvent& e : replay.hour_events(h)) {
+    const auto hour = replay.hour_events(h);
+    events += hour.size();
+    for (const net::ServiceEvent& e : hour) {
       EXPECT_EQ(e.week_hour(), h);
       EXPECT_GE(e.timestamp, last_hour_end);
       downlink += e.downlink_bytes;
@@ -155,6 +161,7 @@ TEST(EventReplaySource, ConservesVolumesAndStagesHourMajor) {
     }
     last_hour_end = static_cast<std::uint32_t>(h) * net::kSecondsPerHour;
   }
+  EXPECT_EQ(events, replay.week_event_count());
   EXPECT_EQ(downlink, replay.staged_downlink_bytes());
   EXPECT_EQ(uplink, replay.staged_uplink_bytes());
 

@@ -190,55 +190,5 @@ TEST(ParallelFor, EmptyRangeAndPreconditions) {
                PreconditionError);
 }
 
-TEST(ParallelMapReduce, MergesPartialsInChunkIndexOrder) {
-  ThreadPool::set_global_threads(8);
-  // Each chunk maps to the list of its indices; the ordered merge must
-  // reassemble 0..N-1 exactly, at any thread count.
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::size_t> merged;
-    std::size_t expected_chunk = 0;
-    parallel_map_reduce<std::vector<std::size_t>>(
-        0, 1000, 7,
-        [](std::size_t lo, std::size_t hi) {
-          std::vector<std::size_t> out;
-          for (std::size_t i = lo; i < hi; ++i) out.push_back(i);
-          return out;
-        },
-        [&](std::vector<std::size_t>&& partial, std::size_t chunk_index) {
-          EXPECT_EQ(chunk_index, expected_chunk++);
-          merged.insert(merged.end(), partial.begin(), partial.end());
-        });
-    ASSERT_EQ(merged.size(), 1000u);
-    for (std::size_t i = 0; i < merged.size(); ++i) EXPECT_EQ(merged[i], i);
-  }
-  ThreadPool::set_global_threads(0);
-}
-
-TEST(ParallelMapReduce, OrderedReduceIsBitwiseStableAcrossThreadCounts) {
-  // Chunked float accumulation with an ordered merge: identical partial
-  // sums in identical order => identical rounding at every thread count.
-  const auto run_at = [](std::size_t threads) {
-    ThreadPool::set_global_threads(threads);
-    double total = 0.0;
-    parallel_map_reduce<double>(
-        0, 10007, 97,
-        [](std::size_t lo, std::size_t hi) {
-          double acc = 0.0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            acc += 1.0 / (1.0 + static_cast<double>(i));
-          }
-          return acc;
-        },
-        [&total](double partial, std::size_t) { total += partial; });
-    return total;
-  };
-  const double at1 = run_at(1);
-  const double at2 = run_at(2);
-  const double at8 = run_at(8);
-  EXPECT_EQ(at1, at2);
-  EXPECT_EQ(at1, at8);
-  ThreadPool::set_global_threads(0);
-}
-
 }  // namespace
 }  // namespace appscope::util

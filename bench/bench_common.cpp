@@ -15,16 +15,24 @@
 
 namespace appscope::bench {
 
-BenchArgs parse_args(int argc, char** argv, std::vector<std::string> flags) {
+BenchArgs parse_args(int argc, char** argv,
+                     const std::vector<std::string>& valued,
+                     const std::vector<std::string>& switches) {
   const std::string program =
       argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "bench";
-  flags.insert(flags.begin(), {"scale", "trace"});
+  std::vector<std::string> flags = {"scale", "trace"};
+  flags.insert(flags.end(), valued.begin(), valued.end());
+  flags.insert(flags.end(), switches.begin(), switches.end());
   try {
     util::CliArgs args(argc, argv, std::move(flags));
     if (args.has("help")) {
       std::cout << args.help();
       std::exit(0);
     }
+    // Each flag is read once here, so a value on a switch or a bare valued
+    // flag exits 1 before any work rather than where the bench reads it.
+    for (const std::string& name : valued) args.get_string(name, "");
+    for (const std::string& name : switches) args.has(name);
     const char* env = std::getenv("APPSCOPE_SCALE");
     synth::ScenarioConfig config = synth::ScenarioConfig::for_scale(
         args.get_string("scale", env != nullptr ? env : "example"));

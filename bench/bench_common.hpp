@@ -28,14 +28,17 @@ struct BenchArgs {
 };
 
 /// Parses argv strictly. Every bench accepts --scale and --trace=PATH;
-/// `flags` names the rest it reads: its own switches, and "snapshot" when
-/// it builds its dataset through build_dataset. --help prints the accepted
-/// flags and exits 0 before any work. An undeclared flag, a stray argument
-/// or an unknown scale exits 1 with the util::InputError that names it.
-/// Otherwise arms the exports: metrics.json at exit when APPSCOPE_METRICS
-/// is set, and a Chrome trace for --trace=PATH (or APPSCOPE_TRACE).
+/// `valued` names the rest of its "--name=value" flags ("snapshot" when it
+/// builds its dataset through build_dataset) and `switches` its switches.
+/// --help prints the accepted flags and exits 0 before any work. An
+/// undeclared flag, a stray argument, a value on a switch, a valued flag
+/// without one or an unknown scale exits 1 with the util::InputError that
+/// names it. Otherwise arms the exports: metrics.json at exit when
+/// APPSCOPE_METRICS is set, and a Chrome trace for --trace=PATH (or
+/// APPSCOPE_TRACE).
 BenchArgs parse_args(int argc, char** argv,
-                     std::vector<std::string> flags = {});
+                     const std::vector<std::string>& valued = {},
+                     const std::vector<std::string>& switches = {});
 
 /// Builds the dataset of args.config and prints a one-paragraph scenario
 /// summary. Honors "--snapshot=<path>" (or APPSCOPE_SNAPSHOT): load the

@@ -94,7 +94,7 @@ void measured_tail(const synth::ScenarioConfig& config) {
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args =
-      bench::parse_args(argc, argv, {"snapshot", "measured-tail"});
+      bench::parse_args(argc, argv, {"snapshot"}, {"measured-tail"});
   std::cout << util::rule("bench fig02_service_ranking") << "\n";
   const core::TrafficDataset dataset = bench::build_dataset(args);
   run_direction(dataset, workload::Direction::kDownlink);

@@ -107,7 +107,7 @@ void run_direction(const core::TrafficDataset& dataset, workload::Direction d,
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args =
-      bench::parse_args(argc, argv, {"snapshot", "baseline", "dendrogram"});
+      bench::parse_args(argc, argv, {"snapshot"}, {"baseline", "dendrogram"});
   std::cout << util::rule("bench fig05_clustering_quality") << "\n";
   const bool baseline = args.flags.has("baseline");
   const core::TrafficDataset dataset = bench::build_dataset(args);

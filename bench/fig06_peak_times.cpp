@@ -89,7 +89,8 @@ void parameter_sweep(const core::TrafficDataset& dataset) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_args(argc, argv, {"snapshot", "sweep"});
+  const bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"snapshot"}, {"sweep"});
   std::cout << util::rule("bench fig06_peak_times") << "\n";
   const core::TrafficDataset dataset = bench::build_dataset(args);
   const core::PeakReport report =

@@ -13,7 +13,7 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_args(argc, argv, {"full"});
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {}, {"full"});
   std::cout << util::rule("bench pipeline_dpi") << "\n";
   // Event-level simulation is the expensive path: use test-scale geography
   // unless the caller insists.

@@ -40,6 +40,11 @@ int run(const util::CliArgs& args) {
       synth::ScenarioConfig::for_scale(args.get_string("scale", "test"));
   core::StudyOptions study_options;
   study_options.cluster.k_max = args.get_count<std::size_t>("kmax", 19);
+  core::ReportOptions report_options;
+  report_options.title = "Not All Apps Are Created Equal — reproduction report";
+  report_options.include_maps = !args.has("no-maps");
+  const std::string out_path = args.get_string("out", "");
+  const std::string csv_dir = args.get_string("csv-dir", "");
 
   // --snapshot=<path>: reuse the binary dataset snapshot at <path> if it
   // exists (mmap-backed load, no regeneration), otherwise generate and save
@@ -75,11 +80,6 @@ int run(const util::CliArgs& args) {
     std::cerr << "trace will be written to " << trace_path << " on exit\n";
   }
 
-  core::ReportOptions report_options;
-  report_options.title = "Not All Apps Are Created Equal — reproduction report";
-  report_options.include_maps = !args.has("no-maps");
-
-  const std::string out_path = args.get_string("out", "");
   if (out_path.empty()) {
     core::write_markdown_report(report, dataset, std::cout, report_options);
   } else {
@@ -92,7 +92,6 @@ int run(const util::CliArgs& args) {
     std::cerr << "wrote " << out_path << "\n";
   }
 
-  const std::string csv_dir = args.get_string("csv-dir", "");
   if (!csv_dir.empty()) {
     for (const auto& path : core::export_dataset_csv(dataset, csv_dir)) {
       std::cerr << "wrote " << path << "\n";

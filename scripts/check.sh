@@ -4,7 +4,9 @@
 #
 # Every run configures, builds and tests the preset from CMakePresets.json
 # (default release; every test three times over), then runs every bench at
-# APPSCOPE_SCALE=test and every example the preset builds. Each mode adds
+# APPSCOPE_SCALE=test and every example the preset builds. The dev preset
+# links with --gc-sections, and its run also fails on a library function no
+# program links unless scripts/unlinked.py allows it. Each mode adds
 # end-to-end checks against that build:
 #   --metrics     every bench writes a well-formed metrics document
 #   --trace       a traced test-scale report equals the untraced one, and
@@ -71,6 +73,9 @@ cmake --build --preset "$PRESET" -j "$(nproc)"
 # Three rounds of the parallel suite also catch sibling tests sharing
 # scratch files.
 ctest --preset "$PRESET" -j "$(nproc)" --repeat until-fail:3
+if [ "$PRESET" = dev ]; then
+  python3 scripts/unlinked.py "$BUILD"
+fi
 
 rm -rf "$OUT"
 mkdir -p "$ART"

@@ -40,7 +40,6 @@
 #include "ts/kshape.hpp"
 #include "ts/peaks.hpp"
 #include "ts/sbd.hpp"
-#include "ts/time_series.hpp"
 #include "ts/znorm.hpp"
 
 // geo — synthetic country

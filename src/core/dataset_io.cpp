@@ -96,41 +96,6 @@ std::vector<std::string> export_dataset_csv(const TrafficDataset& dataset,
   return written;
 }
 
-std::vector<CommuneTotalsRow> read_commune_totals_csv(std::string_view text) {
-  const auto rows = util::CsvReader::parse(text);
-  APPSCOPE_REQUIRE(!rows.empty(), "read_commune_totals_csv: empty document");
-  const std::vector<std::string> expected_header{
-      "service", "direction", "commune", "urbanization", "bytes",
-      "bytes_per_user"};
-  if (rows.front() != expected_header) {
-    throw util::InputError("read_commune_totals_csv: unexpected header");
-  }
-  std::vector<CommuneTotalsRow> out;
-  out.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    if (r.size() != expected_header.size()) {
-      throw util::InputError("read_commune_totals_csv: bad arity at row " +
-                             std::to_string(i));
-    }
-    CommuneTotalsRow row;
-    row.service = r[0];
-    if (r[1] == "downlink") {
-      row.direction = workload::Direction::kDownlink;
-    } else if (r[1] == "uplink") {
-      row.direction = workload::Direction::kUplink;
-    } else {
-      throw util::InputError("read_commune_totals_csv: bad direction " + r[1]);
-    }
-    row.commune = static_cast<geo::CommuneId>(util::parse_int(r[2]));
-    row.urbanization = r[3];
-    row.bytes = util::parse_double(r[4]);
-    row.bytes_per_user = util::parse_double(r[5]);
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
 TrafficDataset load_or_generate_snapshot(const synth::ScenarioConfig& config,
                                          const std::string& path) {
   APPSCOPE_REQUIRE(!path.empty(), "load_or_generate_snapshot: empty path");

@@ -1,9 +1,9 @@
 // appscope/core/dataset_io.hpp
 //
-// CSV persistence for TrafficDataset aggregates: export the national hourly
-// series, per-commune weekly totals and per-urbanization-class series to
-// plain CSV files (for external plotting/pandas), and re-import the
-// commune-totals table for cross-run comparisons.
+// CSV export of TrafficDataset aggregates: the national hourly series,
+// per-commune weekly totals and per-urbanization-class series as plain CSV
+// files (for external plotting/pandas), plus the snapshot cache of a
+// generated dataset.
 #pragma once
 
 #include <iosfwd>
@@ -33,20 +33,6 @@ void write_urbanization_series_csv(const TrafficDataset& dataset,
 /// Returns the file paths written. Throws InputError on I/O failure.
 std::vector<std::string> export_dataset_csv(const TrafficDataset& dataset,
                                             const std::string& directory);
-
-/// One parsed row of a commune-totals CSV.
-struct CommuneTotalsRow {
-  std::string service;
-  workload::Direction direction = workload::Direction::kDownlink;
-  geo::CommuneId commune = 0;
-  std::string urbanization;
-  double bytes = 0.0;
-  double bytes_per_user = 0.0;
-};
-
-/// Parses a commune-totals document produced by write_commune_totals_csv.
-/// Throws InputError on malformed content.
-std::vector<CommuneTotalsRow> read_commune_totals_csv(std::string_view text);
 
 /// Loads the dataset snapshot at `path` if the file exists, otherwise
 /// generates the dataset from `config` and saves it there for next time.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "util/strings.hpp"
 
@@ -266,14 +265,6 @@ void write_markdown_report(const StudyReport& report,
   render_fig10(out, report, dataset);
   render_fig11(out, report);
   render_extensions(out, report);
-}
-
-std::string markdown_report(const StudyReport& report,
-                            const TrafficDataset& dataset,
-                            const ReportOptions& options) {
-  std::ostringstream out;
-  write_markdown_report(report, dataset, out, options);
-  return out.str();
 }
 
 }  // namespace appscope::core

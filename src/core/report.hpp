@@ -28,9 +28,4 @@ void write_markdown_report(const StudyReport& report,
 /// bullets. The report and `appscope_query --slicing` both print it here.
 void write_slicing_section(std::ostream& out, const SlicingReport& slices);
 
-/// Convenience: renders to a string.
-std::string markdown_report(const StudyReport& report,
-                            const TrafficDataset& dataset,
-                            const ReportOptions& options = {});
-
 }  // namespace appscope::core

@@ -120,16 +120,6 @@ SlicingReport analyze_slicing(const query::SnapshotView& view,
       [&](std::size_t s) { return view.catalog()[s].name; }, d);
 }
 
-la::Matrix peak_cooccurrence(const TrafficDataset& dataset,
-                             workload::Direction d, double threshold) {
-  return cooccurrence_rows(
-      dataset.service_count(),
-      [&](std::size_t s) {
-        return std::span<const double>(dataset.national_series(s, d));
-      },
-      threshold);
-}
-
 la::Matrix peak_cooccurrence(const query::SnapshotView& view,
                              workload::Direction d, double threshold) {
   return cooccurrence_rows(

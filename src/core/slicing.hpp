@@ -66,14 +66,10 @@ SlicingReport analyze_slicing(const TrafficDataset& dataset,
 SlicingReport analyze_slicing(const query::SnapshotView& view,
                               workload::Direction d);
 
-/// Peak-hour co-occurrence: entry (i, j) = 1 if services i and j reach
-/// >= `threshold` of their own peak in the same hour at least once.
-/// Sparse co-occurrence across services is the complementarity that makes
-/// the multiplexing gain possible.
-la::Matrix peak_cooccurrence(const TrafficDataset& dataset,
-                             workload::Direction d, double threshold = 0.9);
-
-/// Query-path overload, bitwise identical to the dataset overload.
+/// Peak-hour co-occurrence over a snapshot's national series: entry
+/// (i, j) = 1 if services i and j reach >= `threshold` of their own peak in
+/// the same hour at least once. Sparse co-occurrence across services is the
+/// complementarity that makes the multiplexing gain possible.
 la::Matrix peak_cooccurrence(const query::SnapshotView& view,
                              workload::Direction d, double threshold = 0.9);
 

@@ -32,25 +32,6 @@ void GridMap::deposit(const Point& p, double value) {
   ++counts_[i];
 }
 
-double GridMap::cell(std::size_t col, std::size_t row) const {
-  const std::size_t i = index(col, row);
-  return counts_[i] > 0 ? sums_[i] / static_cast<double>(counts_[i]) : 0.0;
-}
-
-bool GridMap::occupied(std::size_t col, std::size_t row) const {
-  return counts_[index(col, row)] > 0;
-}
-
-double GridMap::max_cell() const noexcept {
-  double best = 0.0;
-  for (std::size_t i = 0; i < sums_.size(); ++i) {
-    if (counts_[i] > 0) {
-      best = std::max(best, sums_[i] / static_cast<double>(counts_[i]));
-    }
-  }
-  return best;
-}
-
 std::vector<double> GridMap::normalized_levels(bool log_scale) const {
   // Normalize occupied cells to [0, 1]; unoccupied cells get -1.
   std::vector<double> levels(sums_.size(), -1.0);
@@ -95,21 +76,6 @@ std::string GridMap::render_ascii(bool log_scale) const {
       }
     }
     out.push_back('\n');
-  }
-  return out;
-}
-
-std::string GridMap::render_pgm(bool log_scale) const {
-  const std::vector<double> levels = normalized_levels(log_scale);
-  std::string out = "P2\n" + std::to_string(cols_) + " " + std::to_string(rows_) +
-                    "\n255\n";
-  for (std::size_t r = rows_; r-- > 0;) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const double v = levels[r * cols_ + c];
-      const int grey = v < 0.0 ? 0 : static_cast<int>(std::lround(40.0 + v * 215.0));
-      out += std::to_string(grey);
-      out.push_back(c + 1 < cols_ ? ' ' : '\n');
-    }
   }
   return out;
 }

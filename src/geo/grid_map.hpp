@@ -25,21 +25,10 @@ class GridMap {
   /// Accumulates `value` into the cell containing `p` (mean of deposits).
   void deposit(const Point& p, double value);
 
-  /// Mean deposited value of a cell (0 if the cell received no deposits).
-  double cell(std::size_t col, std::size_t row) const;
-
-  /// True if the cell received at least one deposit.
-  bool occupied(std::size_t col, std::size_t row) const;
-
-  /// Largest mean cell value.
-  double max_cell() const noexcept;
-
-  /// ASCII shade rendering; `log_scale` maps values through log10 first
-  /// (traffic maps span many decades). Empty cells render as spaces.
+  /// ASCII shade rendering of each cell's mean deposit, north up;
+  /// `log_scale` maps values through log10 first (traffic maps span many
+  /// decades). Empty cells render as spaces.
   std::string render_ascii(bool log_scale = true) const;
-
-  /// Binary PGM (P2 text) rendering for external viewing.
-  std::string render_pgm(bool log_scale = true) const;
 
  private:
   std::size_t index(std::size_t col, std::size_t row) const;

@@ -34,12 +34,4 @@ double Polyline::distance_km(const Point& p) const {
   return best;
 }
 
-double Polyline::length_km() const noexcept {
-  double total = 0.0;
-  for (std::size_t i = 0; i + 1 < points.size(); ++i) {
-    total += geo::distance_km(points[i], points[i + 1]);
-  }
-  return total;
-}
-
 }  // namespace appscope::geo

@@ -29,9 +29,6 @@ struct Polyline {
 
   /// Minimum distance from `p` to any segment; requires >= 2 points.
   double distance_km(const Point& p) const;
-
-  /// Total length in km.
-  double length_km() const noexcept;
 };
 
 }  // namespace appscope::geo

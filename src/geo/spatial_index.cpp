@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -57,28 +56,6 @@ std::vector<CommuneId> SpatialIndex::within_radius(const Point& p,
   out.reserve(hits.size());
   for (const auto& [d, id] : hits) out.push_back(id);
   return out;
-}
-
-CommuneId SpatialIndex::nearest(const Point& p) const {
-  APPSCOPE_REQUIRE(!points_.empty(), "SpatialIndex: empty index");
-  // Expand the search radius ring by ring until a hit is found, then verify
-  // one extra ring (a closer point can live in a farther bucket corner).
-  for (double radius = cell_km_;; radius *= 2.0) {
-    const auto hits = within_radius(p, radius);
-    if (!hits.empty()) return hits.front();
-    if (radius > 4.0 * territory_.side_km()) break;
-  }
-  // Degenerate fallback: linear scan.
-  CommuneId best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const double d = distance_km(p, points_[i]);
-    if (d < best_d) {
-      best_d = d;
-      best = static_cast<CommuneId>(i);
-    }
-  }
-  return best;
 }
 
 std::vector<CommuneId> SpatialIndex::neighbors(CommuneId c,

@@ -1,6 +1,6 @@
 // appscope/geo/spatial_index.hpp
 //
-// Grid-bucketed nearest-neighbour index over commune centroids. Used to
+// Grid-bucketed proximity index over commune centroids. Used to
 // model the ULI localization error (paper Sec. 2: the median error of
 // ULI-based positioning is ~3 km, so a session can be attributed to a
 // neighbouring commune) and available for any proximity query over the
@@ -22,9 +22,6 @@ class SpatialIndex {
   /// Communes whose centroid lies within `radius_km` of `p` (inclusive),
   /// in ascending distance order. Always exact (the grid only accelerates).
   std::vector<CommuneId> within_radius(const Point& p, double radius_km) const;
-
-  /// The commune whose centroid is closest to `p`.
-  CommuneId nearest(const Point& p) const;
 
   /// Neighbour communes of `c` within `radius_km`, excluding `c` itself.
   std::vector<CommuneId> neighbors(CommuneId c, double radius_km) const;

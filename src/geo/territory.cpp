@@ -35,20 +35,6 @@ std::vector<std::size_t> Territory::communes_in(Urbanization u) const {
   return out;
 }
 
-std::array<std::size_t, kUrbanizationCount> Territory::class_counts() const noexcept {
-  std::array<std::size_t, kUrbanizationCount> counts{};
-  for (const auto& c : communes_) {
-    ++counts[static_cast<std::size_t>(c.urbanization)];
-  }
-  return counts;
-}
-
-std::uint64_t Territory::total_population() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : communes_) total += c.population;
-  return total;
-}
-
 std::uint64_t Territory::population_in(Urbanization u) const noexcept {
   std::uint64_t total = 0;
   for (const auto& c : communes_) {

@@ -8,7 +8,6 @@
 // urban/semi-urban/rural/TGV partition, and coverage — all reproduced here.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,12 +88,6 @@ class Territory {
 
   /// Indices of communes in a given urbanization class.
   std::vector<std::size_t> communes_in(Urbanization u) const;
-
-  /// Number of communes per urbanization class.
-  std::array<std::size_t, kUrbanizationCount> class_counts() const noexcept;
-
-  /// Sum of commune populations.
-  std::uint64_t total_population() const noexcept;
 
   /// Population living in a given urbanization class.
   std::uint64_t population_in(Urbanization u) const noexcept;

@@ -92,12 +92,6 @@ std::string ByteReader::str() {
   return out;
 }
 
-void ByteReader::raw(void* out, std::size_t size) {
-  require(size);
-  std::memcpy(out, bytes_.data() + offset_, size);
-  offset_ += size;
-}
-
 std::size_t ByteReader::count(std::size_t min_element_bytes) {
   const std::uint64_t n = u64();
   if (n > remaining() / min_element_bytes) {

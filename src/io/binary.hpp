@@ -57,7 +57,6 @@ class ByteReader {
   std::uint64_t u64();
   double f64();
   std::string str();
-  void raw(void* out, std::size_t size);
   /// A u64 element count, checked against the unread bytes: each element
   /// encodes to at least `min_element_bytes`, so a corrupted count throws
   /// InputError instead of sizing an allocation past the payload.

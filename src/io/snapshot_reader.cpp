@@ -153,11 +153,6 @@ void SnapshotReader::check_payload_crc(const SectionEntry& e,
   }
 }
 
-bool SnapshotReader::has_section(SectionId id) const noexcept {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const SectionEntry& e) { return e.id == id; });
-}
-
 const SectionEntry& SnapshotReader::entry(SectionId id) const {
   for (const SectionEntry& e : entries_) {
     if (e.id == id) return e;

@@ -44,7 +44,6 @@ class SnapshotReader {
 
   const SnapshotHeader& header() const noexcept { return header_; }
   const std::vector<SectionEntry>& sections() const noexcept { return entries_; }
-  bool has_section(SectionId id) const noexcept;
 
   /// Payload view of one section (zero-copy into the mapping). Throws
   /// util::InputError if the section is absent or its payload fails the

@@ -103,11 +103,6 @@ void FftPlan::forward(std::complex<double>* data) const {
   transform(data, /*inverse=*/false);
 }
 
-void FftPlan::inverse(std::complex<double>* data) const {
-  count_transform();
-  transform(data, /*inverse=*/true);
-}
-
 const FftPlan& FftPlan::plan_for(std::size_t n) {
   APPSCOPE_REQUIRE(n != 0 && (n & (n - 1)) == 0,
                    "fft: size must be a power of two");

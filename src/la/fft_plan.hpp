@@ -40,8 +40,6 @@ class FftPlan {
 
   /// In-place forward DFT (no scaling) over data[0, size()).
   void forward(std::complex<double>* data) const;
-  /// In-place inverse DFT including the 1/n scale.
-  void inverse(std::complex<double>* data) const;
 
   /// Shared plan for size n (power of two >= 1), from the lock-free cache.
   static const FftPlan& plan_for(std::size_t n);

@@ -9,88 +9,10 @@ namespace appscope::la {
 Matrix::Matrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
-    : rows_(rows), cols_(cols), data_(std::move(data)) {
-  APPSCOPE_REQUIRE(data_.size() == rows_ * cols_,
-                   "Matrix: data size must equal rows*cols");
-}
-
 Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-Matrix Matrix::outer(std::span<const double> a, std::span<const double> b) {
-  Matrix m(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) m(i, j) = a[i] * b[j];
-  }
-  return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  APPSCOPE_REQUIRE(r < rows_ && c < cols_, "Matrix::at out of range");
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  APPSCOPE_REQUIRE(r < rows_ && c < cols_, "Matrix::at out of range");
-  return (*this)(r, c);
-}
-
-Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
-  return t;
-}
-
-Matrix Matrix::operator+(const Matrix& other) const {
-  APPSCOPE_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-                   "Matrix+: shape mismatch");
-  Matrix out = *this;
-  out += other;
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  APPSCOPE_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-                   "Matrix-: shape mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  APPSCOPE_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-                   "Matrix+=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double alpha) noexcept {
-  for (double& v : data_) v *= alpha;
-  return *this;
-}
-
-Matrix Matrix::operator*(const Matrix& other) const {
-  APPSCOPE_REQUIRE(cols_ == other.rows_, "Matrix*: inner dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out(i, j) += aik * other(k, j);
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<double> Matrix::multiply(std::span<const double> x) const {
@@ -105,14 +27,6 @@ std::vector<double> Matrix::multiply(std::span<const double> x) const {
   return y;
 }
 
-bool Matrix::approx_equal(const Matrix& other, double tol) const noexcept {
-  if (rows_ != other.rows_ || cols_ != other.cols_) return false;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    if (std::abs(data_[i] - other.data_[i]) > tol) return false;
-  }
-  return true;
-}
-
 bool Matrix::is_symmetric(double tol) const noexcept {
   if (rows_ != cols_) return false;
   for (std::size_t i = 0; i < rows_; ++i) {
@@ -121,13 +35,6 @@ bool Matrix::is_symmetric(double tol) const noexcept {
     }
   }
   return true;
-}
-
-double Matrix::trace() const {
-  APPSCOPE_REQUIRE(rows_ == cols_, "trace: matrix must be square");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) acc += (*this)(i, i);
-  return acc;
 }
 
 double Matrix::frobenius_norm() const noexcept {

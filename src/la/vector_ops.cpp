@@ -1,6 +1,5 @@
 #include "la/vector_ops.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "la/simd.hpp"
@@ -49,20 +48,6 @@ void scale(std::span<double> x, double alpha) noexcept {
   simd::active().scale(x.data(), x.size(), alpha);
 }
 
-std::vector<double> add(std::span<const double> a, std::span<const double> b) {
-  APPSCOPE_REQUIRE(a.size() == b.size(), "add: length mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-std::vector<double> subtract(std::span<const double> a, std::span<const double> b) {
-  APPSCOPE_REQUIRE(a.size() == b.size(), "subtract: length mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
 double sum(std::span<const double> a) noexcept {
   double acc = 0.0;
   for (const double v : a) acc += v;
@@ -72,22 +57,6 @@ double sum(std::span<const double> a) noexcept {
 double mean(std::span<const double> a) {
   APPSCOPE_REQUIRE(!a.empty(), "mean: empty input");
   return sum(a) / static_cast<double>(a.size());
-}
-
-double max_element(std::span<const double> a) {
-  APPSCOPE_REQUIRE(!a.empty(), "max_element: empty input");
-  return *std::max_element(a.begin(), a.end());
-}
-
-double min_element(std::span<const double> a) {
-  APPSCOPE_REQUIRE(!a.empty(), "min_element: empty input");
-  return *std::min_element(a.begin(), a.end());
-}
-
-std::size_t argmax(std::span<const double> a) {
-  APPSCOPE_REQUIRE(!a.empty(), "argmax: empty input");
-  return static_cast<std::size_t>(
-      std::distance(a.begin(), std::max_element(a.begin(), a.end())));
 }
 
 }  // namespace appscope::la

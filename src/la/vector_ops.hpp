@@ -28,23 +28,10 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// x *= alpha (in place).
 void scale(std::span<double> x, double alpha) noexcept;
 
-/// Returns a + b.
-std::vector<double> add(std::span<const double> a, std::span<const double> b);
-
-/// Returns a - b.
-std::vector<double> subtract(std::span<const double> a, std::span<const double> b);
-
 /// Sum of elements.
 double sum(std::span<const double> a) noexcept;
 
 /// Arithmetic mean; requires non-empty input.
 double mean(std::span<const double> a);
-
-/// Maximum / minimum element; require non-empty input.
-double max_element(std::span<const double> a);
-double min_element(std::span<const double> a);
-
-/// Index of the maximum element; requires non-empty input.
-std::size_t argmax(std::span<const double> a);
 
 }  // namespace appscope::la

@@ -47,11 +47,6 @@ void ResultCache::put(const std::string& key, const Result& result) {
   }
 }
 
-std::size_t ResultCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
 std::uint64_t ResultCache::hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return hits_;

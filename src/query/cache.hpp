@@ -30,7 +30,6 @@ class ResultCache {
   /// entry when full.
   void put(const std::string& key, const Result& result);
 
-  std::size_t size() const;
   std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t hits() const;
   std::uint64_t misses() const;

@@ -32,8 +32,6 @@ void keep_top_k(std::vector<GroupValue>& groups, std::uint32_t k) {
 
 }  // namespace
 
-Engine::Engine() : Engine(Options{}) {}
-
 Engine::Engine(Options options) : cache_(options.cache_capacity) {}
 
 Result Engine::run(const SnapshotView& view, const Slice& slice) {

@@ -35,7 +35,6 @@ class Engine {
     std::size_t cache_capacity = 128;
   };
 
-  Engine();
   explicit Engine(Options options);
 
   /// Plans, probes the cache and (on a miss) scans. Throws

@@ -259,6 +259,9 @@ int main(int argc, char** argv) {
 
     const query::Slice slice = slice_from_args(args);
     const bool follow = args.has("follow");
+    const bool slicing = args.has("slicing");
+    const bool stats = args.has("stats");
+    const bool check = args.has("check");
     if (follow && dir.empty()) {
       std::cerr << "appscope_query: --follow needs --dir\n";
       return 2;
@@ -305,18 +308,18 @@ int main(int argc, char** argv) {
     }
 
     print_result(std::cout, slice, result);
-    if (args.has("slicing")) {
+    if (slicing) {
       core::write_slicing_section(
           std::cout, core::analyze_slicing(*view, slice.direction));
     }
-    if (args.has("stats")) {
+    if (stats) {
       std::cerr << "appscope_query: snapshot " << view->path() << " ("
                 << view->file_bytes() << " bytes, " << view->mapped_bytes()
                 << " mapped), cache " << engine.cache().hits() << " hits / "
                 << engine.cache().misses() << " misses, scanned "
                 << result.bytes_scanned << " bytes\n";
     }
-    if (args.has("check")) {
+    if (check) {
       return check_against_full_load(*view, slice, result);
     }
     return 0;

@@ -62,23 +62,6 @@ std::span<const double> SnapshotView::national_row(std::size_t service,
                synth::AggregateLayout::kHours);
 }
 
-std::span<const double> SnapshotView::commune_row(std::size_t service,
-                                                  workload::Direction d) const {
-  APPSCOPE_REQUIRE(service < services(),
-                   "SnapshotView::commune_row: service out of range");
-  return column(io::SectionId::kCommuneTotals)
-      .subspan(layout().commune_offset(service, d), communes());
-}
-
-std::span<const double> SnapshotView::urbanization_row(
-    std::size_t service, geo::Urbanization u, workload::Direction d) const {
-  APPSCOPE_REQUIRE(service < services(),
-                   "SnapshotView::urbanization_row: service out of range");
-  return column(io::SectionId::kUrbanizationSeries)
-      .subspan(layout().urbanization_offset(service, u, d),
-               synth::AggregateLayout::kHours);
-}
-
 const workload::ServiceCatalog& SnapshotView::catalog() const {
   std::call_once(catalog_once_, [this] {
     catalog_ = std::make_unique<const workload::ServiceCatalog>(

@@ -49,16 +49,6 @@ class SnapshotView {
   std::span<const double> national_row(std::size_t service,
                                        workload::Direction d) const;
 
-  /// Weekly per-commune totals of one (service, direction): communes()
-  /// doubles indexed by commune id.
-  std::span<const double> commune_row(std::size_t service,
-                                      workload::Direction d) const;
-
-  /// Hourly series of one (service, urbanization class, direction).
-  std::span<const double> urbanization_row(std::size_t service,
-                                           geo::Urbanization u,
-                                           workload::Direction d) const;
-
   /// Whole f64 column of one aggregate cube section, validated against the
   /// header dimensions (CRC-checks the section on first touch).
   /// Precondition: `id` names one of the three cube sections.

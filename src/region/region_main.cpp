@@ -60,27 +60,36 @@ workload::Direction parse_direction(const std::string& name) {
 }
 
 int run(const util::CliArgs& args) {
-  if (args.has("list")) {
+  // Every flag is read before any work, so a malformed one fails the run
+  // even beside --list.
+  const bool list = args.has("list");
+  const region::RegionScale scale =
+      parse_scale(args.get_string("scale", "test"));
+  const std::string names = args.get_string("regions", "");
+  const auto count = args.get_count<std::size_t>("count", 4);
+  region::OrchestratorOptions options;
+  options.root = args.get_string("out", "region_out");
+  options.reuse_snapshots = !args.has("regenerate");
+  options.threads = args.get_count<std::size_t>("threads", 0);
+  const std::string merge_path =
+      args.get_string("merge", options.root + "/national.snapshot");
+  const workload::Direction direction =
+      parse_direction(args.get_string("direction", "downlink"));
+  region::RegionReportOptions report_options;
+  report_options.max_rows = args.get_count<std::size_t>("max-rows", 10);
+  const std::string report_path = args.get_string("report", "");
+
+  if (list) {
     for (const std::string& id : region::RegionSet::preset_ids()) {
       std::cout << id << "\n";
     }
     return 0;
   }
 
-  const region::RegionScale scale =
-      parse_scale(args.get_string("scale", "test"));
-  const std::string names = args.get_string("regions", "");
   const region::RegionSet regions =
       names.empty()
-          ? region::RegionSet::metro_areas(
-                args.get_count<std::size_t>("count", 4), scale)
+          ? region::RegionSet::metro_areas(count, scale)
           : region::RegionSet::metro_areas_named(split_ids(names), scale);
-
-  region::OrchestratorOptions options;
-  options.root = args.get_string("out", "region_out");
-  options.reuse_snapshots = !args.has("regenerate");
-  options.threads = args.get_count<std::size_t>("threads", 0);
-
   const region::OrchestrationReport orchestration =
       region::orchestrate(regions, options);
   for (const region::RegionRun& run : orchestration.runs) {
@@ -93,8 +102,6 @@ int run(const util::CliArgs& args) {
   // Each region snapshot is read and validated exactly once: the loaded
   // inputs feed the merge AND become the comparison-tier datasets (a warm
   // campaign pays one decode per region, not two).
-  const std::string merge_path =
-      args.get_string("merge", options.root + "/national.snapshot");
   std::vector<io::LoadedSnapshot> loaded =
       region::load_region_snapshots(orchestration.snapshot_paths());
   io::LoadedSnapshot merged = region::merge_loaded_snapshots(loaded);
@@ -117,13 +124,9 @@ int run(const util::CliArgs& args) {
   std::vector<const core::TrafficDataset*> pointers;
   pointers.reserve(datasets.size());
   for (const core::TrafficDataset& d : datasets) pointers.push_back(&d);
-  const region::RegionComparisonReport comparison = region::compare_regions(
-      pointers, national, parse_direction(args.get_string("direction",
-                                                          "downlink")));
+  const region::RegionComparisonReport comparison =
+      region::compare_regions(pointers, national, direction);
 
-  region::RegionReportOptions report_options;
-  report_options.max_rows = args.get_count<std::size_t>("max-rows", 10);
-  const std::string report_path = args.get_string("report", "");
   if (report_path.empty()) {
     region::write_region_report(comparison, &merge, std::cout, report_options);
   } else {

@@ -1,7 +1,6 @@
 #include "region/report.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "util/strings.hpp"
 
@@ -89,14 +88,6 @@ void write_region_report(const RegionComparisonReport& comparison,
   render_fingerprints(out, comparison);
   render_divergence(out, comparison, options.max_rows);
   render_urban_rural(out, comparison, options.max_rows);
-}
-
-std::string region_report_markdown(const RegionComparisonReport& comparison,
-                                   const MergeStats* merge,
-                                   const RegionReportOptions& options) {
-  std::ostringstream out;
-  write_region_report(comparison, merge, out, options);
-  return out.str();
 }
 
 }  // namespace appscope::region

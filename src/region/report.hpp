@@ -28,9 +28,4 @@ void write_region_report(const RegionComparisonReport& comparison,
                          const MergeStats* merge, std::ostream& out,
                          const RegionReportOptions& options = {});
 
-/// Convenience: renders to a string.
-std::string region_report_markdown(const RegionComparisonReport& comparison,
-                                   const MergeStats* merge = nullptr,
-                                   const RegionReportOptions& options = {});
-
 }  // namespace appscope::region

@@ -148,13 +148,6 @@ RegionSet::RegionSet(std::vector<RegionSpec> regions)
   }
 }
 
-const RegionSpec* RegionSet::find(const std::string& id) const noexcept {
-  for (const RegionSpec& r : regions_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
-}
-
 RegionSet RegionSet::metro_areas(std::size_t count, RegionScale scale) {
   if (count == 0 || count > kMetroPresetCount) {
     throw util::InputError("RegionSet::metro_areas: count must be in [1, " +

@@ -52,9 +52,6 @@ class RegionSet {
   const RegionSpec& operator[](std::size_t i) const { return regions_.at(i); }
   const std::vector<RegionSpec>& regions() const noexcept { return regions_; }
 
-  /// The region with the given id, or nullptr.
-  const RegionSpec* find(const std::string& id) const noexcept;
-
   /// The first `count` metro-area presets (1..20) at the given scale.
   /// Throws util::InputError when count is 0 or exceeds the preset table.
   static RegionSet metro_areas(std::size_t count,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "la/vector_ops.hpp"
 #include "stats/descriptive.hpp"
@@ -11,16 +10,6 @@
 #include "util/parallel.hpp"
 
 namespace appscope::stats {
-
-double covariance(std::span<const double> x, std::span<const double> y) {
-  APPSCOPE_REQUIRE(x.size() == y.size(), "covariance: length mismatch");
-  APPSCOPE_REQUIRE(!x.empty(), "covariance: empty input");
-  const double mx = mean(x);
-  const double my = mean(y);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) acc += (x[i] - mx) * (y[i] - my);
-  return acc / static_cast<double>(x.size());
-}
 
 double pearson(std::span<const double> x, std::span<const double> y) {
   APPSCOPE_REQUIRE(x.size() == y.size(), "pearson: length mismatch");
@@ -44,35 +33,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
 double pearson_r2(std::span<const double> x, std::span<const double> y) {
   const double r = pearson(x, y);
   return r * r;
-}
-
-namespace {
-/// Average ranks with ties sharing the mean rank (1-based).
-std::vector<double> average_ranks(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&xs](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    const double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg_rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-}  // namespace
-
-double spearman(std::span<const double> x, std::span<const double> y) {
-  APPSCOPE_REQUIRE(x.size() == y.size(), "spearman: length mismatch");
-  APPSCOPE_REQUIRE(x.size() >= 2, "spearman: needs >= 2 samples");
-  const std::vector<double> rx = average_ranks(x);
-  const std::vector<double> ry = average_ranks(y);
-  return pearson(rx, ry);
 }
 
 la::Matrix pairwise_r2(const std::vector<std::vector<double>>& vectors) {

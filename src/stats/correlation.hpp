@@ -1,8 +1,8 @@
 // appscope/stats/correlation.hpp
 //
 // Correlation measures used throughout the paper's analyses: Pearson's r and
-// the coefficient of determination r² (Figs. 10-11), Spearman's rank
-// correlation, and pairwise correlation matrices over sets of vectors.
+// the coefficient of determination r² (Figs. 10-11), and pairwise
+// correlation matrices over sets of vectors.
 #pragma once
 
 #include <span>
@@ -12,9 +12,6 @@
 
 namespace appscope::stats {
 
-/// Covariance (population); requires equal lengths >= 1.
-double covariance(std::span<const double> x, std::span<const double> y);
-
 /// Pearson's correlation coefficient r in [-1, 1].
 /// Requires equal lengths >= 2. If either vector is constant, returns 0
 /// (no linear association measurable), matching common tooling behavior.
@@ -22,9 +19,6 @@ double pearson(std::span<const double> x, std::span<const double> y);
 
 /// Coefficient of determination r² = pearson²  (the paper's "Pearson's r²").
 double pearson_r2(std::span<const double> x, std::span<const double> y);
-
-/// Spearman's rank correlation (Pearson on average ranks, ties averaged).
-double spearman(std::span<const double> x, std::span<const double> y);
 
 /// Pairwise r² matrix: entry (i, j) = pearson_r2(vectors[i], vectors[j]),
 /// bit for bit. All vectors must have equal length >= 2. The diagonal is 1

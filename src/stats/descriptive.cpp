@@ -8,36 +8,11 @@
 namespace appscope::stats {
 
 void RunningStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::mean() const {
@@ -50,25 +25,8 @@ double RunningStats::variance_population() const {
   return m2_ / static_cast<double>(count_);
 }
 
-double RunningStats::variance_sample() const {
-  APPSCOPE_REQUIRE(count_ > 1, "variance_sample: needs >= 2 samples");
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
 double RunningStats::stddev_population() const {
   return std::sqrt(variance_population());
-}
-
-double RunningStats::stddev_sample() const { return std::sqrt(variance_sample()); }
-
-double RunningStats::min() const {
-  APPSCOPE_REQUIRE(count_ > 0, "RunningStats::min: no samples");
-  return min_;
-}
-
-double RunningStats::max() const {
-  APPSCOPE_REQUIRE(count_ > 0, "RunningStats::max: no samples");
-  return max_;
 }
 
 namespace {
@@ -80,22 +38,6 @@ RunningStats accumulate(std::span<const double> xs) {
 }  // namespace
 
 double mean(std::span<const double> xs) { return accumulate(xs).mean(); }
-
-double variance_population(std::span<const double> xs) {
-  return accumulate(xs).variance_population();
-}
-
-double variance_sample(std::span<const double> xs) {
-  return accumulate(xs).variance_sample();
-}
-
-double stddev_population(std::span<const double> xs) {
-  return accumulate(xs).stddev_population();
-}
-
-double stddev_sample(std::span<const double> xs) {
-  return accumulate(xs).stddev_sample();
-}
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
@@ -127,35 +69,6 @@ std::vector<double> quantiles(std::span<const double> xs,
     out.push_back(sorted[lo] * (1.0 - frac) + sorted[hi] * frac);
   }
   return out;
-}
-
-double skewness(std::span<const double> xs) {
-  APPSCOPE_REQUIRE(xs.size() >= 2, "skewness: needs >= 2 samples");
-  const double m = mean(xs);
-  double m2 = 0.0;
-  double m3 = 0.0;
-  for (const double x : xs) {
-    const double d = x - m;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  const double n = static_cast<double>(xs.size());
-  m2 /= n;
-  m3 /= n;
-  APPSCOPE_REQUIRE(m2 > 0.0, "skewness: zero variance");
-  return m3 / std::pow(m2, 1.5);
-}
-
-double coefficient_of_variation(std::span<const double> xs) {
-  const double m = mean(xs);
-  APPSCOPE_REQUIRE(m != 0.0, "coefficient_of_variation: zero mean");
-  return stddev_population(xs) / m;
-}
-
-double peak_to_mean(std::span<const double> xs) {
-  const double m = mean(xs);
-  APPSCOPE_REQUIRE(m > 0.0, "peak_to_mean: mean must be positive");
-  return *std::max_element(xs.begin(), xs.end()) / m;
 }
 
 }  // namespace appscope::stats

@@ -8,39 +8,27 @@
 
 namespace appscope::stats {
 
-/// Streaming single-pass accumulator (Welford) for mean/variance plus
-/// min/max/sum. Numerically stable for long streams of traffic volumes.
+/// Streaming single-pass accumulator (Welford) for mean/variance plus sum.
+/// Numerically stable for long streams of traffic volumes.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return count_; }
   double sum() const noexcept { return sum_; }
   double mean() const;
   /// Population variance (divide by n). Requires count() >= 1.
   double variance_population() const;
-  /// Sample variance (divide by n-1). Requires count() >= 2.
-  double variance_sample() const;
   double stddev_population() const;
-  double stddev_sample() const;
-  double min() const;
-  double max() const;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 double mean(std::span<const double> xs);
-double variance_population(std::span<const double> xs);
-double variance_sample(std::span<const double> xs);
-double stddev_population(std::span<const double> xs);
-double stddev_sample(std::span<const double> xs);
 
 /// Median (average of middle pair for even n); requires non-empty input.
 double median(std::span<const double> xs);
@@ -51,14 +39,5 @@ double quantile(std::span<const double> xs, double q);
 /// Several quantiles at once (single sort).
 std::vector<double> quantiles(std::span<const double> xs,
                               std::span<const double> qs);
-
-/// Fisher skewness (population); requires n >= 2 and non-zero variance.
-double skewness(std::span<const double> xs);
-
-/// Coefficient of variation stddev/mean; requires non-zero mean.
-double coefficient_of_variation(std::span<const double> xs);
-
-/// Peak-to-mean ratio max/mean; requires positive mean.
-double peak_to_mean(std::span<const double> xs);
 
 }  // namespace appscope::stats

@@ -18,23 +18,6 @@ double Ecdf::operator()(double x) const noexcept {
          static_cast<double>(sorted_.size());
 }
 
-double Ecdf::inverse(double q) const {
-  APPSCOPE_REQUIRE(q > 0.0 && q <= 1.0, "Ecdf::inverse: q must be in (0,1]");
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted_.size()))) - 1;
-  return sorted_[std::min(idx, sorted_.size() - 1)];
-}
-
-std::vector<std::pair<double, double>> Ecdf::curve() const {
-  std::vector<std::pair<double, double>> out;
-  const double n = static_cast<double>(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (i + 1 < sorted_.size() && sorted_[i + 1] == sorted_[i]) continue;
-    out.emplace_back(sorted_[i], static_cast<double>(i + 1) / n);
-  }
-  return out;
-}
-
 std::vector<double> cumulative_share_ranked(std::span<const double> values) {
   APPSCOPE_REQUIRE(!values.empty(), "cumulative_share_ranked: empty input");
   std::vector<double> sorted(values.begin(), values.end());
@@ -79,64 +62,6 @@ double gini(std::span<const double> values) {
     weighted += static_cast<double>(i + 1) * sorted[i];
   }
   return (2.0 * weighted) / (n * total) - (n + 1.0) / n;
-}
-
-std::vector<HistogramBin> histogram(std::span<const double> values,
-                                    std::size_t bins) {
-  APPSCOPE_REQUIRE(!values.empty(), "histogram: empty input");
-  APPSCOPE_REQUIRE(bins > 0, "histogram: bins must be positive");
-  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
-  const double lo = *lo_it;
-  const double hi = *hi_it;
-  const double width = hi > lo ? (hi - lo) / static_cast<double>(bins) : 1.0;
-  std::vector<HistogramBin> out(bins);
-  for (std::size_t b = 0; b < bins; ++b) {
-    out[b].lower = lo + static_cast<double>(b) * width;
-    out[b].upper = out[b].lower + width;
-  }
-  for (const double v : values) {
-    auto b = static_cast<std::size_t>((v - lo) / width);
-    if (b >= bins) b = bins - 1;  // v == hi lands in the last bin
-    ++out[b].count;
-  }
-  return out;
-}
-
-std::vector<HistogramBin> log_histogram(std::span<const double> values,
-                                        std::size_t bins_per_decade) {
-  APPSCOPE_REQUIRE(bins_per_decade > 0, "log_histogram: bins_per_decade > 0");
-  double lo = 0.0;
-  double hi = 0.0;
-  bool any = false;
-  for (const double v : values) {
-    if (v <= 0.0) continue;
-    if (!any) {
-      lo = hi = v;
-      any = true;
-    } else {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
-  APPSCOPE_REQUIRE(any, "log_histogram: no positive values");
-  const double log_lo = std::floor(std::log10(lo) * static_cast<double>(bins_per_decade));
-  const double log_hi = std::ceil(std::log10(hi) * static_cast<double>(bins_per_decade));
-  const auto nbins = static_cast<std::size_t>(std::max(1.0, log_hi - log_lo));
-  std::vector<HistogramBin> out(nbins);
-  for (std::size_t b = 0; b < nbins; ++b) {
-    out[b].lower = std::pow(10.0, (log_lo + static_cast<double>(b)) /
-                                      static_cast<double>(bins_per_decade));
-    out[b].upper = std::pow(10.0, (log_lo + static_cast<double>(b + 1)) /
-                                      static_cast<double>(bins_per_decade));
-  }
-  for (const double v : values) {
-    if (v <= 0.0) continue;
-    auto b = static_cast<std::size_t>(std::max(
-        0.0, std::log10(v) * static_cast<double>(bins_per_decade) - log_lo));
-    if (b >= nbins) b = nbins - 1;
-    ++out[b].count;
-  }
-  return out;
 }
 
 }  // namespace appscope::stats

@@ -3,8 +3,7 @@
 // Empirical distribution machinery for the spatial analyses:
 //  - ECDF (per-subscriber traffic CDF, Fig. 8 right; pairwise-r² CDF, Fig. 10),
 //  - cumulative share over ranked contributors / Lorenz curve (Fig. 8 left),
-//  - Gini coefficient (spatial concentration summary),
-//  - fixed-bin and logarithmic histograms.
+//  - Gini coefficient (spatial concentration summary).
 #pragma once
 
 #include <span>
@@ -20,14 +19,8 @@ class Ecdf {
   /// P(X <= x).
   double operator()(double x) const noexcept;
 
-  /// Inverse CDF (smallest sample value v with F(v) >= q), q in (0, 1].
-  double inverse(double q) const;
-
   std::size_t size() const noexcept { return sorted_.size(); }
   const std::vector<double>& sorted_sample() const noexcept { return sorted_; }
-
-  /// Evaluation points (x, F(x)) at every distinct sample value.
-  std::vector<std::pair<double, double>> curve() const;
 
  private:
   std::vector<double> sorted_;
@@ -45,21 +38,5 @@ double top_fraction_share(std::span<const double> values, double fraction);
 
 /// Gini coefficient in [0, 1] for a non-negative sample with positive total.
 double gini(std::span<const double> values);
-
-struct HistogramBin {
-  double lower = 0.0;
-  double upper = 0.0;
-  std::size_t count = 0;
-};
-
-/// Fixed-width histogram over [min, max] of the sample.
-std::vector<HistogramBin> histogram(std::span<const double> values,
-                                    std::size_t bins);
-
-/// Log10-spaced histogram for positive data spanning many decades
-/// (per-subscriber traffic spans 1 B .. 100 MB in Fig. 8).
-/// Values <= 0 are dropped. Requires at least one positive value.
-std::vector<HistogramBin> log_histogram(std::span<const double> values,
-                                        std::size_t bins_per_decade = 1);
 
 }  // namespace appscope::stats

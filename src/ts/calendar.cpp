@@ -24,11 +24,6 @@ WeekHour week_hour(std::size_t index) {
   return WeekHour{static_cast<std::uint16_t>(index)};
 }
 
-WeekHour week_hour(Day day, std::size_t hour_of_day) {
-  APPSCOPE_REQUIRE(hour_of_day < kHoursPerDay, "week_hour: hour out of range");
-  return week_hour(static_cast<std::size_t>(day) * kHoursPerDay + hour_of_day);
-}
-
 std::array<TopicalTime, kTopicalTimeCount> all_topical_times() noexcept {
   return {TopicalTime::kWeekendMidday,   TopicalTime::kWeekendEvening,
           TopicalTime::kMorningCommute,  TopicalTime::kMorningBreak,

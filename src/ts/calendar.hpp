@@ -48,7 +48,6 @@ std::string_view day_name(Day d) noexcept;
 
 /// Builds a WeekHour; throws PreconditionError if out of range.
 WeekHour week_hour(std::size_t index);
-WeekHour week_hour(Day day, std::size_t hour_of_day);
 
 /// The paper's seven topical times (Fig. 6 rings).
 enum class TopicalTime : std::uint8_t {

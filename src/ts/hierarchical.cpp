@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace appscope::ts {
 
@@ -90,94 +88,6 @@ Dendrogram hierarchical_cluster(const DistanceMatrix& d, Linkage linkage) {
     active.push_back(std::move(merged));
   }
   return out;
-}
-
-Dendrogram hierarchical_cluster(const std::vector<std::vector<double>>& items,
-                                const DistanceFn& dist, Linkage linkage) {
-  APPSCOPE_REQUIRE(!items.empty(), "hierarchical_cluster: no items");
-  const std::size_t n = items.size();
-
-  // Pairwise leaf distances, computed once. The O(n²) fill dominates for
-  // expensive distances (SBD over commune series), so rows are sharded
-  // across the pool; entries are independent, results thread-count
-  // invariant.
-  DistanceMatrix d(n);
-  constexpr std::size_t kRowsPerShard = 4;
-  util::parallel_for(0, n, kRowsPerShard, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        d(i, j) = dist(items[i], items[j]);
-      }
-    }
-  });
-  d.symmetrize_upper();
-  return hierarchical_cluster(d, linkage);
-}
-
-std::vector<std::size_t> Dendrogram::cut_at(double cut) const {
-  // Union-find over leaves, applying merges with distance <= cut.
-  std::vector<std::size_t> parent(leaf_count + merges.size() + 1);
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&parent](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const auto& m : merges) {
-    if (m.distance > cut) continue;
-    parent[find(m.left)] = m.parent;
-    parent[find(m.right)] = m.parent;
-  }
-  // Dense ids for leaf roots.
-  std::vector<std::size_t> assignments(leaf_count);
-  std::vector<std::size_t> roots;
-  for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
-    const std::size_t root = find(leaf);
-    auto it = std::find(roots.begin(), roots.end(), root);
-    if (it == roots.end()) {
-      roots.push_back(root);
-      it = roots.end() - 1;
-    }
-    assignments[leaf] = static_cast<std::size_t>(it - roots.begin());
-  }
-  return assignments;
-}
-
-std::vector<std::size_t> Dendrogram::cut_to_k(std::size_t k) const {
-  APPSCOPE_REQUIRE(k >= 1 && k <= leaf_count, "cut_to_k: k out of range");
-  // Applying the first (leaf_count - k) merges leaves exactly k clusters.
-  const std::size_t apply = leaf_count - k;
-  if (apply == 0) return cut_at(-1.0);
-  // Merge distances are non-decreasing for single/complete/average linkage
-  // up to ties; cut just above the last applied merge by replaying merges
-  // directly instead of by distance.
-  std::vector<std::size_t> parent(leaf_count + merges.size() + 1);
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&parent](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (std::size_t i = 0; i < apply; ++i) {
-    parent[find(merges[i].left)] = merges[i].parent;
-    parent[find(merges[i].right)] = merges[i].parent;
-  }
-  std::vector<std::size_t> assignments(leaf_count);
-  std::vector<std::size_t> roots;
-  for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
-    const std::size_t root = find(leaf);
-    auto it = std::find(roots.begin(), roots.end(), root);
-    if (it == roots.end()) {
-      roots.push_back(root);
-      it = roots.end() - 1;
-    }
-    assignments[leaf] = static_cast<std::size_t>(it - roots.begin());
-  }
-  return assignments;
 }
 
 std::pair<double, std::size_t> Dendrogram::largest_merge_gap() const {

@@ -8,10 +8,10 @@
 // gap, and it does not.
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "ts/cluster_quality.hpp"
 #include "ts/distance_matrix.hpp"
 
 namespace appscope::ts {
@@ -37,13 +37,6 @@ struct Dendrogram {
   std::vector<MergeStep> merges;
   std::size_t leaf_count = 0;
 
-  /// Flat clustering obtained by stopping after the merges with distance
-  /// <= `cut`; returns leaf assignments with dense cluster ids.
-  std::vector<std::size_t> cut_at(double cut) const;
-
-  /// Flat clustering with exactly k clusters (k in [1, leaf_count]).
-  std::vector<std::size_t> cut_to_k(std::size_t k) const;
-
   /// Largest gap between consecutive merge distances; a clean cluster
   /// structure shows a dominant gap, an unstructured set does not.
   /// Returns (gap, merge index after which the gap occurs).
@@ -57,12 +50,6 @@ struct Dendrogram {
 /// (ts::sbd_distance_matrix over a SeriesBatch) pass it here directly
 /// instead of recomputing every pair through a distance functor.
 Dendrogram hierarchical_cluster(const DistanceMatrix& distances,
-                                Linkage linkage = Linkage::kAverage);
-
-/// Convenience overload: fills the pairwise matrix from `dist` (row-sharded
-/// on the global pool) and forwards to the matrix overload.
-Dendrogram hierarchical_cluster(const std::vector<std::vector<double>>& items,
-                                const DistanceFn& dist,
                                 Linkage linkage = Linkage::kAverage);
 
 }  // namespace appscope::ts

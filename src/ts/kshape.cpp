@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
@@ -19,20 +18,6 @@
 
 namespace appscope::ts {
 
-std::vector<std::size_t> KShapeResult::members(std::size_t c) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < assignments.size(); ++i) {
-    if (assignments[i] == c) out.push_back(i);
-  }
-  return out;
-}
-
-namespace {
-
-/// Shape extraction over cached spectra: the members are rows `member_idx`
-/// of `data`, the reference is row `c` of `centroids` (no alignment when
-/// that row is all zero).
-///
 /// Paparrizos & Gravano's centroid is the top eigenvector of M = Q S Q, with
 /// S = AᵀA summing the aligned, z-normalized members (the rows of A) and
 /// Q = I - (1/n)·1·1ᵀ. With B = A Q (each row minus its mean), M = BᵀB,
@@ -42,16 +27,24 @@ namespace {
 /// series count) where M is n×n (n = series length, 168 for a week). An
 /// all-zero B (constant members) gives an all-zero centroid, which the
 /// assignment step skips.
-std::vector<double> shape_extract_batch(const SeriesBatch& data,
-                                        const std::vector<std::size_t>& member_idx,
-                                        const SeriesBatch& centroids,
-                                        std::size_t c, SbdScratch& scratch) {
+std::vector<double> shape_extract(const SeriesBatch& data,
+                                  const std::vector<std::size_t>& member_idx,
+                                  const SeriesBatch& centroids, std::size_t c,
+                                  SbdScratch& scratch) {
+  APPSCOPE_REQUIRE(!member_idx.empty(), "shape_extract: no members");
+  APPSCOPE_REQUIRE(data.length() >= 2, "shape_extract: series too short");
+  APPSCOPE_REQUIRE(centroids.length() == data.length(),
+                   "shape_extract: centroid length differs from the members'");
+  APPSCOPE_REQUIRE(c < centroids.size(),
+                   "shape_extract: centroid out of range");
   const std::size_t m = member_idx.size();
   const std::size_t n = data.length();
   const bool have_reference = centroids.norm(c) > 0.0;
   la::Matrix b(m, n);
   std::vector<double> aligned;  // reused across members
   for (std::size_t mi = 0; mi < m; ++mi) {
+    APPSCOPE_REQUIRE(member_idx[mi] < data.size(),
+                     "shape_extract: member out of range");
     const std::span<const double> member = data.series(member_idx[mi]);
     if (have_reference) {
       const SbdResult r = sbd_pair(centroids, c, data, member_idx[mi], scratch);
@@ -96,28 +89,6 @@ std::vector<double> shape_extract_batch(const SeriesBatch& data,
   }
   znormalize_inplace(centroid);
   return centroid;
-}
-
-}  // namespace
-
-std::vector<double> shape_extract(const std::vector<std::vector<double>>& members,
-                                  const std::vector<double>& reference) {
-  APPSCOPE_REQUIRE(!members.empty(), "shape_extract: no members");
-  const std::size_t n = members.front().size();
-  APPSCOPE_REQUIRE(n >= 2, "shape_extract: series too short");
-  for (const auto& m : members) {
-    APPSCOPE_REQUIRE(m.size() == n, "shape_extract: ragged members");
-  }
-  APPSCOPE_REQUIRE(reference.empty() || reference.size() == n,
-                   "shape_extract: reference length differs from the members'");
-
-  const SeriesBatch data(members);
-  SeriesBatch reference_batch(1, n);
-  if (!reference.empty()) reference_batch.set_series(0, reference);
-  std::vector<std::size_t> member_idx(members.size());
-  std::iota(member_idx.begin(), member_idx.end(), std::size_t{0});
-  return shape_extract_batch(data, member_idx, reference_batch, 0,
-                             sbd_scratch());
 }
 
 KShapeResult kshape(const std::vector<std::vector<double>>& series,
@@ -183,7 +154,7 @@ KShapeResult kshape(const SeriesBatch& data, const KShapeOptions& opts) {
       util::parallel_for(0, opts.k, 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t c = lo; c < hi; ++c) {
           if (member_idx[c].empty()) continue;  // re-seeded after assignment
-          result.centroids[c] = shape_extract_batch(
+          result.centroids[c] = shape_extract(
               data, member_idx[c], centroid_batch, c, sbd_scratch());
           centroid_batch.set_series(c, result.centroids[c]);
         }

@@ -47,8 +47,6 @@ struct KShapeResult {
   bool converged = false;
 
   std::size_t cluster_count() const noexcept { return centroids.size(); }
-  /// Indices of the members of cluster `c`.
-  std::vector<std::size_t> members(std::size_t c) const;
 };
 
 /// Clusters `series` (all equal length >= 2) into opts.k groups.
@@ -62,14 +60,17 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
 /// batch once. Requires 1 <= k <= data.size() and data.length() >= 2.
 KShapeResult kshape(const SeriesBatch& data, const KShapeOptions& opts);
 
-/// Shape extraction for a single cluster: returns the z-normalized dominant
-/// eigenvector of QSQ built from `members` aligned to `reference`, computed
-/// as Bᵀu from the top eigenvector u of the members' m×m Gram matrix (see
-/// the file comment). Members all constant give an all-zero centroid.
-/// If `reference` is empty or all-zero, members are used unaligned; a
-/// non-empty reference must have the members' length.
-/// Exposed for tests and for incremental/streaming re-clustering.
-std::vector<double> shape_extract(const std::vector<std::vector<double>>& members,
-                                  const std::vector<double>& reference);
+/// Shape extraction for a single cluster, the refinement step of kshape():
+/// returns the z-normalized dominant eigenvector of QSQ built from the rows
+/// `member_idx` of `data` (at least one) aligned to row `c` of `centroids`,
+/// computed as Bᵀu from the top eigenvector u of the members' m×m Gram
+/// matrix (see the file comment). Members all constant give an all-zero
+/// centroid. If that centroid row is all zero, members are used unaligned.
+/// Requires data.length() >= 2, centroids of the same length, c <
+/// centroids.size() and every member index < data.size().
+std::vector<double> shape_extract(const SeriesBatch& data,
+                                  const std::vector<std::size_t>& member_idx,
+                                  const SeriesBatch& centroids, std::size_t c,
+                                  SbdScratch& scratch);
 
 }  // namespace appscope::ts

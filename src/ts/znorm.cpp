@@ -37,19 +37,14 @@ std::vector<double> znormalize(std::span<const double> x) {
   return out;
 }
 
-TimeSeries znormalize(const TimeSeries& x) {
-  std::vector<double> v(x.values().begin(), x.values().end());
-  znormalize_inplace(v);
-  return TimeSeries(std::move(v), x.label());
-}
-
 bool is_znormalized(std::span<const double> x, double tol) noexcept {
   if (x.empty()) return true;
   stats::RunningStats rs;
   for (const double v : x) rs.add(v);
   const double m = rs.sum() / static_cast<double>(x.size());
   const double sd = rs.stddev_population();
-  const bool all_zero = rs.min() == 0.0 && rs.max() == 0.0;
+  const bool all_zero =
+      std::all_of(x.begin(), x.end(), [](double v) { return v == 0.0; });
   return all_zero || (std::abs(m) <= tol && std::abs(sd - 1.0) <= tol);
 }
 

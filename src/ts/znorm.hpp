@@ -8,8 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "ts/time_series.hpp"
-
 namespace appscope::ts {
 
 /// Returns (x - mean) / stddev. A constant series maps to all zeros
@@ -23,9 +21,6 @@ void znormalize_inplace(std::span<double> x) noexcept;
 /// out's existing capacity — the allocation-free variant for loops that
 /// normalize into the same buffer repeatedly.
 void znormalize_into(std::span<const double> x, std::vector<double>& out);
-
-/// TimeSeries convenience overload (label preserved).
-TimeSeries znormalize(const TimeSeries& x);
 
 /// True if |mean| <= tol and |stddev - 1| <= tol (or the series is all-zero).
 bool is_znormalized(std::span<const double> x, double tol = 1e-9) noexcept;

@@ -51,11 +51,17 @@ std::string CliArgs::help() const {
   return out;
 }
 
-bool CliArgs::has(std::string_view name) const noexcept {
+bool CliArgs::has(std::string_view name) const {
+  bool given = false;
   for (const auto& opt : options_) {
-    if (opt.name == name) return true;
+    if (opt.name != name) continue;
+    if (opt.value) {
+      throw InputError("--" + opt.name + "=" + *opt.value + ": --" + opt.name +
+                       " is a switch and takes no value");
+    }
+    given = true;
   }
-  return false;
+  return given;
 }
 
 std::optional<std::string> CliArgs::value(std::string_view name) const noexcept {
@@ -65,16 +71,26 @@ std::optional<std::string> CliArgs::value(std::string_view name) const noexcept 
   return std::nullopt;
 }
 
+std::optional<std::string> CliArgs::required_value(std::string_view name) const {
+  for (const auto& opt : options_) {
+    if (opt.name == name && !opt.value) {
+      throw InputError("--" + opt.name + " needs a value (--" + opt.name +
+                       "=...)");
+    }
+  }
+  return value(name);
+}
+
 std::string CliArgs::get_string(std::string_view name,
                                 std::string default_value) const {
-  const auto v = value(name);
+  const auto v = required_value(name);
   return v ? *v : std::move(default_value);
 }
 
 std::int64_t CliArgs::get_int(std::string_view name,
                               std::int64_t default_value, std::int64_t min,
                               std::int64_t max) const {
-  const auto v = value(name);
+  const auto v = required_value(name);
   if (!v) return default_value;
   const std::int64_t n = parse_int(*v);
   if (n < min || n > max) {
@@ -87,7 +103,7 @@ std::int64_t CliArgs::get_int(std::string_view name,
 
 double CliArgs::get_nonnegative(std::string_view name,
                                 double default_value) const {
-  const auto v = value(name);
+  const auto v = required_value(name);
   if (!v) return default_value;
   const double x = parse_double(*v);
   if (!std::isfinite(x) || x < 0.0) {

@@ -1,10 +1,11 @@
 // appscope/util/cli.hpp
 //
 // Minimal command-line option parser shared by the bench and example
-// binaries: supports "--flag", "--key=value" and positional arguments, with
-// typed accessors. A binary that declares its flags gets strict parsing
-// (unknown flags are typed errors) and a --help listing generated from the
-// declaration.
+// binaries: supports switches ("--flag"), valued flags ("--key=value") and
+// positional arguments, with typed accessors. A binary that declares its
+// flags gets strict parsing (unknown flags are typed errors) and a --help
+// listing generated from the declaration. Either way a switch given a value,
+// or a valued flag given none, is a typed error where it is read.
 #pragma once
 
 #include <algorithm>
@@ -33,15 +34,18 @@ class CliArgs {
 
   const std::string& program() const noexcept { return program_; }
 
-  /// True if "--name" or "--name=..." was given.
-  bool has(std::string_view name) const noexcept;
+  /// True if the switch "--name" was given. Throws InputError when it was
+  /// given a value ("--name=..."): a switch takes none.
+  bool has(std::string_view name) const;
 
-  /// Value of "--name=value", if present.
+  /// Value of "--name=value", if present (raw: a bare "--name" reads as
+  /// absent).
   std::optional<std::string> value(std::string_view name) const noexcept;
 
   /// Accessors with defaults: the value of "--name=..." when given, else
-  /// `default_value`. The typed ones below throw InputError on a malformed
-  /// value or one outside their range.
+  /// `default_value`. Each throws InputError when "--name" is given without
+  /// a value; the typed ones below also on a malformed value or one outside
+  /// their range.
   std::string get_string(std::string_view name, std::string default_value) const;
 
   /// "--name=N" as an integer in [min, max]; the default is returned as
@@ -76,6 +80,9 @@ class CliArgs {
     std::string name;
     std::optional<std::string> value;
   };
+
+  /// value(name), after checking that no "--name" was given bare.
+  std::optional<std::string> required_value(std::string_view name) const;
 
   std::string program_;
   std::vector<Option> options_;

@@ -1,11 +1,6 @@
 #include "util/csv.hpp"
 
-#include <fstream>
 #include <ostream>
-#include <sstream>
-
-#include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace appscope::util {
 
@@ -36,80 +31,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   }
   out_ << '\n';
   ++rows_;
-}
-
-void CsvWriter::write_numeric_row(const std::vector<double>& values, int digits) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (const double v : values) fields.push_back(format_double(v, digits));
-  write_row(fields);
-}
-
-std::vector<std::vector<std::string>> CsvReader::parse(std::string_view text,
-                                                       char sep) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-
-  auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_row = [&] {
-    end_field();
-    rows.push_back(std::move(row));
-    row.clear();
-  };
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        field_started = true;
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        end_row();
-        break;
-      default:
-        if (c == sep) {
-          end_field();
-        } else {
-          field.push_back(c);
-          field_started = true;
-        }
-    }
-  }
-  if (in_quotes) throw InputError("CSV: unbalanced quote at end of input");
-  if (field_started || !row.empty() || !field.empty()) end_row();
-  return rows;
-}
-
-std::vector<std::vector<std::string>> CsvReader::parse_file(
-    const std::string& path, char sep) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw InputError("CSV: cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str(), sep);
 }
 
 }  // namespace appscope::util

@@ -1,7 +1,7 @@
 // appscope/util/csv.hpp
 //
-// Minimal RFC-4180-ish CSV reading/writing used by benches and examples to
-// export figure data for external plotting.
+// Minimal RFC-4180-ish CSV writing used by benches and examples to export
+// figure data for external plotting.
 #pragma once
 
 #include <iosfwd>
@@ -20,9 +20,6 @@ class CsvWriter {
   /// Writes one row; each field is escaped as needed.
   void write_row(const std::vector<std::string>& fields);
 
-  /// Convenience: writes a row of doubles formatted with `digits` decimals.
-  void write_numeric_row(const std::vector<double>& values, int digits = 6);
-
   std::size_t rows_written() const noexcept { return rows_; }
 
  private:
@@ -31,18 +28,6 @@ class CsvWriter {
   std::ostream& out_;
   char sep_;
   std::size_t rows_ = 0;
-};
-
-/// In-memory CSV document (small files: configs, expectations).
-class CsvReader {
- public:
-  /// Parses the full document; throws InputError on unbalanced quotes.
-  static std::vector<std::vector<std::string>> parse(std::string_view text,
-                                                     char sep = ',');
-
-  /// Reads and parses a file; throws InputError if unreadable.
-  static std::vector<std::vector<std::string>> parse_file(
-      const std::string& path, char sep = ',');
 };
 
 }  // namespace appscope::util

@@ -52,11 +52,6 @@ const Json::Array& Json::as_array() const {
   return std::get<Array>(value_);
 }
 
-Json::Array& Json::as_array() {
-  APPSCOPE_REQUIRE(is_array(), "Json::as_array: not an array");
-  return std::get<Array>(value_);
-}
-
 const Json::Object& Json::as_object() const {
   APPSCOPE_REQUIRE(is_object(), "Json::as_object: not an object");
   return std::get<Object>(value_);

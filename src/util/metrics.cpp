@@ -346,37 +346,6 @@ Json metrics_to_json(const MetricsSnapshot& snapshot) {
   return Json(std::move(doc));
 }
 
-MetricsSnapshot metrics_from_json(const Json& doc) {
-  if (!doc.is_object() || !doc.contains("schema") ||
-      !doc.at("schema").is_string() ||
-      doc.at("schema").as_string() != kSchema) {
-    throw InputError("metrics_from_json: unknown schema (want " +
-                     std::string(kSchema) + ")");
-  }
-  MetricsSnapshot out;
-  for (const auto& [name, value] : doc.at("counters").as_object()) {
-    out.counters[name] = static_cast<std::uint64_t>(value.as_int());
-  }
-  for (const auto& [name, value] : doc.at("gauges").as_object()) {
-    out.gauges[name] = value.as_double();
-  }
-  for (const auto& [name, value] : doc.at("histograms").as_object()) {
-    HistogramSnapshot h;
-    h.count = static_cast<std::uint64_t>(value.at("count").as_int());
-    h.sum = value.at("sum").as_double();
-    h.min = value.at("min").as_double();
-    h.max = value.at("max").as_double();
-    for (const auto& [bucket, n] : value.at("buckets").as_object()) {
-      const std::size_t idx = std::stoul(bucket);
-      APPSCOPE_REQUIRE(idx < kHistogramBuckets,
-                       "metrics_from_json: bucket index out of range");
-      h.buckets[idx] = static_cast<std::uint64_t>(n.as_int());
-    }
-    out.histograms[name] = h;
-  }
-  return out;
-}
-
 void write_metrics_json(const std::string& path) {
   Json doc = metrics_to_json(MetricsRegistry::global().snapshot());
   const TraceRecorder& recorder = TraceRecorder::global();

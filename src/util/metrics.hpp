@@ -175,10 +175,6 @@ class StageTimer {
 /// "counters": {...}, "gauges": {...}, "histograms": {...}, "spans": [...]}.
 Json metrics_to_json(const MetricsSnapshot& snapshot);
 
-/// Parses a document produced by metrics_to_json back into a snapshot
-/// (ignores the spans section). Throws InputError on schema mismatch.
-MetricsSnapshot metrics_from_json(const Json& doc);
-
 /// Snapshot the global registry + global trace recorder and write the JSON
 /// document to `path`. Throws InputError if the file cannot be written.
 void write_metrics_json(const std::string& path);

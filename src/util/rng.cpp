@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/error.hpp"
-
 namespace appscope::util {
 
 namespace {
@@ -106,12 +104,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::exponential(double lambda) noexcept {
-  double u = uniform();
-  while (u <= std::numeric_limits<double>::min()) u = uniform();
-  return -std::log(u) / lambda;
-}
-
 std::uint64_t Rng::poisson(double lambda) noexcept {
   if (lambda <= 0.0) return 0;
   if (lambda < 30.0) {
@@ -132,98 +124,5 @@ std::uint64_t Rng::poisson(double lambda) noexcept {
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
-
-// ---------------------------------------------------------------------------
-// ZipfSampler — rejection-inversion (Hörmann & Derflinger 1996).
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Helper: computes (exp(x) - 1) / x with stability near 0.
-double expm1_over_x(double x) noexcept {
-  return std::abs(x) > 1e-8 ? std::expm1(x) / x : 1.0 + x / 2.0;
-}
-}  // namespace
-
-ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s) {
-  APPSCOPE_REQUIRE(n >= 1, "ZipfSampler needs at least one rank");
-  APPSCOPE_REQUIRE(s > 0.0, "ZipfSampler exponent must be positive");
-  h_x1_ = h(1.5) - 1.0;
-  h_n_ = h(static_cast<double>(n) + 0.5);
-  t_ = 2.0 - h_inv(h(2.5) - std::pow(2.0, -s_));
-}
-
-double ZipfSampler::h(double x) const noexcept {
-  // H(x) = integral of x^-s; log form when s == 1.
-  const double log_x = std::log(x);
-  return expm1_over_x((1.0 - s_) * log_x) * log_x;
-}
-
-double ZipfSampler::h_inv(double x) const noexcept {
-  const double one_minus_s = 1.0 - s_;
-  if (std::abs(one_minus_s) < 1e-12) return std::exp(x);  // s == 1: H(x)=log x
-  const double t = std::max(std::nextafter(-1.0, 0.0), x * one_minus_s);
-  return std::exp(std::log1p(t) / one_minus_s);
-}
-
-std::uint64_t ZipfSampler::operator()(Rng& rng) const noexcept {
-  if (n_ == 1) return 1;
-  while (true) {
-    const double u = h_n_ + rng.uniform() * (h_x1_ - h_n_);
-    const double x = h_inv(u);
-    const auto k = static_cast<std::uint64_t>(x + 0.5);
-    const auto clamped = k < 1 ? 1 : (k > n_ ? n_ : k);
-    const double kd = static_cast<double>(clamped);
-    if (kd - x <= t_ || u >= h(kd + 0.5) - std::exp(-s_ * std::log(kd))) {
-      return clamped;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AliasSampler — Walker / Vose alias method.
-// ---------------------------------------------------------------------------
-
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  APPSCOPE_REQUIRE(!weights.empty(), "AliasSampler needs at least one weight");
-  double total = 0.0;
-  for (const double w : weights) {
-    APPSCOPE_REQUIRE(w >= 0.0, "AliasSampler weights must be non-negative");
-    total += w;
-  }
-  APPSCOPE_REQUIRE(total > 0.0, "AliasSampler needs a positive total weight");
-
-  const std::size_t n = weights.size();
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-
-  std::vector<double> scaled(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-  }
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  for (const std::uint32_t i : large) prob_[i] = 1.0;
-  for (const std::uint32_t i : small) prob_[i] = 1.0;  // numerical leftovers
-}
-
-std::size_t AliasSampler::operator()(Rng& rng) const noexcept {
-  const std::size_t column = static_cast<std::size_t>(rng.uniform_index(prob_.size()));
-  return rng.uniform() < prob_[column] ? column : alias_[column];
-}
 
 }  // namespace appscope::util

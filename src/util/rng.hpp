@@ -53,8 +53,8 @@ std::array<std::uint32_t, 4> philox4x32_10(
 
 /// Xoshiro256** — fast, high-quality 64-bit generator (Blackman & Vigna).
 /// Satisfies the UniformRandomBitGenerator requirements so it composes with
-/// <random> distributions, but appscope ships its own samplers below for
-/// cross-platform determinism (libstdc++/libc++ distributions differ).
+/// <random> distributions, but appscope draws through its own members below
+/// for cross-platform determinism (libstdc++/libc++ distributions differ).
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -84,8 +84,6 @@ class Rng {
   double normal(double mean, double sigma) noexcept;
   /// Log-normal: exp(Normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
-  /// Exponential with rate lambda > 0.
-  double exponential(double lambda) noexcept;
   /// Poisson with mean lambda >= 0 (inversion for small, PTRS for large).
   std::uint64_t poisson(double lambda) noexcept;
   /// Bernoulli with success probability p in [0,1].
@@ -105,45 +103,6 @@ class Rng {
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
-};
-
-/// Samples ranks from a (bounded) Zipf distribution P(k) ∝ k^-s, k in [1, n].
-/// Uses the rejection-inversion method of Hörmann & Derflinger (1996), O(1)
-/// per sample for any s > 0, s != 1 handled uniformly.
-class ZipfSampler {
- public:
-  /// n: number of ranks (>= 1); s: exponent (> 0).
-  ZipfSampler(std::uint64_t n, double s);
-
-  /// Draws a rank in [1, n].
-  std::uint64_t operator()(Rng& rng) const noexcept;
-
-  std::uint64_t n() const noexcept { return n_; }
-  double exponent() const noexcept { return s_; }
-
- private:
-  double h(double x) const noexcept;
-  double h_inv(double x) const noexcept;
-
-  std::uint64_t n_;
-  double s_;
-  double h_x1_;
-  double h_n_;
-  double t_;  // rejection threshold helper
-};
-
-/// Draws an index in [0, weights.size()) with probability proportional to
-/// weights[i]. Built once (O(n)), sampled in O(1) via Walker's alias method.
-class AliasSampler {
- public:
-  explicit AliasSampler(const std::vector<double>& weights);
-
-  std::size_t operator()(Rng& rng) const noexcept;
-  std::size_t size() const noexcept { return prob_.size(); }
-
- private:
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
 };
 
 }  // namespace appscope::util

@@ -10,20 +10,6 @@
 
 namespace appscope::util {
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::string_view trim(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();

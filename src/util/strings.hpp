@@ -1,17 +1,13 @@
 // appscope/util/strings.hpp
 //
-// Small string helpers shared across modules (formatting, splitting, units).
+// Small string helpers shared across modules (formatting, parsing, units).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace appscope::util {
-
-/// Splits `text` on `sep`, keeping empty fields ("a,,b" -> {"a","","b"}).
-std::vector<std::string> split(std::string_view text, char sep);
 
 /// Removes leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view text);

@@ -315,31 +315,6 @@ std::vector<std::string> ServiceCatalog::names() const {
   return out;
 }
 
-double ServiceCatalog::total_urban_rate(Direction d) const noexcept {
-  double total = 0.0;
-  for (const auto& s : services_) total += s.urban_rate(d);
-  return total;
-}
-
-std::vector<ServiceIndex> ServiceCatalog::ranked(Direction d) const {
-  std::vector<ServiceIndex> order(services_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [this, d](ServiceIndex a, ServiceIndex b) {
-    return services_[a].urban_rate(d) > services_[b].urban_rate(d);
-  });
-  return order;
-}
-
-double ServiceCatalog::category_share(Category c, Direction d) const {
-  const double total = total_urban_rate(d);
-  APPSCOPE_REQUIRE(total > 0.0, "category_share: zero total rate");
-  double cat = 0.0;
-  for (const auto& s : services_) {
-    if (s.category == c) cat += s.urban_rate(d);
-  }
-  return cat / total;
-}
-
 ServiceCatalog with_popularity_tilt(const ServiceCatalog& catalog, double tilt) {
   if (tilt == 0.0) return catalog;
   const std::size_t n = catalog.size();

@@ -68,16 +68,6 @@ class ServiceCatalog {
 
   std::vector<std::string> names() const;
 
-  /// Sum over services of urban per-user rate (proxy for national share
-  /// normalization).
-  double total_urban_rate(Direction d) const noexcept;
-
-  /// Indices sorted by descending urban rate in the given direction.
-  std::vector<ServiceIndex> ranked(Direction d) const;
-
-  /// Share of a category in the summed urban rates (Fig. 3 colour totals).
-  double category_share(Category c, Direction d) const;
-
  private:
   std::vector<ServiceSpec> services_;
 };

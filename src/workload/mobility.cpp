@@ -63,17 +63,6 @@ double PresenceModel::work_window(std::size_t week_hour) const {
          sigmoid((config_.work_end - hod) / config_.shoulder_hours);
 }
 
-double PresenceModel::outflow_fraction(geo::CommuneId commune) const {
-  APPSCOPE_REQUIRE(commune < out_fraction_.size(),
-                   "PresenceModel: commune out of range");
-  return out_fraction_[commune];
-}
-
-double PresenceModel::inflow_workers(geo::CommuneId commune) const {
-  APPSCOPE_REQUIRE(commune < inflow_.size(), "PresenceModel: commune out of range");
-  return inflow_[commune];
-}
-
 double PresenceModel::presence(geo::CommuneId commune,
                                std::size_t week_hour) const {
   APPSCOPE_REQUIRE(commune < territory_.size(),
@@ -85,16 +74,6 @@ double PresenceModel::presence(geo::CommuneId commune,
   const double present =
       residents * (1.0 - out_fraction_[commune] * w) + inflow_[commune] * w;
   return present / residents;
-}
-
-double PresenceModel::total_presence_weighted_subscribers(
-    std::size_t week_hour) const {
-  double total = 0.0;
-  for (geo::CommuneId c = 0; c < territory_.size(); ++c) {
-    total += presence(c, week_hour) *
-             static_cast<double>(subscribers_.subscribers(c));
-  }
-  return total;
 }
 
 }  // namespace appscope::workload

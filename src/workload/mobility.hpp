@@ -47,18 +47,8 @@ class PresenceModel {
   /// < 1 for commuter homes during the work window, > 1 for metro cores.
   double presence(geo::CommuneId commune, std::size_t week_hour) const;
 
-  /// Fraction of the commune's subscribers commuting out (0 for cores).
-  double outflow_fraction(geo::CommuneId commune) const;
-
-  /// Workers arriving into the commune at full work window (0 for homes).
-  double inflow_workers(geo::CommuneId commune) const;
-
   /// Work-window weight at a week hour, in [0, 1] (0 on weekends).
   double work_window(std::size_t week_hour) const;
-
-  /// Total presence-weighted subscribers is conserved at every hour.
-  /// (Checked by tests; the model only moves people around.)
-  double total_presence_weighted_subscribers(std::size_t week_hour) const;
 
  private:
   const geo::Territory& territory_;

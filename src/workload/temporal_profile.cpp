@@ -84,20 +84,6 @@ double TemporalProfile::evaluate(std::size_t week_hour_index) const {
   return base_level(blend, hod) * boost_multiplier(wh.is_weekend(), hod);
 }
 
-ts::TimeSeries TemporalProfile::weekly_series(const std::string& label) const {
-  return ts::make_weekly([this](std::size_t h) { return evaluate(h); }, label);
-}
-
-std::vector<ts::TopicalTime> TemporalProfile::boost_times() const {
-  std::array<bool, ts::kTopicalTimeCount> seen{};
-  for (const auto& b : params_.boosts) seen[static_cast<std::size_t>(b.time)] = true;
-  std::vector<ts::TopicalTime> out;
-  for (const ts::TopicalTime t : ts::all_topical_times()) {
-    if (seen[static_cast<std::size_t>(t)]) out.push_back(t);
-  }
-  return out;
-}
-
 double tgv_modulation(std::size_t week_hour_index) {
   APPSCOPE_REQUIRE(week_hour_index < ts::kHoursPerWeek,
                    "tgv_modulation: hour out of range");

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ts/calendar.hpp"
-#include "ts/time_series.hpp"
 
 namespace appscope::workload {
 
@@ -51,12 +50,6 @@ class TemporalProfile {
   /// Relative demand intensity at a week hour (continuous, > 0).
   /// The absolute scale is arbitrary; generators normalize over the week.
   double evaluate(std::size_t week_hour_index) const;
-
-  /// Full weekly series (168 samples).
-  ts::TimeSeries weekly_series(const std::string& label = {}) const;
-
-  /// The topical times this profile surges at, in ring order.
-  std::vector<ts::TopicalTime> boost_times() const;
 
  private:
   double base_level(double weekend_blend, double hour_of_day) const;

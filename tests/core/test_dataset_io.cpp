@@ -11,6 +11,7 @@
 #include "io/snapshot.hpp"
 #include "support/temp_dir.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace appscope::core {
 namespace {
@@ -23,6 +24,21 @@ const TrafficDataset& dataset() {
     return TrafficDataset::generate(cfg);
   }();
   return d;
+}
+
+/// The comma-separated fields of each data row of a CSV document (header
+/// dropped). For documents without quoted fields, such as the tables here.
+std::vector<std::vector<std::string>> data_rows(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  std::getline(in, line);
+  std::vector<std::vector<std::string>> rows;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::vector<std::string>& row = rows.emplace_back();
+    for (std::string f; std::getline(fields, f, ',');) row.push_back(f);
+  }
+  return rows;
 }
 
 TEST(DatasetIo, NationalSeriesCsvShape) {
@@ -46,7 +62,9 @@ TEST(DatasetIo, UrbanizationSeriesCsvShape) {
 TEST(DatasetIo, CommuneTotalsRoundTrip) {
   std::ostringstream out;
   write_commune_totals_csv(dataset(), out);
-  const auto rows = read_commune_totals_csv(out.str());
+  EXPECT_EQ(out.str().substr(0, out.str().find('\n')),
+            "service,direction,commune,urbanization,bytes,bytes_per_user");
+  const auto rows = data_rows(out.str());
   ASSERT_EQ(rows.size(), 20u * 2u * dataset().commune_count());
 
   // Check one specific entry against the dataset. Values are written with
@@ -59,36 +77,24 @@ TEST(DatasetIo, CommuneTotalsRoundTrip) {
       dataset().per_user_commune_vector(yt, workload::Direction::kDownlink);
   bool found = false;
   for (const auto& row : rows) {
-    if (row.service == "YouTube" &&
-        row.direction == workload::Direction::kDownlink && row.commune == 3) {
-      EXPECT_EQ(row.bytes, totals[3]);
-      EXPECT_EQ(row.bytes_per_user, per_user[3]);
+    ASSERT_EQ(row.size(), 6u);
+    ASSERT_TRUE(row[1] == "downlink" || row[1] == "uplink") << row[1];
+    const auto direction = row[1] == "downlink" ? workload::Direction::kDownlink
+                                                : workload::Direction::kUplink;
+    const auto commune = static_cast<geo::CommuneId>(util::parse_int(row[2]));
+    if (row[0] == "YouTube" && direction == workload::Direction::kDownlink &&
+        commune == 3) {
+      EXPECT_EQ(util::parse_double(row[4]), totals[3]);
+      EXPECT_EQ(util::parse_double(row[5]), per_user[3]);
       found = true;
     }
+    // And the whole table: every written value survives the CSV round trip
+    // bitwise.
+    EXPECT_EQ(util::parse_double(row[4]),
+              dataset().commune_total(*dataset().catalog().find(row[0]),
+                                      commune, direction));
   }
   EXPECT_TRUE(found);
-
-  // And the whole table: every written value survives the CSV round trip
-  // bitwise (the old fixed-precision writer lost everything past the first
-  // decimal).
-  for (const auto& row : rows) {
-    EXPECT_EQ(row.bytes,
-              dataset().commune_total(*dataset().catalog().find(row.service),
-                                      row.commune, row.direction));
-  }
-}
-
-TEST(DatasetIo, ReadRejectsMalformedDocuments) {
-  EXPECT_THROW(read_commune_totals_csv("wrong,header\n1,2\n"), util::InputError);
-  EXPECT_THROW(read_commune_totals_csv(
-                   "service,direction,commune,urbanization,bytes,bytes_per_user\n"
-                   "YouTube,sideways,1,Urban,10,1\n"),
-               util::InputError);
-  EXPECT_THROW(read_commune_totals_csv(
-                   "service,direction,commune,urbanization,bytes,bytes_per_user\n"
-                   "YouTube,downlink,1,Urban,10\n"),
-               util::InputError);
-  EXPECT_THROW(read_commune_totals_csv(""), util::PreconditionError);
 }
 
 TEST(DatasetIo, ExportWritesAllThreeFiles) {

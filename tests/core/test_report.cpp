@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 namespace appscope::core {
 namespace {
 
@@ -24,8 +26,14 @@ const ReportFixture& fixture() {
   return f;
 }
 
+std::string markdown_report(const ReportOptions& options = {}) {
+  std::ostringstream out;
+  write_markdown_report(fixture().report, fixture().dataset, out, options);
+  return out.str();
+}
+
 TEST(Report, ContainsEveryFigureSection) {
-  const std::string md = markdown_report(fixture().report, fixture().dataset);
+  const std::string md = markdown_report();
   for (const char* heading :
        {"## Fig. 2", "## Fig. 3", "## Fig. 5", "## Figs. 6/7", "## Fig. 8",
         "## Fig. 9", "## Fig. 10", "## Fig. 11"}) {
@@ -34,7 +42,7 @@ TEST(Report, ContainsEveryFigureSection) {
 }
 
 TEST(Report, PaperColumnsPresent) {
-  const std::string md = markdown_report(fixture().report, fixture().dataset);
+  const std::string md = markdown_report();
   EXPECT_NE(md.find("| metric | paper | measured |"), std::string::npos);
   EXPECT_NE(md.find("-1.69"), std::string::npos);
   EXPECT_NE(md.find("Netflix and iCloud"), std::string::npos);
@@ -46,9 +54,9 @@ TEST(Report, MapsToggle) {
   ReportOptions without;
   without.include_maps = false;
   const std::string md_with =
-      markdown_report(fixture().report, fixture().dataset, with);
+      markdown_report(with);
   const std::string md_without =
-      markdown_report(fixture().report, fixture().dataset, without);
+      markdown_report(without);
   EXPECT_GT(md_with.size(), md_without.size());
   EXPECT_EQ(md_without.find("```"), std::string::npos);
 }
@@ -57,12 +65,12 @@ TEST(Report, CustomTitleUsed) {
   ReportOptions options;
   options.title = "My Custom Title";
   const std::string md =
-      markdown_report(fixture().report, fixture().dataset, options);
+      markdown_report(options);
   EXPECT_EQ(md.rfind("# My Custom Title", 0), 0u);
 }
 
 TEST(Report, PeakWheelListsAllServices) {
-  const std::string md = markdown_report(fixture().report, fixture().dataset);
+  const std::string md = markdown_report();
   for (const auto& name : fixture().dataset.catalog().names()) {
     EXPECT_NE(md.find("| " + name + " |"), std::string::npos) << name;
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "query/snapshot_view.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace appscope::core {
@@ -11,6 +13,17 @@ const TrafficDataset& dataset() {
   static const TrafficDataset d =
       TrafficDataset::generate(synth::ScenarioConfig::test_scale());
   return d;
+}
+
+/// The dataset's snapshot, read through the query layer.
+const query::SnapshotView& view() {
+  static const std::string path = [] {
+    const std::string p = test_support::temp_path("slicing.snapshot").string();
+    dataset().save(p);
+    return p;
+  }();
+  static const query::SnapshotView v(path);
+  return v;
 }
 
 TEST(Slicing, CapacitiesOrderedAndPositive) {
@@ -66,7 +79,7 @@ TEST(Slicing, UplinkDirectionWorks) {
 
 TEST(PeakCooccurrence, DiagonalOneAndSymmetric) {
   const la::Matrix m =
-      peak_cooccurrence(dataset(), workload::Direction::kDownlink);
+      peak_cooccurrence(view(), workload::Direction::kDownlink);
   ASSERT_EQ(m.rows(), 20u);
   EXPECT_TRUE(m.is_symmetric());
   for (std::size_t i = 0; i < m.rows(); ++i) {
@@ -81,7 +94,7 @@ TEST(PeakCooccurrence, NotAllServicesPeakTogether) {
   // Temporal complementarity: at a tight threshold, a meaningful share of
   // service pairs never hit their peaks in the same hour.
   const la::Matrix m =
-      peak_cooccurrence(dataset(), workload::Direction::kDownlink, 0.95);
+      peak_cooccurrence(view(), workload::Direction::kDownlink, 0.95);
   std::size_t apart = 0;
   std::size_t pairs = 0;
   for (std::size_t i = 0; i < m.rows(); ++i) {
@@ -94,9 +107,9 @@ TEST(PeakCooccurrence, NotAllServicesPeakTogether) {
 }
 
 TEST(PeakCooccurrence, ThresholdValidation) {
-  EXPECT_THROW(peak_cooccurrence(dataset(), workload::Direction::kDownlink, 0.0),
+  EXPECT_THROW(peak_cooccurrence(view(), workload::Direction::kDownlink, 0.0),
                util::PreconditionError);
-  EXPECT_THROW(peak_cooccurrence(dataset(), workload::Direction::kDownlink, 1.5),
+  EXPECT_THROW(peak_cooccurrence(view(), workload::Direction::kDownlink, 1.5),
                util::PreconditionError);
 }
 

@@ -221,8 +221,10 @@ TEST(AnalyzePeaks, DetectedTimesMostlyMatchCatalogSignatures) {
       analyze_peaks(dataset(), workload::Direction::kDownlink);
   std::size_t undeclared_total = 0;
   for (const auto& sp : report.services) {
-    const auto declared =
-        dataset().catalog()[sp.service].temporal.boost_times();
+    std::vector<ts::TopicalTime> declared;
+    for (const auto& b : dataset().catalog()[sp.service].temporal.params().boosts) {
+      declared.push_back(b.time);
+    }
     std::size_t undeclared = 0;
     for (const auto t : sp.topical_times) {
       if (std::find(declared.begin(), declared.end(), t) == declared.end()) {

@@ -7,23 +7,37 @@
 namespace appscope::geo {
 namespace {
 
+/// The number of occupied (non-blank) cells in a rendering.
+std::size_t glyphs(const std::string& art) {
+  std::size_t n = 0;
+  for (const char c : art) n += c != ' ' && c != '\n' ? 1 : 0;
+  return n;
+}
+
 TEST(GridMap, DepositAndReadBack) {
-  GridMap map(10, 10, 100.0);
+  // A cell reads as the mean of its deposits: the one holding 3 and 5
+  // shades like the one holding 4, not like the one holding 8.
+  GridMap map(4, 1, 40.0);
   map.deposit({5.0, 5.0}, 3.0);
   map.deposit({5.0, 5.0}, 5.0);
-  EXPECT_DOUBLE_EQ(map.cell(0, 0), 4.0);  // mean of deposits
-  EXPECT_TRUE(map.occupied(0, 0));
-  EXPECT_FALSE(map.occupied(5, 5));
-  EXPECT_DOUBLE_EQ(map.cell(5, 5), 0.0);
-  EXPECT_DOUBLE_EQ(map.max_cell(), 4.0);
+  map.deposit({15.0, 5.0}, 4.0);
+  map.deposit({25.0, 5.0}, 8.0);
+  const std::string art = map.render_ascii(false);
+  ASSERT_EQ(art.size(), 5u);
+  EXPECT_EQ(art[0], art[1]);
+  EXPECT_NE(art[1], art[2]);
+  EXPECT_EQ(art[3], ' ');
 }
 
 TEST(GridMap, EdgeCoordinatesClampIntoRaster) {
   GridMap map(4, 4, 100.0);
   map.deposit({100.0, 100.0}, 1.0);  // exactly on the far corner
   map.deposit({-5.0, 200.0}, 1.0);   // outside: clamped
-  EXPECT_TRUE(map.occupied(3, 3));
-  EXPECT_TRUE(map.occupied(0, 3));
+  const std::string art = map.render_ascii(false);
+  // Both land in the north row, printed first: its columns 0 and 3.
+  EXPECT_NE(art[0], ' ');
+  EXPECT_NE(art[3], ' ');
+  EXPECT_EQ(glyphs(art), 2u);
 }
 
 TEST(GridMap, AsciiRenderingShapes) {
@@ -33,11 +47,7 @@ TEST(GridMap, AsciiRenderingShapes) {
   // 3 rows, each 6 chars + newline.
   EXPECT_EQ(art.size(), 3u * 7u);
   // Exactly one non-space glyph.
-  std::size_t glyphs = 0;
-  for (const char c : art) {
-    if (c != ' ' && c != '\n') ++glyphs;
-  }
-  EXPECT_EQ(glyphs, 1u);
+  EXPECT_EQ(glyphs(art), 1u);
 }
 
 TEST(GridMap, AsciiNorthUpOrientation) {
@@ -60,20 +70,9 @@ TEST(GridMap, LogScaleSeparatesDecades) {
   EXPECT_NE(log_art[1], log_art[2]);
 }
 
-TEST(GridMap, PgmHeaderAndSize) {
-  GridMap map(4, 2, 40.0);
-  map.deposit({1.0, 1.0}, 2.0);
-  const std::string pgm = map.render_pgm();
-  EXPECT_EQ(pgm.substr(0, 3), "P2\n");
-  EXPECT_NE(pgm.find("4 2"), std::string::npos);
-  EXPECT_NE(pgm.find("255"), std::string::npos);
-}
-
 TEST(GridMap, Validation) {
   EXPECT_THROW(GridMap(0, 5, 10.0), util::PreconditionError);
   EXPECT_THROW(GridMap(5, 5, 0.0), util::PreconditionError);
-  GridMap map(2, 2, 10.0);
-  EXPECT_THROW(map.cell(2, 0), util::PreconditionError);
 }
 
 TEST(MapCommuneValues, OneValuePerCommuneRequired) {
@@ -87,7 +86,7 @@ TEST(MapCommuneValues, OneValuePerCommuneRequired) {
                util::PreconditionError);
   const GridMap map = map_commune_values(t, std::vector<double>(100, 1.0), 20, 10);
   EXPECT_EQ(map.cols(), 20u);
-  EXPECT_GT(map.max_cell(), 0.0);
+  EXPECT_GT(glyphs(map.render_ascii()), 0u);
 }
 
 TEST(MapCoverage, ProducesOccupiedCells) {
@@ -98,13 +97,7 @@ TEST(MapCoverage, ProducesOccupiedCells) {
   cfg.largest_metro_population = 100'000;
   const Territory t = build_synthetic_country(cfg);
   const GridMap map = map_coverage(t, 20, 10);
-  std::size_t occupied = 0;
-  for (std::size_t r = 0; r < map.rows(); ++r) {
-    for (std::size_t c = 0; c < map.cols(); ++c) {
-      occupied += map.occupied(c, r) ? 1 : 0;
-    }
-  }
-  EXPECT_GT(occupied, 10u);
+  EXPECT_GT(glyphs(map.render_ascii(false)), 10u);
 }
 
 }  // namespace

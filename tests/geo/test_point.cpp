@@ -38,11 +38,5 @@ TEST(Polyline, RequiresTwoPoints) {
   EXPECT_THROW(bad.distance_km({1, 1}), util::PreconditionError);
 }
 
-TEST(Polyline, Length) {
-  const Polyline line{{{0, 0}, {3, 4}, {3, 4}}};
-  EXPECT_DOUBLE_EQ(line.length_km(), 5.0);
-  EXPECT_DOUBLE_EQ(Polyline{}.length_km(), 0.0);
-}
-
 }  // namespace
 }  // namespace appscope::geo

@@ -26,27 +26,6 @@ class SpatialIndexTest : public ::testing::Test {
   SpatialIndex index_;
 };
 
-TEST_F(SpatialIndexTest, NearestMatchesLinearScan) {
-  util::Rng rng(3);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point p{rng.uniform(0.0, territory_.side_km()),
-                  rng.uniform(0.0, territory_.side_km())};
-    const CommuneId fast = index_.nearest(p);
-    CommuneId slow = 0;
-    double best = 1e18;
-    for (const auto& c : territory_.communes()) {
-      const double d = distance_km(p, c.centroid);
-      if (d < best) {
-        best = d;
-        slow = c.id;
-      }
-    }
-    EXPECT_EQ(distance_km(p, territory_.commune(fast).centroid), best)
-        << "trial " << trial;
-    (void)slow;
-  }
-}
-
 TEST_F(SpatialIndexTest, WithinRadiusMatchesLinearScanAndIsSorted) {
   util::Rng rng(4);
   for (int trial = 0; trial < 20; ++trial) {

@@ -59,14 +59,13 @@ TEST(Territory, DifferentSeedsDiffer) {
 
 TEST(Territory, AllClassesPresent) {
   const Territory t = build_synthetic_country(small_config());
-  const auto counts = t.class_counts();
-  EXPECT_GT(counts[static_cast<std::size_t>(Urbanization::kUrban)], 0u);
-  EXPECT_GT(counts[static_cast<std::size_t>(Urbanization::kSemiUrban)], 0u);
-  EXPECT_GT(counts[static_cast<std::size_t>(Urbanization::kRural)], 0u);
-  EXPECT_GT(counts[static_cast<std::size_t>(Urbanization::kTgv)], 0u);
+  const auto count = [&t](Urbanization u) { return t.communes_in(u).size(); };
+  EXPECT_GT(count(Urbanization::kUrban), 0u);
+  EXPECT_GT(count(Urbanization::kSemiUrban), 0u);
+  EXPECT_GT(count(Urbanization::kRural), 0u);
+  EXPECT_GT(count(Urbanization::kTgv), 0u);
   // Rural should dominate commune counts, as in France.
-  EXPECT_GT(counts[static_cast<std::size_t>(Urbanization::kRural)],
-            counts[static_cast<std::size_t>(Urbanization::kUrban)]);
+  EXPECT_GT(count(Urbanization::kRural), count(Urbanization::kUrban));
 }
 
 TEST(Territory, MetroPopulationsFollowDecreasingRankSize) {
@@ -120,8 +119,10 @@ TEST(Territory, PopulationAccounting) {
   for (std::size_t u = 0; u < kUrbanizationCount; ++u) {
     by_class += t.population_in(static_cast<Urbanization>(u));
   }
-  EXPECT_EQ(by_class, t.total_population());
-  EXPECT_GT(t.total_population(), 100'000u);
+  std::uint64_t total = 0;
+  for (const Commune& c : t.communes()) total += c.population;
+  EXPECT_EQ(by_class, total);
+  EXPECT_GT(total, 100'000u);
 }
 
 TEST(Territory, ConfigValidation) {

@@ -7,6 +7,7 @@
 // (scripts/check.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +32,12 @@ namespace {
 
 std::filesystem::path temp_file(const std::string& name) {
   return test_support::temp_path(name);
+}
+
+/// True if the snapshot's section table lists `id`.
+bool has_section(const SnapshotReader& reader, SectionId id) {
+  return std::any_of(reader.sections().begin(), reader.sections().end(),
+                     [id](const SectionEntry& e) { return e.id == id; });
 }
 
 /// A small generated dataset saved once; corruption tests mutate copies.
@@ -237,8 +244,8 @@ TEST(SnapshotFormat, WriterReaderRoundTrip) {
   EXPECT_EQ(reader.header().services, 3u);
   EXPECT_EQ(reader.header().communes, 5u);
   EXPECT_EQ(reader.header().section_count, 3u);
-  EXPECT_TRUE(reader.has_section(SectionId::kNationalSeries));
-  EXPECT_FALSE(reader.has_section(SectionId::kTerritory));
+  EXPECT_TRUE(has_section(reader, SectionId::kNationalSeries));
+  EXPECT_FALSE(has_section(reader, SectionId::kTerritory));
 
   const auto f64 = reader.f64_section(SectionId::kNationalSeries);
   ASSERT_EQ(f64.size(), column.size());
@@ -372,7 +379,7 @@ TEST(SnapshotCorruption, FullLoadChecksEverySection) {
   {
     const SnapshotReader reader(path);
     ASSERT_EQ(reader.sections().size(), 10u);
-    ASSERT_TRUE(reader.has_section(kForeign));
+    ASSERT_TRUE(has_section(reader, kForeign));
     foreign_offset = reader.sections().back().offset;
   }
   EXPECT_NO_THROW(read_snapshot(path));

@@ -41,17 +41,9 @@ TEST(VectorOps, Scale) {
   EXPECT_EQ(x, (std::vector<double>{-3.0, 6.0}));
 }
 
-TEST(VectorOps, AddSubtract) {
-  EXPECT_EQ(add(kA, kB), (std::vector<double>{5.0, -3.0, 9.0}));
-  EXPECT_EQ(subtract(kA, kB), (std::vector<double>{-3.0, 7.0, -3.0}));
-}
-
 TEST(VectorOps, SumMeanExtremes) {
   EXPECT_DOUBLE_EQ(sum(kA), 6.0);
   EXPECT_DOUBLE_EQ(mean(kA), 2.0);
-  EXPECT_DOUBLE_EQ(max_element(kB), 6.0);
-  EXPECT_DOUBLE_EQ(min_element(kB), -5.0);
-  EXPECT_EQ(argmax(kB), 2u);
   EXPECT_THROW(mean(std::vector<double>{}), util::PreconditionError);
 }
 

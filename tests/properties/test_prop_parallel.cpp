@@ -359,10 +359,7 @@ TEST(ParallelDeterminism, HierarchicalClusteringIsBitwiseIdentical) {
   const auto series = noisy_weekly_series(20, 41);
   expect_identical_across_thread_counts([&] {
     const ts::Dendrogram dendrogram = ts::hierarchical_cluster(
-        series,
-        [](std::span<const double> a, std::span<const double> b) {
-          return ts::sbd_distance(a, b);
-        },
+        ts::sbd_distance_matrix(ts::SeriesBatch(series)),
         ts::Linkage::kAverage);
     std::vector<double> flat;
     for (const auto& m : dendrogram.merges) {

@@ -85,9 +85,11 @@ CampaignOutput run_campaign(const std::string& tag, std::size_t threads,
   const core::TrafficDataset merged = core::TrafficDataset::load(national);
   std::vector<const core::TrafficDataset*> pointers;
   for (const core::TrafficDataset& p : parts) pointers.push_back(&p);
-  out.report = region_report_markdown(
+  std::ostringstream report;
+  write_region_report(
       compare_regions(pointers, merged, workload::Direction::kDownlink),
-      &stats);
+      &stats, report);
+  out.report = report.str();
 
   fs::remove_all(root);
   return out;

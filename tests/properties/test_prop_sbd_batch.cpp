@@ -4,8 +4,8 @@
 //  - the flat SeriesBatch distance matrix is bitwise identical to the
 //    per-pair path, and it and k-Shape (which always runs on cached
 //    spectra) are bitwise identical at any thread count;
-//  - the DistanceMatrix overloads of hierarchical clustering and the
-//    cluster-quality indices equal their distance-functor counterparts.
+//  - the DistanceMatrix overloads of the cluster-quality indices equal
+//    their distance-functor counterparts.
 //
 // Suite name starts with "Parallel" so the TSan preset (ctest filter
 // ^Parallel) races these paths too.
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "ts/cluster_quality.hpp"
-#include "ts/hierarchical.hpp"
 #include "ts/kshape.hpp"
 #include "ts/sbd.hpp"
 #include "ts/series_batch.hpp"
@@ -116,32 +115,6 @@ TEST(ParallelSbdBatch, KShapeCachedSpectraIsBitwiseIdenticalAcrossThreads) {
   opts.k = 4;
   expect_identical_across_thread_counts(
       [&] { return flatten_kshape(ts::kshape(series, opts)); });
-}
-
-TEST(ParallelSbdBatch, HierarchicalMatrixOverloadEqualsFunctorOverload) {
-  const auto series = noisy_weekly_series(16, 61);
-  expect_identical_across_thread_counts([&] {
-    const ts::SeriesBatch batch(series);
-    const ts::Dendrogram from_matrix = ts::hierarchical_cluster(
-        ts::sbd_distance_matrix(batch), ts::Linkage::kAverage);
-    const ts::Dendrogram from_functor = ts::hierarchical_cluster(
-        series,
-        [](std::span<const double> a, std::span<const double> b) {
-          return ts::sbd_distance(a, b);
-        },
-        ts::Linkage::kAverage);
-    EXPECT_EQ(from_matrix.merges.size(), from_functor.merges.size());
-    std::vector<double> flat;
-    for (std::size_t v = 0; v < 2; ++v) {
-      const auto& merges = (v == 0 ? from_matrix : from_functor).merges;
-      for (const auto& m : merges) {
-        flat.push_back(static_cast<double>(m.left));
-        flat.push_back(static_cast<double>(m.right));
-        flat.push_back(m.distance);
-      }
-    }
-    return flat;
-  });
 }
 
 TEST(ParallelSbdBatch, ClusterQualityMatrixOverloadEqualsFunctor) {

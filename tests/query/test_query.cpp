@@ -91,15 +91,19 @@ TEST(SnapshotView, RowAccessorsMatchDatasetBitwise) {
                             expected.size() * sizeof(double)),
                 0);
 
-      const auto communes = view.commune_row(s, d);
-      ASSERT_EQ(communes.size(), view.communes());
+      const auto communes =
+          view.column(io::SectionId::kCommuneTotals)
+              .subspan(view.layout().commune_offset(s, d), view.communes());
       for (std::size_t c = 0; c < communes.size(); c += 13) {
         EXPECT_EQ(communes[c],
                   dataset.commune_total(s, static_cast<geo::CommuneId>(c), d));
       }
 
       const auto urban =
-          view.urbanization_row(s, geo::Urbanization::kUrban, d);
+          view.column(io::SectionId::kUrbanizationSeries)
+              .subspan(view.layout().urbanization_offset(
+                           s, geo::Urbanization::kUrban, d),
+                       view.hours());
       const auto& urban_expected =
           dataset.urbanization_series(s, geo::Urbanization::kUrban, d);
       ASSERT_EQ(urban.size(), urban_expected.size());

@@ -88,8 +88,6 @@ TEST(RegionSpec, NamedSelectionAndErrors) {
   ASSERT_EQ(set.size(), 2u);
   EXPECT_EQ(set[0].id, "lille");
   EXPECT_EQ(set[1].id, "paris");
-  EXPECT_NE(set.find("paris"), nullptr);
-  EXPECT_EQ(set.find("atlantis"), nullptr);
 
   EXPECT_THROW(RegionSet::metro_areas(0), util::InputError);
   EXPECT_THROW(RegionSet::metro_areas(21), util::InputError);
@@ -381,7 +379,9 @@ TEST(RegionReport, GoldenFourRegionReportIsByteStable) {
     for (const core::TrafficDataset& p : parts) pointers.push_back(&p);
     const RegionComparisonReport comparison =
         compare_regions(pointers, national, workload::Direction::kDownlink);
-    return region_report_markdown(comparison, &stats);
+    std::ostringstream out;
+    write_region_report(comparison, &stats, out);
+    return out.str();
   };
 
   const std::string first = render();

@@ -21,6 +21,9 @@ TEST(Pearson, PerfectLinearRelationships) {
   for (double& v : neg) v = -v;
   EXPECT_NEAR(pearson(x, neg), -1.0, 1e-12);
   EXPECT_NEAR(pearson_r2(x, neg), 1.0, 1e-12);
+  // A monotone but non-linear relation reads below 1.
+  const std::vector<double> cubic{1, 8, 27, 64, 125};
+  EXPECT_LT(pearson(x, cubic), 1.0);
 }
 
 TEST(Pearson, AffineInvariance) {
@@ -58,27 +61,6 @@ TEST(Pearson, Preconditions) {
                util::PreconditionError);
   EXPECT_THROW(pearson(std::vector<double>{1, 2}, std::vector<double>{1, 2, 3}),
                util::PreconditionError);
-}
-
-TEST(Covariance, MatchesHandComputation) {
-  const std::vector<double> x{1, 2, 3};
-  const std::vector<double> y{2, 4, 6};
-  // cov = mean(xy) - mean(x)mean(y) = (2+8+18)/3 - 2*4 = 28/3 - 8.
-  EXPECT_NEAR(covariance(x, y), 28.0 / 3.0 - 8.0, 1e-12);
-}
-
-TEST(Spearman, MonotonicNonlinearIsOne) {
-  const std::vector<double> x{1, 2, 3, 4, 5};
-  const std::vector<double> y{1, 8, 27, 64, 125};  // cubic, monotone
-  EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-  // Pearson is below 1 for the same data.
-  EXPECT_LT(pearson(x, y), 1.0);
-}
-
-TEST(Spearman, HandlesTies) {
-  const std::vector<double> x{1, 2, 2, 3};
-  const std::vector<double> y{10, 20, 20, 30};
-  EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
 }
 
 TEST(PairwiseR2, StructureAndSymmetry) {

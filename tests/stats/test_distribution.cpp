@@ -17,24 +17,6 @@ TEST(Ecdf, StepValues) {
   EXPECT_DOUBLE_EQ(F(100.0), 1.0);
 }
 
-TEST(Ecdf, Inverse) {
-  const Ecdf F(std::vector<double>{10.0, 20.0, 30.0, 40.0});
-  EXPECT_DOUBLE_EQ(F.inverse(0.25), 10.0);
-  EXPECT_DOUBLE_EQ(F.inverse(0.5), 20.0);
-  EXPECT_DOUBLE_EQ(F.inverse(1.0), 40.0);
-  EXPECT_THROW(F.inverse(0.0), util::PreconditionError);
-  EXPECT_THROW(F.inverse(1.5), util::PreconditionError);
-}
-
-TEST(Ecdf, CurveCollapsesDuplicates) {
-  const Ecdf F(std::vector<double>{1.0, 1.0, 2.0});
-  const auto curve = F.curve();
-  ASSERT_EQ(curve.size(), 2u);
-  EXPECT_DOUBLE_EQ(curve[0].first, 1.0);
-  EXPECT_NEAR(curve[0].second, 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(curve[1].second, 1.0);
-}
-
 TEST(Ecdf, EmptySampleThrows) {
   EXPECT_THROW(Ecdf(std::vector<double>{}), util::PreconditionError);
 }
@@ -91,47 +73,6 @@ TEST(Gini, ScaleInvariant) {
   const double g1 = gini(v);
   for (double& x : v) x *= 42.0;
   EXPECT_NEAR(gini(v), g1, 1e-12);
-}
-
-TEST(Histogram, CountsEveryValueOnce) {
-  const std::vector<double> v{0.0, 0.1, 0.5, 0.9, 1.0};
-  const auto bins = histogram(v, 2);
-  ASSERT_EQ(bins.size(), 2u);
-  std::size_t total = 0;
-  for (const auto& b : bins) total += b.count;
-  EXPECT_EQ(total, v.size());
-  // Max value lands in the last bin.
-  EXPECT_GE(bins.back().count, 1u);
-}
-
-TEST(Histogram, ConstantData) {
-  const auto bins = histogram(std::vector<double>{2.0, 2.0}, 3);
-  std::size_t total = 0;
-  for (const auto& b : bins) total += b.count;
-  EXPECT_EQ(total, 2u);
-}
-
-TEST(LogHistogram, SpansDecades) {
-  const std::vector<double> v{1.0, 10.0, 100.0, 1000.0};
-  const auto bins = log_histogram(v, 1);
-  std::size_t total = 0;
-  for (const auto& b : bins) total += b.count;
-  EXPECT_EQ(total, 4u);
-  // Bin edges are powers of ten.
-  EXPECT_NEAR(bins.front().lower, 1.0, 1e-9);
-}
-
-TEST(LogHistogram, DropsNonPositive) {
-  const std::vector<double> v{-1.0, 0.0, 10.0};
-  const auto bins = log_histogram(v, 1);
-  std::size_t total = 0;
-  for (const auto& b : bins) total += b.count;
-  EXPECT_EQ(total, 1u);
-}
-
-TEST(LogHistogram, AllNonPositiveThrows) {
-  EXPECT_THROW(log_histogram(std::vector<double>{0.0, -2.0}, 1),
-               util::PreconditionError);
 }
 
 }  // namespace

@@ -56,13 +56,19 @@ TEST(AggregateTables, RowsReadBackThroughSnapshotViewAndPlan) {
   io::write_snapshot(path, config, territory, subscribers, catalog, tables);
 
   const query::SnapshotView view(path);
+  const AggregateLayout layout = view.layout();
+  const auto communes = view.column(io::SectionId::kCommuneTotals);
+  const auto classes = view.column(io::SectionId::kUrbanizationSeries);
   for (std::size_t s = 0; s < catalog.size(); ++s) {
     for (const auto d : kDirections) {
       EXPECT_TRUE(same(view.national_row(s, d), tables.national_row(s, d)));
-      EXPECT_TRUE(same(view.commune_row(s, d), tables.commune_row(s, d)));
+      EXPECT_TRUE(same(
+          communes.subspan(layout.commune_offset(s, d), view.communes()),
+          tables.commune_row(s, d)));
       for (std::size_t u = 0; u < geo::kUrbanizationCount; ++u) {
         const auto cls = static_cast<geo::Urbanization>(u);
-        EXPECT_TRUE(same(view.urbanization_row(s, cls, d),
+        EXPECT_TRUE(same(classes.subspan(layout.urbanization_offset(s, cls, d),
+                                         AggregateLayout::kHours),
                          tables.urbanization_row(s, cls, d)));
       }
     }

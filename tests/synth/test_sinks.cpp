@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "ts/time_series.hpp"
+#include "ts/calendar.hpp"
 #include "util/error.hpp"
 
 namespace appscope::synth {
@@ -44,11 +44,10 @@ TEST(NationalSeriesSink, TimeSeriesConversion) {
   AggregateSink sink(1, 1);
   feed_hour(sink, 0, 0, 5, geo::Urbanization::kUrban, 2.0, 0.0);
   const auto row = sink.tables().national_row(0, kDown);
-  const ts::TimeSeries series(std::vector<double>(row.begin(), row.end()),
-                              "svc");
+  const std::vector<double> series(row.begin(), row.end());
   EXPECT_EQ(series.size(), ts::kHoursPerWeek);
-  EXPECT_EQ(series.label(), "svc");
   EXPECT_DOUBLE_EQ(series[5], 2.0);
+  EXPECT_DOUBLE_EQ(series[4], 0.0);
 }
 
 TEST(CommuneTotalsSink, AccumulatesWeeklyTotals) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "la/vector_ops.hpp"
+#include "ts/cluster_quality.hpp"
 #include "ts/sbd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -17,13 +18,37 @@ const DistanceFn kEuclidean = [](std::span<const double> a,
   return la::distance(a, b);
 };
 
+/// The pairwise distances of `items` under `dist`.
+DistanceMatrix pairwise(const std::vector<std::vector<double>>& items,
+                        const DistanceFn& dist) {
+  DistanceMatrix d(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    for (std::size_t j = i + 1; j < items.size(); ++j) {
+      d(i, j) = dist(items[i], items[j]);
+    }
+  }
+  d.symmetrize_upper();
+  return d;
+}
+
+/// Leaf assignments to the two sides of the last merge (0 = left).
+std::vector<std::size_t> last_merge_sides(const Dendrogram& d) {
+  std::vector<std::size_t> side(d.leaf_count + d.merges.size(), 0);
+  side[d.merges.back().right] = 1;
+  for (auto m = d.merges.rbegin() + 1; m != d.merges.rend(); ++m) {
+    side[m->left] = side[m->right] = side[m->parent];
+  }
+  side.resize(d.leaf_count);
+  return side;
+}
+
 /// Two tight 1-D clusters at 0 and 100.
 std::vector<std::vector<double>> two_blobs() {
   return {{0.0}, {1.0}, {2.0}, {100.0}, {101.0}, {102.0}};
 }
 
 TEST(Hierarchical, MergeCountAndIds) {
-  const Dendrogram d = hierarchical_cluster(two_blobs(), kEuclidean);
+  const Dendrogram d = hierarchical_cluster(pairwise(two_blobs(), kEuclidean));
   EXPECT_EQ(d.leaf_count, 6u);
   ASSERT_EQ(d.merges.size(), 5u);
   for (std::size_t i = 0; i < d.merges.size(); ++i) {
@@ -34,7 +59,8 @@ TEST(Hierarchical, MergeCountAndIds) {
 TEST(Hierarchical, MergeDistancesNonDecreasing) {
   for (const Linkage linkage :
        {Linkage::kSingle, Linkage::kComplete, Linkage::kAverage}) {
-    const Dendrogram d = hierarchical_cluster(two_blobs(), kEuclidean, linkage);
+    const Dendrogram d =
+        hierarchical_cluster(pairwise(two_blobs(), kEuclidean), linkage);
     for (std::size_t i = 1; i < d.merges.size(); ++i) {
       EXPECT_GE(d.merges[i].distance, d.merges[i - 1].distance - 1e-12)
           << "linkage " << static_cast<int>(linkage);
@@ -43,8 +69,8 @@ TEST(Hierarchical, MergeDistancesNonDecreasing) {
 }
 
 TEST(Hierarchical, CutToTwoRecoversBlobs) {
-  const Dendrogram d = hierarchical_cluster(two_blobs(), kEuclidean);
-  const auto assignments = d.cut_to_k(2);
+  const Dendrogram d = hierarchical_cluster(pairwise(two_blobs(), kEuclidean));
+  const auto assignments = last_merge_sides(d);
   ASSERT_EQ(assignments.size(), 6u);
   EXPECT_EQ(assignments[0], assignments[1]);
   EXPECT_EQ(assignments[1], assignments[2]);
@@ -53,29 +79,8 @@ TEST(Hierarchical, CutToTwoRecoversBlobs) {
   EXPECT_NE(assignments[0], assignments[3]);
 }
 
-TEST(Hierarchical, CutAtDistanceSeparatesByThreshold) {
-  const Dendrogram d = hierarchical_cluster(two_blobs(), kEuclidean);
-  // Cut below the inter-blob distance (98): 2 clusters; cut above: 1.
-  const auto below_v = d.cut_at(50.0);
-  const auto above_v = d.cut_at(150.0);
-  const auto none_v = d.cut_at(-1.0);  // nothing merged: all singletons
-  EXPECT_EQ(std::set<std::size_t>(below_v.begin(), below_v.end()).size(), 2u);
-  EXPECT_EQ(std::set<std::size_t>(above_v.begin(), above_v.end()).size(), 1u);
-  EXPECT_EQ(std::set<std::size_t>(none_v.begin(), none_v.end()).size(), 6u);
-}
-
-TEST(Hierarchical, CutToKBoundaries) {
-  const Dendrogram d = hierarchical_cluster(two_blobs(), kEuclidean);
-  const auto one_v = d.cut_to_k(1);
-  EXPECT_EQ(std::set<std::size_t>(one_v.begin(), one_v.end()).size(), 1u);
-  const auto all_v = d.cut_to_k(6);
-  EXPECT_EQ(std::set<std::size_t>(all_v.begin(), all_v.end()).size(), 6u);
-  EXPECT_THROW(d.cut_to_k(0), util::PreconditionError);
-  EXPECT_THROW(d.cut_to_k(7), util::PreconditionError);
-}
-
 TEST(Hierarchical, LargestGapRevealsCleanStructure) {
-  const Dendrogram d = hierarchical_cluster(two_blobs(), kEuclidean);
+  const Dendrogram d = hierarchical_cluster(pairwise(two_blobs(), kEuclidean));
   const auto [gap, index] = d.largest_merge_gap();
   // The last merge bridges the blobs: gap ~96 dwarfs the intra-blob merges.
   EXPECT_GT(gap, 90.0);
@@ -86,7 +91,7 @@ TEST(Hierarchical, NoDominantGapOnUnstructuredData) {
   util::Rng rng(9);
   std::vector<std::vector<double>> points;
   for (int i = 0; i < 16; ++i) points.push_back({rng.uniform(0.0, 10.0)});
-  const Dendrogram d = hierarchical_cluster(points, kEuclidean);
+  const Dendrogram d = hierarchical_cluster(pairwise(points, kEuclidean));
   const auto [gap, index] = d.largest_merge_gap();
   // Gap exists but is a small fraction of the final merge distance.
   EXPECT_LT(gap, d.merges.back().distance * 0.8);
@@ -113,23 +118,22 @@ TEST(Hierarchical, WorksWithSbdOnTimeSeries) {
                                  std::span<const double> b) {
     return sbd_distance(a, b);
   };
-  const Dendrogram d = hierarchical_cluster(series, sbd_dist);
-  const auto assignments = d.cut_to_k(2);
+  const Dendrogram d = hierarchical_cluster(pairwise(series, sbd_dist));
+  const auto assignments = last_merge_sides(d);
   for (std::size_t i = 1; i < 5; ++i) EXPECT_EQ(assignments[i], assignments[0]);
   for (std::size_t i = 6; i < 10; ++i) EXPECT_EQ(assignments[i], assignments[5]);
   EXPECT_NE(assignments[0], assignments[5]);
 }
 
 TEST(Hierarchical, SingleItem) {
-  const Dendrogram d = hierarchical_cluster({{1.0}}, kEuclidean);
+  const Dendrogram d = hierarchical_cluster(DistanceMatrix(1));
   EXPECT_EQ(d.leaf_count, 1u);
   EXPECT_TRUE(d.merges.empty());
-  EXPECT_EQ(d.cut_at(10.0), (std::vector<std::size_t>{0}));
   EXPECT_THROW(d.largest_merge_gap(), util::PreconditionError);
 }
 
 TEST(Hierarchical, EmptyInputThrows) {
-  EXPECT_THROW(hierarchical_cluster({}, kEuclidean), util::PreconditionError);
+  EXPECT_THROW(hierarchical_cluster(DistanceMatrix{}), util::PreconditionError);
 }
 
 }  // namespace

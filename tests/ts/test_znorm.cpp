@@ -15,8 +15,10 @@ TEST(Znorm, ProducesZeroMeanUnitVariance) {
   std::vector<double> x(500);
   for (double& v : x) v = rng.normal(10.0, 3.0);
   const auto z = znormalize(std::span<const double>(x));
-  EXPECT_NEAR(stats::mean(z), 0.0, 1e-10);
-  EXPECT_NEAR(stats::stddev_population(z), 1.0, 1e-10);
+  stats::RunningStats rs;
+  for (const double v : z) rs.add(v);
+  EXPECT_NEAR(rs.mean(), 0.0, 1e-10);
+  EXPECT_NEAR(rs.stddev_population(), 1.0, 1e-10);
   EXPECT_TRUE(is_znormalized(z));
 }
 
@@ -45,13 +47,6 @@ TEST(Znorm, InplaceMatchesCopy) {
   const auto copy = znormalize(std::span<const double>(x));
   znormalize_inplace(x);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(x[i], copy[i]);
-}
-
-TEST(Znorm, TimeSeriesOverloadKeepsLabel) {
-  const TimeSeries s({1.0, 2.0, 3.0}, "svc");
-  const TimeSeries z = znormalize(s);
-  EXPECT_EQ(z.label(), "svc");
-  EXPECT_NEAR(z.mean(), 0.0, 1e-12);
 }
 
 TEST(Znorm, EmptyIsNoop) {

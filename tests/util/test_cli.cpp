@@ -30,12 +30,47 @@ TEST(CliArgs, ParsesFlagsAndValues) {
       make_args({"prog", "--verbose", "--scale=paper", "input.csv"});
   EXPECT_EQ(args.program(), "prog");
   EXPECT_TRUE(args.has("verbose"));
-  EXPECT_TRUE(args.has("scale"));
+  EXPECT_THROW(args.has("scale"), InputError);  // valued, not a switch
   EXPECT_FALSE(args.has("quiet"));
   EXPECT_EQ(args.value("scale"), "paper");
   EXPECT_FALSE(args.value("verbose").has_value());
   ASSERT_EQ(args.positionals().size(), 1u);
   EXPECT_EQ(args.positionals()[0], "input.csv");
+}
+
+TEST(CliArgs, SwitchGivenAValueThrows) {
+  // "--force-sampling=false" must not read as the switch turned on.
+  const CliArgs args = make_args({"prog", "--list=no", "--force-sampling"});
+  try {
+    args.has("list");
+    FAIL() << "a value on a switch accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("--list=no"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(args.has("force-sampling"));
+  EXPECT_FALSE(args.has("absent"));
+}
+
+TEST(CliArgs, BareValuedFlagThrowsAndAbsentFlagKeepsItsDefault) {
+  const CliArgs args =
+      make_args({"prog", "--name", "--count", "--port", "--rate"});
+  EXPECT_THROW(args.get_string("name", "dflt"), InputError);
+  EXPECT_THROW(args.get_count<std::size_t>("count", 4), InputError);
+  EXPECT_THROW(args.get_int("port", -1, 0, 65535), InputError);
+  EXPECT_THROW(args.get_nonnegative("rate", 1.0), InputError);
+  try {
+    args.get_count<std::size_t>("count", 4);
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos)
+        << e.what();
+  }
+  // The raw accessor reads a bare flag as absent.
+  EXPECT_FALSE(args.value("count").has_value());
+  EXPECT_EQ(args.get_string("title", "dflt"), "dflt");
+  EXPECT_EQ(args.get_count<std::size_t>("shards", 4), 4u);
+  EXPECT_EQ(args.get_int("admin-port", -1, 0, 65535), -1);
+  EXPECT_DOUBLE_EQ(args.get_nonnegative("duration", 2.5), 2.5);
 }
 
 TEST(CliArgs, TypedAccessorsWithDefaults) {

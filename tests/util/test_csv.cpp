@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "util/error.hpp"
 
 namespace appscope::util {
 namespace {
@@ -20,15 +19,10 @@ TEST(CsvWriter, PlainRow) {
 TEST(CsvWriter, QuotesSpecialCharacters) {
   std::ostringstream out;
   CsvWriter writer(out);
-  writer.write_row({"a,b", "say \"hi\"", "line\nbreak"});
-  EXPECT_EQ(out.str(), "\"a,b\",\"say \"\"hi\"\"\",\"line\nbreak\"\n");
-}
-
-TEST(CsvWriter, NumericRow) {
-  std::ostringstream out;
-  CsvWriter writer(out);
-  writer.write_numeric_row({1.5, 2.25}, 2);
-  EXPECT_EQ(out.str(), "1.50,2.25\n");
+  writer.write_row({"a,b", "say \"hi\"", "line\nbreak", "carriage\rreturn"});
+  EXPECT_EQ(out.str(),
+            "\"a,b\",\"say \"\"hi\"\"\",\"line\nbreak\","
+            "\"carriage\rreturn\"\n");
 }
 
 TEST(CsvWriter, CustomSeparator) {
@@ -36,51 +30,6 @@ TEST(CsvWriter, CustomSeparator) {
   CsvWriter writer(out, ';');
   writer.write_row({"a", "b;c"});
   EXPECT_EQ(out.str(), "a;\"b;c\"\n");
-}
-
-TEST(CsvReader, ParsesSimpleDocument) {
-  const auto rows = CsvReader::parse("a,b\nc,d\n");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
-}
-
-TEST(CsvReader, HandlesQuotedFields) {
-  const auto rows = CsvReader::parse("\"a,b\",\"he said \"\"hi\"\"\"\n");
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0], "a,b");
-  EXPECT_EQ(rows[0][1], "he said \"hi\"");
-}
-
-TEST(CsvReader, HandlesCrLfAndMissingTrailingNewline) {
-  const auto rows = CsvReader::parse("a,b\r\nc,d");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][1], "d");
-}
-
-TEST(CsvReader, QuotedNewlineStaysInField) {
-  const auto rows = CsvReader::parse("\"x\ny\",z\n");
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0], "x\ny");
-}
-
-TEST(CsvReader, ThrowsOnUnbalancedQuote) {
-  EXPECT_THROW(CsvReader::parse("\"unterminated"), InputError);
-}
-
-TEST(CsvReader, RoundTripsWriterOutput) {
-  std::ostringstream out;
-  CsvWriter writer(out);
-  const std::vector<std::string> original{"plain", "with,comma", "with\"quote"};
-  writer.write_row(original);
-  const auto rows = CsvReader::parse(out.str());
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], original);
-}
-
-TEST(CsvReader, MissingFileThrows) {
-  EXPECT_THROW(CsvReader::parse_file("/nonexistent/definitely/missing.csv"),
-               InputError);
 }
 
 }  // namespace

@@ -129,14 +129,6 @@ TEST(Rng, LognormalMeanMatchesTheory) {
   EXPECT_NEAR(sum / n, 1.0, 0.02);
 }
 
-TEST(Rng, ExponentialMeanIsInverseRate) {
-  Rng rng(7);
-  const int n = 200000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 0.25, 0.005);
-}
-
 TEST(Rng, PoissonSmallLambdaMean) {
   Rng rng(8);
   const int n = 100000;
@@ -174,80 +166,6 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
-}
-
-TEST(ZipfSampler, RejectsBadParameters) {
-  EXPECT_THROW((ZipfSampler(0, 1.0)), PreconditionError);
-  EXPECT_THROW((ZipfSampler(10, 0.0)), PreconditionError);
-  EXPECT_THROW((ZipfSampler(10, -1.0)), PreconditionError);
-}
-
-TEST(ZipfSampler, SingleRankAlwaysOne) {
-  ZipfSampler zipf(1, 1.5);
-  Rng rng(1);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(zipf(rng), 1u);
-}
-
-TEST(ZipfSampler, SamplesStayInRange) {
-  ZipfSampler zipf(100, 1.69);
-  Rng rng(13);
-  for (int i = 0; i < 10000; ++i) {
-    const auto k = zipf(rng);
-    ASSERT_GE(k, 1u);
-    ASSERT_LE(k, 100u);
-  }
-}
-
-TEST(ZipfSampler, RankOneFrequencyMatchesTheory) {
-  const double s = 1.69;
-  const std::uint64_t n_ranks = 50;
-  ZipfSampler zipf(n_ranks, s);
-  Rng rng(14);
-  double h = 0.0;  // normalization
-  for (std::uint64_t k = 1; k <= n_ranks; ++k) h += std::pow(k, -s);
-  const int n = 200000;
-  int rank1 = 0;
-  for (int i = 0; i < n; ++i) rank1 += zipf(rng) == 1 ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(rank1) / n, 1.0 / h, 0.01);
-}
-
-TEST(ZipfSampler, HandlesExponentOne) {
-  ZipfSampler zipf(20, 1.0);
-  Rng rng(15);
-  std::vector<int> counts(21, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[zipf(rng)];
-  // P(1)/P(2) should be ~2 under s = 1.
-  EXPECT_NEAR(static_cast<double>(counts[1]) / counts[2], 2.0, 0.15);
-}
-
-TEST(AliasSampler, RejectsInvalidWeights) {
-  EXPECT_THROW((AliasSampler(std::vector<double>{})), PreconditionError);
-  EXPECT_THROW((AliasSampler(std::vector<double>{0.0, 0.0})), PreconditionError);
-  EXPECT_THROW((AliasSampler(std::vector<double>{1.0, -0.5})), PreconditionError);
-}
-
-TEST(AliasSampler, MatchesWeights) {
-  const std::vector<double> weights{1.0, 2.0, 3.0, 4.0};
-  AliasSampler sampler(weights);
-  Rng rng(16);
-  std::vector<int> counts(4, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[sampler(rng)];
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / n, weights[i] / 10.0, 0.01);
-  }
-}
-
-TEST(AliasSampler, DegenerateSingleWeight) {
-  AliasSampler sampler({5.0});
-  Rng rng(17);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler(rng), 0u);
-}
-
-TEST(AliasSampler, ZeroWeightNeverSampled) {
-  AliasSampler sampler({1.0, 0.0, 1.0});
-  Rng rng(18);
-  for (int i = 0; i < 10000; ++i) EXPECT_NE(sampler(rng), 1u);
 }
 
 }  // namespace

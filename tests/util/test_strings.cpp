@@ -7,27 +7,6 @@
 namespace appscope::util {
 namespace {
 
-TEST(Split, BasicFields) {
-  const auto fields = split("a,b,c", ',');
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "b");
-  EXPECT_EQ(fields[2], "c");
-}
-
-TEST(Split, KeepsEmptyFields) {
-  const auto fields = split("a,,c,", ',');
-  ASSERT_EQ(fields.size(), 4u);
-  EXPECT_EQ(fields[1], "");
-  EXPECT_EQ(fields[3], "");
-}
-
-TEST(Split, SingleField) {
-  const auto fields = split("alone", ',');
-  ASSERT_EQ(fields.size(), 1u);
-  EXPECT_EQ(fields[0], "alone");
-}
-
 TEST(Trim, RemovesSurroundingWhitespace) {
   EXPECT_EQ(trim("  hello  "), "hello");
   EXPECT_EQ(trim("\t\nhi\r "), "hi");

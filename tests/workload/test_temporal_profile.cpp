@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ts/peaks.hpp"
 #include "util/error.hpp"
 #include "workload/catalog.hpp"
 
 namespace appscope::workload {
 namespace {
+
+/// The profile's 168 hourly values.
+std::vector<double> weekly(const TemporalProfile& profile) {
+  std::vector<double> v(ts::kHoursPerWeek);
+  for (std::size_t h = 0; h < v.size(); ++h) v[h] = profile.evaluate(h);
+  return v;
+}
 
 TemporalProfileParams basic_params() {
   TemporalProfileParams p;
@@ -81,24 +91,6 @@ TEST(TemporalProfile, WeekendBoostOnlyOnWeekend) {
               0.02 * plain.evaluate(tuesday21));
 }
 
-TEST(TemporalProfile, WeeklySeriesHas168Samples) {
-  const TemporalProfile profile(basic_params());
-  const ts::TimeSeries series = profile.weekly_series("x");
-  EXPECT_EQ(series.size(), ts::kHoursPerWeek);
-  EXPECT_EQ(series.label(), "x");
-}
-
-TEST(TemporalProfile, BoostTimesInRingOrder) {
-  TemporalProfileParams p = basic_params();
-  p.boosts.push_back({ts::TopicalTime::kEvening, 0.5, 0.8});
-  p.boosts.push_back({ts::TopicalTime::kMorningCommute, 0.5, 0.8});
-  const TemporalProfile profile(p);
-  const auto times = profile.boost_times();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_EQ(times[0], ts::TopicalTime::kMorningCommute);
-  EXPECT_EQ(times[1], ts::TopicalTime::kEvening);
-}
-
 TEST(TemporalProfile, ParameterValidation) {
   TemporalProfileParams p = basic_params();
   p.night_floor = 0.0;
@@ -118,8 +110,7 @@ TEST(TemporalProfile, SmoothBaselineDoesNotTriggerDetector) {
   // Without boosts, the paper-parameter detector must stay silent: the
   // baseline is smooth by design.
   const TemporalProfile profile(basic_params());
-  const ts::TimeSeries series = profile.weekly_series();
-  const auto det = ts::detect_peaks(series.values(), {});
+  const auto det = ts::detect_peaks(weekly(profile), {});
   EXPECT_TRUE(det.rising_fronts.empty());
 }
 
@@ -129,10 +120,12 @@ TEST(TemporalProfile, CatalogBoostsAreDetectedAtTheRightTopicalTimes) {
   // (detection may miss weak boosts; it must not invent spurious ones).
   const ServiceCatalog catalog = ServiceCatalog::paper_services();
   for (const auto& spec : catalog.services()) {
-    const ts::TimeSeries series = spec.temporal.weekly_series(spec.name);
-    const auto det = ts::detect_peaks(series.values(), {});
+    const auto det = ts::detect_peaks(weekly(spec.temporal), {});
     const auto detected = ts::peak_topical_times(det);
-    const auto declared = spec.temporal.boost_times();
+    std::vector<ts::TopicalTime> declared;
+    for (const PeakBoost& b : spec.temporal.params().boosts) {
+      declared.push_back(b.time);
+    }
     for (const auto t : detected) {
       EXPECT_NE(std::find(declared.begin(), declared.end(), t), declared.end())
           << spec.name << " spuriously peaks at " << ts::topical_time_name(t);
